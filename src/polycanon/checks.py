@@ -449,8 +449,19 @@ def default_corpus(seed: int = 0, count: int = 24,
 
     Candidate coordinates range over ``[-coord_bound, coord_bound]``; each
     hull uses at most ``max_candidates`` candidate points and has dimension
-    at least one.
+    at least one.  Raises ``ValueError`` up front when some box
+    ``[-coord_bound, coord_bound]^m`` holds fewer points than a hull may
+    draw, since drawing them would never end.
     """
+    if coord_bound < 1:
+        raise ValueError(f"coord_bound must be >= 1, got {coord_bound}")
+    for m in dims:
+        need = max(m + 1, max_candidates)
+        if m < 1 or (2 * coord_bound + 1) ** m < need:
+            raise ValueError(
+                f"corpus dimension {m} needs m >= 1 and"
+                f" (2*coord_bound+1)^m >= max(m+1, max_candidates) = {need},"
+                f" got (2*{coord_bound}+1)^{m} = {(2 * coord_bound + 1) ** m}")
     rng = random.Random(seed)
     out = []
     for i in range(count):

@@ -1,9 +1,12 @@
-"""Exact integer and rational linear algebra for lattice geometry.
+"""Exact integer linear algebra for lattice geometry.
 
-All arithmetic uses Python ints (arbitrary precision) and
-``fractions.Fraction``; nothing in this package touches floating point for
-any geometric decision.  Vectors are tuples of ints, matrices are row-major
-tuples of such tuples.
+Vectors are tuples of ints and matrices are row-major tuples of such
+tuples; Python ints never overflow and nothing here touches floating point.
+Rank, exact solving and unimodular inverses share one fraction-free
+Gauss-Jordan elimination over the integers; the Smith normal form and the
+Bareiss determinant are integer-only too, and Laplace expansion stays as
+the independent determinant route.  ``fractions.Fraction`` appears only in
+the results of :func:`solve_rational`.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 LatticeVector = tuple
 IntMatrix = tuple
-Rational = Fraction
 
 Number = Union[int, Fraction]
 
@@ -54,10 +56,6 @@ def vscale(u: Sequence[Number], s: Number) -> tuple:
     return tuple(a * s for a in u)
 
 
-def vneg(u: Sequence[Number]) -> tuple:
-    return tuple(-a for a in u)
-
-
 def gcd_vector(v: Sequence[int]) -> int:
     return reduce(math.gcd, v, 0)
 
@@ -78,20 +76,12 @@ def transpose(M: Sequence[Sequence[Number]]) -> tuple:
     return tuple(zip(*M)) if M else ()
 
 
-def mat_vec(M: Sequence[Sequence[Number]], v: Sequence[Number]) -> tuple:
-    return tuple(dot(row, v) for row in M)
-
-
 def vec_mat(v: Sequence[Number], M: Sequence[Sequence[Number]]) -> tuple:
     if not M:
         return ()
     return tuple(
         sum(v[i] * M[i][j] for i in range(len(M))) for j in range(len(M[0]))
     )
-
-
-def mat_mul(A: Sequence[Sequence[Number]], B: Sequence[Sequence[Number]]) -> tuple:
-    return tuple(vec_mat(row, B) for row in A)
 
 
 def det_cofactor(M: Sequence[Sequence[Number]]) -> Number:
@@ -144,28 +134,47 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def rank(M: Sequence[Sequence[Number]]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in M if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
+def _row_reduce(rows: Iterable[Sequence[int]], ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Pivots are taken from the first ``ncols`` columns; any further columns
+    (a right-hand side, an identity block) ride along.  Each elimination
+    step replaces a row by ``p * row - f * pivot_row`` and divides it by
+    its content, so the entries stay integers and every reduced row is a
+    nonzero multiple of the row that rational Gauss-Jordan would give.
+
+    Returns ``(rows, pivots)``: the reduced rows, with the row of the i-th
+    pivot at index i, and the list of pivot columns.
+    """
+    rows = [_divide_content(list(row)) for row in rows]
+    pivots: list = []
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _divide_content(
+                    [p * a - f * b for a, b in zip(row, prow)])
+        pivots.append(c)
+    return rows, pivots
+
+
+def _divide_content(row: list) -> list:
+    g = gcd_vector(row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def rank(M: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by exact integer elimination."""
+    return len(_row_reduce(M, len(M[0]) if M else 0)[1])
 
 
 def generalized_cross(rows: Sequence[Sequence[Number]], dim: int) -> tuple:
@@ -186,52 +195,6 @@ def generalized_cross(rows: Sequence[Sequence[Number]], dim: int) -> tuple:
 
 def _axpy(rows: list, dst: int, src: int, q: int) -> None:
     rows[dst] = [a + q * b for a, b in zip(rows[dst], rows[src])]
-
-
-def hermite_normal_form(M) -> tuple:
-    """Row-style Hermite normal form.
-
-    Returns ``(H, U)`` with ``U`` unimodular and ``U @ M == H``.  Pivots are
-    positive, entries above each pivot are reduced into ``[0, pivot)`` and
-    zero rows sink to the bottom.
-    """
-    M = as_matrix(M)
-    if not M:
-        raise ValueError("empty matrix")
-    nr, nc = len(M), len(M[0])
-    H = [list(r) for r in M]
-    U = [list(r) for r in identity_matrix(nr)]
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        if all(H[i][c] == 0 for i in range(r, nr)):
-            continue
-        while True:
-            nz = [i for i in range(r, nr) if H[i][c] != 0]
-            if len(nz) == 1:
-                break
-            i0 = min(nz, key=lambda i: (abs(H[i][c]), i))
-            for i in nz:
-                if i == i0:
-                    continue
-                q = H[i][c] // H[i0][c]
-                _axpy(H, i, i0, -q)
-                _axpy(U, i, i0, -q)
-        i0 = next(i for i in range(r, nr) if H[i][c] != 0)
-        H[r], H[i0] = H[i0], H[r]
-        U[r], U[i0] = U[i0], U[r]
-        if H[r][c] < 0:
-            H[r] = [-a for a in H[r]]
-            U[r] = [-a for a in U[r]]
-        p = H[r][c]
-        for i in range(r):
-            q = H[i][c] // p
-            if q:
-                _axpy(H, i, r, -q)
-                _axpy(U, i, r, -q)
-        r += 1
-    return tuple(tuple(row) for row in H), tuple(tuple(row) for row in U)
 
 
 def smith_normal_form(M) -> tuple:
@@ -318,16 +281,6 @@ def smith_normal_form(M) -> tuple:
     )
 
 
-def invariant_factors(M) -> tuple:
-    """Nonzero diagonal of the Smith normal form, in divisibility order."""
-    S, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(len(S), len(S[0]))):
-        if S[i][i] != 0:
-            out.append(S[i][i])
-    return tuple(out)
-
-
 def unimodular_inverse(M) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1."""
     M = as_matrix(M)
@@ -336,61 +289,41 @@ def unimodular_inverse(M) -> IntMatrix:
         return ()
     if any(len(r) != n for r in M):
         raise ValueError("inverse needs a square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    rows, pivots = _row_reduce(
+        [row + e for row, e in zip(M, identity_matrix(n))], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
+    for c, row in enumerate(rows):
+        p = row[c]
+        if any(x % p for x in row[n:]):
             raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
+        out.append(tuple(x // p for x in row[n:]))
     return tuple(out)
 
 
 def solve_rational(A, b) -> Optional[tuple]:
-    """Solve ``A x = b`` exactly over the rationals.
+    """Solve ``A x = b`` exactly over the rationals, for integer ``A``, ``b``.
 
     ``A`` must have full column rank (square or overdetermined systems);
     anything rank-deficient raises ``ValueError``.  Returns a tuple of
     Fractions, or ``None`` when the system is inconsistent.
     """
-    A = tuple(tuple(Fraction(x) for x in row) for row in A)
-    b = tuple(Fraction(x) for x in b)
+    A = tuple(tuple(row) for row in A)
+    b = tuple(b)
     nr = len(A)
     if nr != len(b):
         raise ValueError("shape mismatch between matrix and right-hand side")
     nc = len(A[0]) if nr else 0
     if nc > nr:
         raise ValueError("underdetermined system")
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, nr):
-        if aug[i][-1] != 0:
-            return None
-    return tuple(aug[i][-1] for i in range(nc))
+    rows, pivots = _row_reduce(
+        [row + (rhs,) for row, rhs in zip(A, b)], nc)
+    if len(pivots) < nc:
+        raise ValueError("matrix does not have full column rank")
+    if any(row[-1] for row in rows[nc:]):
+        return None
+    return tuple(Fraction(row[-1], row[c]) for c, row in enumerate(rows[:nc]))
 
 
 class AffineChart:
@@ -454,9 +387,3 @@ def build_chart(points) -> AffineChart:
             raise AssertionError("chart construction failed to round-trip")
     return chart
 
-
-def full_dimensionalize(points) -> tuple:
-    """Return ``(forward, inverse, dim)`` mapping lattice points of the
-    affine hull of ``points`` bijectively onto ``Z^dim``."""
-    chart = build_chart(points)
-    return chart.to_chart, chart.from_chart, chart.dim

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 try:
@@ -248,10 +247,6 @@ class Polytope:
 
     def contains(self, x, scale: int = 1) -> bool:
         return self.classify_point(x, scale=scale) != "outside"
-
-    def support_hyperplanes(self) -> tuple:
-        """Ambient facet inequalities (primitive normals, lex-sorted)."""
-        return self.facets
 
     def is_simplex(self) -> bool:
         return len(self.vertices) == self.dim + 1

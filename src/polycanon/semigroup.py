@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .cone import GradedPoint, ReductionWitness, cone_over, cone_slice
 from .exactmath import vsub
@@ -183,14 +183,22 @@ def irreducible_generators(P: Polytope) -> GeneratorReport:
     Every point of the ideal reduces to degree at most ``dim + 1``, so the
     scan over degrees ``1 .. dim + 1`` is exhaustive.
     """
-    hit = P._cache.get("generator_report")
+    return _generator_report(P, is_irreducible, "generator_report")
+
+
+def _generator_report(P: Polytope,
+                      irreducible: Callable[[Polytope, GradedPoint], bool],
+                      key: str) -> GeneratorReport:
+    """Scan degrees ``1 .. dim + 1`` for the interior points passing the
+    irreducibility predicate and cache the report under ``key``."""
+    hit = P._cache.get(key)
     if hit is not None:
         return hit
     gens = []
     for k in range(1, P.dim + 2):
         for p in P.interior_lattice_points(k):
             y = GradedPoint(p, k)
-            if is_irreducible(P, y):
+            if irreducible(P, y):
                 gens.append(y)
     gens.sort(key=lambda g: (g.degree, g.position))
     hist: Dict[int, int] = {}
@@ -202,7 +210,7 @@ def irreducible_generators(P: Polytope) -> GeneratorReport:
         max_degree=max(g.degree for g in gens),
         bound=degree_bound(P),
     )
-    P._cache["generator_report"] = report
+    P._cache[key] = report
     return report
 
 
@@ -247,27 +255,7 @@ def full_generators(P: Polytope) -> GeneratorReport:
     exhaustive.  The two reports coincide exactly when every graded lattice
     point splits into degree-one summands (see :func:`idp_check`).
     """
-    hit = P._cache.get("full_generator_report")
-    if hit is not None:
-        return hit
-    gens = []
-    for k in range(1, P.dim + 2):
-        for p in P.interior_lattice_points(k):
-            y = GradedPoint(p, k)
-            if is_irreducible_full(P, y):
-                gens.append(y)
-    gens.sort(key=lambda g: (g.degree, g.position))
-    hist: Dict[int, int] = {}
-    for g in gens:
-        hist[g.degree] = hist.get(g.degree, 0) + 1
-    report = GeneratorReport(
-        generators=tuple(gens),
-        degree_histogram=tuple(sorted(hist.items())),
-        max_degree=max(g.degree for g in gens),
-        bound=degree_bound(P),
-    )
-    P._cache["full_generator_report"] = report
-    return report
+    return _generator_report(P, is_irreducible_full, "full_generator_report")
 
 
 def idp_check(P: Polytope, kmax: Optional[int] = None

@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cone import GradedPoint, ReductionWitness
@@ -135,24 +134,20 @@ class SimplexConeSlicer:
         diag = [S[i][i] for i in range(n)] if len(S[0]) >= n else [0]
         if any(d == 0 for d in diag):
             raise ValueError("points are not affinely independent")
+        # The box coefficients t = frac(mu U) in (0, 1], mu_i = r_i / d_i,
+        # are kept as the integers D * t, where D is the largest invariant
+        # factor (every d_i divides it); the box point is divided by D last.
+        D = diag[-1]
+        scaled_U = [[(D // d) * u for u in row] for d, row in zip(diag, U)]
         reps = []
         for residues in itertools.product(*[range(d) for d in diag]):
-            mu = [Fraction(r, d) for r, d in zip(residues, diag)]
-            a = [
-                sum(mu[i] * U[i][j] for i in range(n))
-                for j in range(n)
-            ]
-            t = []
-            for x in a:
-                fr = x - math.floor(x)
-                t.append(fr if fr > 0 else Fraction(1))
-            y = [Fraction(0)] * len(self.lifted[0])
-            for ti, w in zip(t, self.lifted):
-                for j, wj in enumerate(w):
-                    y[j] += ti * wj
-            if any(c.denominator != 1 for c in y):
+            t = [sum(r * row[j] for r, row in zip(residues, scaled_U)) % D or D
+                 for j in range(n)]
+            y = [sum(ti * w[j] for ti, w in zip(t, self.lifted))
+                 for j in range(len(self.lifted[0]))]
+            if any(c % D for c in y):
                 raise AssertionError("fundamental-domain point not integral")
-            point = tuple(int(c) for c in y)
+            point = tuple(c // D for c in y)
             reps.append((point[-1], point))
         reps.sort()
         self._reps = reps

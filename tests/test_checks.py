@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polycanon import families
 from polycanon.checks import check_polytope, default_corpus, run_suite
 from polycanon.polytope import Polytope
@@ -17,6 +19,14 @@ def test_corpus_is_reproducible_and_in_bounds():
         assert 1 <= P.dim <= 3
         assert len(P.vertices) <= 8
         assert all(-3 <= x <= 3 for v in P.vertices for x in v)
+
+
+def test_corpus_refuses_boxes_too_small_to_draw_from():
+    # [-1, 1] holds 3 points but a hull may draw 8; [0, 0]^m holds 1
+    with pytest.raises(ValueError, match=r"\(2\*coord_bound\+1\)\^m"):
+        default_corpus(dims=(1,), coord_bound=1, count=5)
+    with pytest.raises(ValueError, match="coord_bound must be >= 1"):
+        default_corpus(coord_bound=0, count=1)
 
 
 def test_fixture_polytopes_pass_every_check():

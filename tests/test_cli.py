@@ -159,6 +159,12 @@ def test_verify_needs_a_target(capsys):
     assert rc == 1 and "polytope file or --corpus" in err
 
 
+def test_verify_corpus_refuses_a_too_small_box(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--corpus", "--dims", "1",
+                           "--coord-bound", "1")
+    assert rc == 1 and out == "" and "max_candidates" in err
+
+
 def test_verify_small_corpus(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--corpus", "--seed", "1",
                          "--count", "6")

@@ -111,6 +111,10 @@ def test_slicer_matches_scans_on_simplices():
         families.example1(3),
         families.reeve_simplex(2),
         families.reeve_simplex(4),
+        # invariant factors 1, 2, 6: box points scaled by the largest one
+        Polytope.from_vertices([(0, 0), (2, 0), (0, 6)]),
+        # flat in Z^3, invariant factors 1, 2, 2
+        Polytope.from_vertices([(0, 0, 0), (2, 0, 2), (0, 2, 2)]),
     ]
     for P in fixtures:
         slicer = SimplexConeSlicer(P.vertices)

@@ -453,6 +453,8 @@ def default_corpus(seed: int = 0, count: int = 24,
     ``[-coord_bound, coord_bound]^m`` holds fewer points than a hull may
     draw, since drawing them would never end.
     """
+    if not dims:
+        raise ValueError("dims must be nonempty")
     if coord_bound < 1:
         raise ValueError(f"coord_bound must be >= 1, got {coord_bound}")
     for m in dims:

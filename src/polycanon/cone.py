@@ -105,11 +105,7 @@ class GradedCone:
 
 
 def cone_over(P: Polytope) -> GradedCone:
-    C = P._cache.get("cone")
-    if C is None:
-        C = GradedCone(P)
-        P._cache["cone"] = C
-    return C
+    return P._memo("cone", lambda: GradedCone(P))
 
 
 def cone_slice(C: GradedCone, degree: int,

@@ -8,13 +8,12 @@ affine hull, so every enumeration runs in a full-dimensional picture.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
+import numpy as np
 
 from .exactmath import (
     AffineChart,
@@ -33,6 +32,7 @@ from .exactmath import (
 )
 
 _INT64_GUARD = 2**60
+BOX_POINT_CAP = 40_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -153,72 +153,119 @@ class Polytope:
         """
         return self._scan(scale, interior=True)
 
+    def _memo(self, key, build: Callable[[], object]):
+        """The value cached under ``key``, built by ``build()`` if absent."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build()
+        return hit
+
     def _scan(self, scale: int, interior: bool) -> tuple:
+        def build():
+            return self._points(scale, *self._slice(scale, interior))
+        return self._memo(("scan", scale, interior), build)
+
+    def _box(self, scale: int) -> tuple:
+        """``(lo, shape)`` of the chart box ``scale * B``, where ``B`` is the
+        bounding box of the chart vertices; ``lo`` is its lowest corner.
+
+        Raises ``ValueError`` before anything is allocated when the box
+        holds more than ``BOX_POINT_CAP`` lattice points.
+        """
         if scale < 0:
             raise ValueError("dilation factor must be nonnegative")
-        key = ("scan", scale, interior)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        cols = list(zip(*self._fd_vertices))
+        lo = tuple(min(c) * scale for c in cols)
+        shape = tuple((max(c) - min(c)) * scale + 1 for c in cols)
+        total = math.prod(shape)
+        if total > BOX_POINT_CAP:
+            raise ValueError(
+                f"the box around dilate {scale} holds {total} lattice points,"
+                f" over the cap of {BOX_POINT_CAP}")
+        return lo, shape
+
+    def _slice(self, scale: int, interior: bool) -> tuple:
+        """``(lo, mask)``: the lattice points of the ``scale``-th dilate, or
+        of its relative interior, as a boolean mask over the chart box
+        ``scale * B`` with lowest corner ``lo`` (see :meth:`_box`).
+
+        Every slice of one polytope lies on these boxes, so the sum of a
+        degree-``j`` and a degree-``l`` slice lands exactly on box ``j + l``.
+        The 0-th dilate is the origin, which is its own relative interior.
+        The mask is cached and shared, so it is read-only.
+        """
+        def build():
+            lo, mask = self._build_slice(scale, interior)
+            mask.setflags(write=False)
+            return lo, mask
+        return self._memo(("slice", scale, interior), build)
+
+    def _build_slice(self, scale: int, interior: bool) -> tuple:
+        lo, shape = self._box(scale)
         if scale == 0:
-            # The 0-th dilate is the single point at the origin, which is
-            # its own relative interior.
-            out = ((0,) * self.ambient_dim,)
-            self._cache[key] = out
-            return out
-        if self.dim == 0:
-            out = (vscale(self.vertices[0], scale),)
-            self._cache[key] = out
-            return out
-        fd_pts = self._fd_scan(scale, interior)
-        chart = self._chart
-        out = tuple(sorted(chart.from_chart(q, scale=scale) for q in fd_pts))
-        self._cache[key] = out
-        return out
-
-    def _fd_scan(self, scale: int, interior: bool) -> list:
-        lo = [min(v[i] for v in self._fd_vertices) * scale
-              for i in range(self.dim)]
-        hi = [max(v[i] for v in self._fd_vertices) * scale
-              for i in range(self.dim)]
-        counts = [h - l + 1 for l, h in zip(lo, hi)]
-        total = 1
-        for c in counts:
-            total *= c
-        big = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
-        coeff = max(max(abs(a) for a in f.normal) + abs(f.offset)
-                    for f in self._fd_facets)
-        overflow = (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD
-        if _np is not None and not overflow and total <= 40_000_000:
-            return self._fd_scan_numpy(lo, hi, scale, interior)
-        return self._fd_scan_python(lo, hi, scale, interior)
-
-    def _fd_scan_numpy(self, lo, hi, scale, interior) -> list:
-        axes = [_np.arange(l, h + 1, dtype=_np.int64) for l, h in zip(lo, hi)]
-        grids = _np.meshgrid(*axes, indexing="ij")
-        pts = _np.stack([g.ravel() for g in grids], axis=1)
-        mask = _np.ones(len(pts), dtype=bool)
+            return lo, np.ones(shape, dtype=bool)
+        big = max((max(abs(l), abs(l + n - 1)) for l, n in zip(lo, shape)),
+                  default=0)
+        coeff = max((max(abs(a) for a in f.normal) + abs(f.offset)
+                     for f in self._fd_facets), default=0)
+        if (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD:
+            return lo, self._fd_scan_python(lo, shape, scale, interior)
+        # n . q - o * scale per facet, summed axis by axis over broadcast
+        # aranges, so that only the last sum is box-shaped.
+        d = self.dim
+        axes = [np.arange(l, l + n, dtype=np.int64)
+                .reshape((n,) + (1,) * (d - 1 - i))
+                for i, (l, n) in enumerate(zip(lo, shape))]
+        mask = np.ones(shape, dtype=bool)
+        vals = np.empty(shape, dtype=np.int64)
         for f in self._fd_facets:
-            vals = pts @ _np.array(f.normal, dtype=_np.int64)
-            bound = f.offset * scale
-            mask &= (vals < bound) if interior else (vals <= bound)
-            if not mask.any():
-                return []
-        return [tuple(int(c) for c in row) for row in pts[mask]]
+            part = np.int64(-f.offset * scale)
+            for a, ax in zip(f.normal[:-1], axes[:-1]):
+                if a:
+                    part = part + a * ax
+            np.add(part, f.normal[-1] * axes[-1], out=vals)
+            mask &= (vals < 0) if interior else (vals <= 0)
+        return lo, mask
 
-    def _fd_scan_python(self, lo, hi, scale, interior) -> list:
-        out = []
-        for q in itertools.product(*[range(l, h + 1)
-                                     for l, h in zip(lo, hi)]):
-            ok = True
-            for f in self._fd_facets:
-                s = f.offset * scale - dot(f.normal, q)
-                if s < 0 or (interior and s == 0):
-                    ok = False
-                    break
-            if ok:
-                out.append(q)
-        return out
+    def _fd_scan_python(self, lo, shape, scale, interior):
+        """The slice mask in exact integers (the bignum route)."""
+        least = 1 if interior else 0
+        mask = np.zeros(shape, dtype=bool)
+        for idx in itertools.product(*map(range, shape)):
+            q = tuple(map(operator.add, lo, idx))
+            mask[idx] = all(f.offset * scale - dot(f.normal, q) >= least
+                            for f in self._fd_facets)
+        return mask
+
+    def _points(self, scale: int, lo: tuple, mask) -> tuple:
+        """The ambient lattice points at the true entries of ``mask``, a
+        mask over the box of the ``scale``-th dilate with corner ``lo``,
+        lex-sorted."""
+        idx = np.argwhere(mask)
+        identity = self.dim == self.ambient_dim
+        if identity and all(abs(l) + n < _INT64_GUARD
+                            for l, n in zip(lo, mask.shape)):
+            # C order of the indices is lex order of the points.
+            idx += np.array(lo, dtype=np.int64)
+            return tuple(map(tuple, idx.tolist()))
+        pts = [tuple(map(operator.add, lo, row)) for row in idx.tolist()]
+        if identity:
+            return tuple(pts)
+        return tuple(sorted(self._chart.from_chart(c, scale=scale)
+                            for c in pts))
+
+    def _locate(self, x, scale: int) -> Optional[tuple]:
+        """Index of the ambient point ``x`` in the box of the ``scale``-th
+        dilate, or ``None`` when ``x`` is off the affine hull or the box."""
+        if (len(x) != self.ambient_dim
+                or not self._chart.in_affine_hull(x, scale=scale)):
+            return None
+        lo, shape = self._box(scale)
+        c = self._chart.to_chart(x, scale=scale)
+        idx = tuple(map(operator.sub, c, lo))
+        if all(0 <= i < n for i, n in zip(idx, shape)):
+            return idx
+        return None
 
     # -- queries -----------------------------------------------------------
 

@@ -5,16 +5,27 @@ dilation degree, and the ideal of points interior to the cone.  A point of
 the ideal reduces by peeling off degree-one points while staying in the
 ideal; the least degree reachable that way (its reduced degree) equals its
 own degree exactly when the point is an irreducible generator.
+
+The generator sets, the reduced-degree search and the splitting check all
+work on dilate slices held as boolean masks (``Polytope._slice``) and ask
+one question: which points of a slice lie in a sumset ``A + B`` of two
+lower slices.  :func:`_sumset` answers it with shifted ORs of one mask.
+The per-point predicates :func:`is_irreducible` and
+:func:`is_irreducible_full` and :func:`reduced_degree_oracle` are kept as
+independent twins to test the mask kernel against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from .cone import GradedPoint, ReductionWitness, cone_over, cone_slice
-from .exactmath import vsub
+from .exactmath import vadd, vsub
 from .polytope import Polytope
 
 
@@ -40,21 +51,31 @@ class GeneratorReport:
 
 
 def _lattice_set(P: Polytope, k: int) -> frozenset:
-    key = ("lattice_set", k)
-    hit = P._cache.get(key)
-    if hit is None:
-        hit = frozenset(P.lattice_points(k))
-        P._cache[key] = hit
-    return hit
+    return P._memo(("lattice_set", k),
+                   lambda: frozenset(P.lattice_points(k)))
 
 
 def _interior_set(P: Polytope, k: int) -> frozenset:
-    key = ("interior_set", k)
-    hit = P._cache.get(key)
-    if hit is None:
-        hit = frozenset(P.interior_lattice_points(k))
-        P._cache[key] = hit
-    return hit
+    return P._memo(("interior_set", k),
+                   lambda: frozenset(P.interior_lattice_points(k)))
+
+
+def _sumset(a: tuple, b: tuple) -> tuple:
+    """The slice ``(lo, mask)`` of the sumset ``A + B`` of two slices.
+
+    Its box corner is the sum of theirs and each side is one shorter than
+    the sum of theirs, so slices of degrees ``j`` and ``l`` sum onto the
+    box of degree ``j + l``.  The larger mask is ORed in once, shifted, per
+    point of the smaller one.
+    """
+    if np.count_nonzero(a[1]) > np.count_nonzero(b[1]):
+        a, b = b, a
+    (lo_a, small), (lo_b, big) = a, b
+    out = np.zeros(tuple(s + t - 1 for s, t in zip(small.shape, big.shape)),
+                   dtype=bool)
+    for idx in np.argwhere(small).tolist():
+        out[tuple(slice(i, i + n) for i, n in zip(idx, big.shape))] |= big
+    return tuple(map(operator.add, lo_a, lo_b)), out
 
 
 def degree_one_points(P: Polytope) -> tuple:
@@ -77,7 +98,8 @@ def ideal_contains(P: Polytope, y: GradedPoint) -> bool:
 
 
 def _require_ideal(P: Polytope, y: GradedPoint) -> None:
-    if not ideal_contains(P, y):
+    if y.degree < 1 or P.classify_point(y.position,
+                                        scale=y.degree) != "interior":
         raise ValueError(
             f"point {y.position} at degree {y.degree} is not interior to"
             " the cone over the polytope")
@@ -107,37 +129,47 @@ def reduced_degree(P: Polytope, y: GradedPoint
 
     Breadth-first peeling of degree-one points, level by level; every
     intermediate remainder of a valid splitting is itself interior, so
-    searching only interior states is exhaustive.  Returns the value and a
-    witness whose interior part is the lexicographically least at that
-    value, so the result is deterministic.
+    searching only interior states is exhaustive.  Level ``j`` is the mask
+    of interior points of degree ``k - j`` reached from ``y``.  Returns the
+    value and a witness whose interior part is the lexicographically least
+    at that value and whose path takes, step by step back up, the least
+    point of the level above, so the result is deterministic.
     """
     _require_ideal(P, y)
     k = y.degree
-    ones = P.lattice_points(1)
-    level = {y.position: None}
-    levels = [level]
-    depth = 0
-    while depth < k - 1:
-        interior = _interior_set(P, k - depth - 1)
-        nxt: Dict[tuple, tuple] = {}
-        for s in sorted(level):
-            for u in ones:
-                t = vsub(s, u)
-                if t in interior and t not in nxt:
-                    nxt[t] = (s, u)
-        if not nxt:
+    lo1, ones = P._slice(1, False)
+    # -P as a slice: t = s - u for s in a level and u in P
+    minus_ones = (tuple(-(l + n - 1) for l, n in zip(lo1, ones.shape)),
+                  np.flip(ones))
+    lo, shape = P._box(k)
+    start = np.zeros(shape, dtype=bool)
+    start[P._locate(y.position, k)] = True
+    levels = [(lo, start)]
+    while len(levels) < k:
+        lo_in, inner = P._slice(k - len(levels), True)
+        lo_r, reach = _sumset(levels[-1], minus_ones)
+        crop = tuple(slice(a - b, a - b + n)
+                     for a, b, n in zip(lo_in, lo_r, inner.shape))
+        nxt = inner & reach[crop]
+        if not nxt.any():
             break
-        levels.append(nxt)
-        level = nxt
-        depth += 1
-    z_pos = min(level)
+        levels.append((lo_in, nxt))
+    depth = len(levels) - 1
     value = k - depth
+    z_pos = P._points(value, *levels[-1])[0]
+    ones_pts = P.lattice_points(1)
     parts = []
     cur = z_pos
     for j in range(depth, 0, -1):
-        s, u = levels[j][cur]
+        # the parent is the lex-least cur + u in the level above; adding
+        # cur keeps the lex order of the degree-one points
+        _, above = levels[j - 1]
+        for u in ones_pts:
+            idx = P._locate(vadd(cur, u), k - j + 1)
+            if idx is not None and above[idx]:
+                break
         parts.append(GradedPoint(u, 1))
-        cur = s
+        cur = vadd(cur, u)
     parts.sort(key=lambda p: p.position)
     witness = ReductionWitness(GradedPoint(z_pos, value), tuple(parts))
     if witness.total() != y:
@@ -181,37 +213,35 @@ def irreducible_generators(P: Polytope) -> GeneratorReport:
     """All irreducible points of the interior ideal.
 
     Every point of the ideal reduces to degree at most ``dim + 1``, so the
-    scan over degrees ``1 .. dim + 1`` is exhaustive.
+    scan over degrees ``1 .. dim + 1`` is exhaustive.  At degree ``k`` the
+    reducible points are the interior ones in ``interior_{k-1} + P``.
     """
-    return _generator_report(P, is_irreducible, "generator_report")
+    return P._memo("generator_report", lambda: _generator_report(
+        P, lambda k: range(max(k - 1, 1), k)))
 
 
-def _generator_report(P: Polytope,
-                      irreducible: Callable[[Polytope, GradedPoint], bool],
-                      key: str) -> GeneratorReport:
-    """Scan degrees ``1 .. dim + 1`` for the interior points passing the
-    irreducibility predicate and cache the report under ``key``."""
-    hit = P._cache.get(key)
-    if hit is not None:
-        return hit
+def _generator_report(P: Polytope, lows: Callable[[int], range]
+                      ) -> GeneratorReport:
+    """Scan degrees ``1 .. dim + 1`` for the interior points outside every
+    sumset ``interior_low + lattice_{k-low}`` with ``low`` in ``lows(k)``."""
     gens = []
     for k in range(1, P.dim + 2):
-        for p in P.interior_lattice_points(k):
-            y = GradedPoint(p, k)
-            if irreducible(P, y):
-                gens.append(y)
-    gens.sort(key=lambda g: (g.degree, g.position))
+        lo, inner = P._slice(k, True)
+        reducible = np.zeros_like(inner)
+        for low in lows(k):
+            reducible |= _sumset(P._slice(low, True),
+                                 P._slice(k - low, False))[1]
+        gens.extend(GradedPoint(p, k)
+                    for p in P._points(k, lo, inner & ~reducible))
     hist: Dict[int, int] = {}
     for g in gens:
         hist[g.degree] = hist.get(g.degree, 0) + 1
-    report = GeneratorReport(
+    return GeneratorReport(
         generators=tuple(gens),
         degree_histogram=tuple(sorted(hist.items())),
         max_degree=max(g.degree for g in gens),
         bound=degree_bound(P),
     )
-    P._cache[key] = report
-    return report
 
 
 def reduced_degree_values(P: Polytope) -> tuple:
@@ -253,9 +283,12 @@ def full_generators(P: Polytope) -> GeneratorReport:
     subset of :func:`irreducible_generators`, so their degrees are also
     capped by ``dim + 1`` and the scan over degrees ``1 .. dim + 1`` is
     exhaustive.  The two reports coincide exactly when every graded lattice
-    point splits into degree-one summands (see :func:`idp_check`).
+    point splits into degree-one summands (see :func:`idp_check`).  At
+    degree ``k`` the reducible points are the interior ones in some
+    ``interior_low + lattice_{k-low}``, ``1 <= low < k``.
     """
-    return _generator_report(P, is_irreducible_full, "full_generator_report")
+    return P._memo("full_generator_report",
+                   lambda: _generator_report(P, lambda k: range(1, k)))
 
 
 def idp_check(P: Polytope, kmax: Optional[int] = None
@@ -271,10 +304,11 @@ def idp_check(P: Polytope, kmax: Optional[int] = None
         kmax = max(P.dim, 2)
     if kmax < 2:
         raise ValueError("kmax must be at least 2")
-    ones = P.lattice_points(1)
+    P._box(kmax)  # refuse an oversized top degree before any scan
+    ones = P._slice(1, False)
     for k in range(2, kmax + 1):
-        lat = _lattice_set(P, k - 1)
-        for p in P.lattice_points(k):
-            if not any(vsub(p, u) in lat for u in ones):
-                return False, GradedPoint(p, k)
+        lo, lat = P._slice(k, False)
+        bad = lat & ~_sumset(P._slice(k - 1, False), ones)[1]
+        if bad.any():
+            return False, GradedPoint(P._points(k, lo, bad)[0], k)
     return True, None

@@ -181,10 +181,10 @@ def full_lattice_triangulation(P: Polytope) -> Triangulation:
     """Triangulation of ``P`` using every lattice point of ``P`` as a vertex."""
     if P.dim < 1:
         raise ValueError("triangulation needs dimension >= 1")
-    key = "full_triangulation"
-    hit = P._cache.get(key)
-    if hit is not None:
-        return hit
+    return P._memo("full_triangulation", lambda: _full_triangulation(P))
+
+
+def _full_triangulation(P: Polytope) -> Triangulation:
     pts = P.lattice_points(1)
     cells, skipped = _placing(lambda i: pts[i], len(pts))
     chart = build_chart(list(pts))
@@ -193,9 +193,7 @@ def full_lattice_triangulation(P: Polytope) -> Triangulation:
     cells = list(cells)
     for i in skipped:
         cells = _split_at(coords, cells, forms, i)
-    T = Triangulation(points=pts, cells=tuple(sorted(cells)))
-    P._cache[key] = T
-    return T
+    return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
 def interior_respecting_triangulation(P: Polytope) -> Triangulation:
@@ -210,10 +208,11 @@ def interior_respecting_triangulation(P: Polytope) -> Triangulation:
     interior = P.interior_lattice_points(1)
     if not interior:
         raise ValueError("needs an interior lattice point")
-    key = "interior_respecting_triangulation"
-    hit = P._cache.get(key)
-    if hit is not None:
-        return hit
+    return P._memo("interior_respecting_triangulation",
+                   lambda: _interior_respecting(P, interior))
+
+
+def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     full = full_lattice_triangulation(P)
     pts = full.points
     boundary_cells = _boundary_restriction(full, P)
@@ -227,9 +226,7 @@ def interior_respecting_triangulation(P: Polytope) -> Triangulation:
         if x == apex:
             continue
         cells = _split_at(coords, cells, forms, pts.index(x))
-    T = Triangulation(points=pts, cells=tuple(sorted(cells)))
-    P._cache[key] = T
-    return T
+    return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
 def _boundary_restriction(T: Triangulation, P: Polytope) -> list:

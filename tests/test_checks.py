@@ -27,6 +27,8 @@ def test_corpus_refuses_boxes_too_small_to_draw_from():
         default_corpus(dims=(1,), coord_bound=1, count=5)
     with pytest.raises(ValueError, match="coord_bound must be >= 1"):
         default_corpus(coord_bound=0, count=1)
+    with pytest.raises(ValueError, match="dims must be nonempty"):
+        default_corpus(dims=(), count=1)
 
 
 def test_fixture_polytopes_pass_every_check():

@@ -3,6 +3,7 @@
 import pytest
 
 import polycanon.polytope as pmod
+from polycanon import families
 from polycanon.checks import default_corpus
 from polycanon.polytope import FacetForm, Polytope
 
@@ -113,12 +114,13 @@ def test_flat_triangle_scans(flat_triangle):
 
 
 def test_numpy_and_python_scans_agree(monkeypatch):
+    # a zero guard makes every scan take the exact bignum route
     jobs = [(1, False), (2, False), (1, True), (3, True)]
     for P in default_corpus(seed=7, count=10):
         expect = {job: P._scan(*job) for job in jobs}
         fresh = Polytope.from_vertices(P.vertices)
         with monkeypatch.context() as mp:
-            mp.setattr(pmod, "_np", None)
+            mp.setattr(pmod, "_INT64_GUARD", 0)
             for job, want in expect.items():
                 assert fresh._scan(*job) == want
 
@@ -132,6 +134,11 @@ def test_scan_falls_back_when_coordinates_are_huge():
     assert sorted(P.lattice_points(1)) == [
         (big, 0), (big, 1), (big + 1, 0), (big + 1, 1)]
     assert P.interior_lattice_points(2) == ((2 * big + 1, 1),)
+
+
+def test_oversized_box_is_refused_before_scanning():
+    with pytest.raises(ValueError, match="cap of 40000000"):
+        families.unit_cube(4).lattice_points(200)
 
 
 # ------------------------------------------------------------- point queries

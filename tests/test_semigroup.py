@@ -3,9 +3,12 @@ action and under the full graded semigroup), degree bounds, and the
 degree-one splitting check."""
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from polycanon import families
-from polycanon.cone import GradedPoint
+from polycanon.cone import GradedPoint, ReductionWitness
+from polycanon.exactmath import vsub
 from polycanon.polytope import Polytope
 from polycanon.semigroup import (
     degree_bound,
@@ -85,6 +88,16 @@ def test_reduced_degree_agrees_with_exhaustive_search():
                 y = GradedPoint(pos, k)
                 assert reduced_degree(P, y)[0] == \
                     reduced_degree_oracle(P, y), (P.name, y)
+
+
+def test_reduction_witness_takes_the_least_parent_at_each_step():
+    # y - z splits into three degree-one points in more than one way; the
+    # path back up from z always moves to the lex-least point above
+    P = Polytope.from_vertices([(-3, -1), (-3, 0), (1, 3), (3, 3)])
+    value, wit = reduced_degree(P, GradedPoint((-5, 3), 4))
+    assert value == 1
+    assert wit.interior_part == GradedPoint((-2, 0), 1)
+    assert [p.position for p in wit.parts] == [(-3, -1), (-1, 1), (1, 3)]
 
 
 def test_reduction_witness_stays_interior_along_the_way(unit_square):
@@ -255,3 +268,89 @@ def test_idp_fails_for_tall_reeve_simplices():
         assert not any(
             tuple(a - b for a, b in zip(witness.position, u)) in lower
             for u in ones)
+
+
+# ------------------------------------- mask kernel against per-point twins
+
+@st.composite
+def small_hulls(draw):
+    """Hulls of 2 to 6 points in [-2, 2]^m, m <= 3, sometimes lifted onto
+    the lattice hyperplane ``x_{m+1} = c . x + t`` of Z^(m+1)."""
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=2, max_size=6))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    return Polytope.from_vertices(pts)
+
+
+def _idp_loop(P, kmax):
+    ones = P.lattice_points(1)
+    for k in range(2, kmax + 1):
+        lower = set(P.lattice_points(k - 1))
+        for p in P.lattice_points(k):
+            if not any(vsub(p, u) in lower for u in ones):
+                return False, GradedPoint(p, k)
+    return True, None
+
+
+def _rdeg_loop(P, y):
+    """Reduced degree and witness by breadth-first search over point sets:
+    the parent of a remainder is the least point of the level above."""
+    k = y.degree
+    ones = P.lattice_points(1)
+    levels = [{y.position: None}]
+    while len(levels) < k:
+        interior = set(P.interior_lattice_points(k - len(levels)))
+        nxt = {}
+        for s in sorted(levels[-1]):
+            for u in ones:
+                t = vsub(s, u)
+                if t in interior and t not in nxt:
+                    nxt[t] = (s, u)
+        if not nxt:
+            break
+        levels.append(nxt)
+    z = cur = min(levels[-1])
+    parts = []
+    for level in reversed(levels[1:]):
+        cur, u = level[cur]
+        parts.append(GradedPoint(u, 1))
+    value = k - len(levels) + 1
+    return value, ReductionWitness(
+        GradedPoint(z, value),
+        tuple(sorted(parts, key=lambda p: p.position)))
+
+
+BIG = 2 ** 40
+
+
+@given(small_hulls())
+@example(Polytope.from_vertices(
+    [(BIG, 0), (BIG + 1, 0), (BIG, 1), (BIG + 1, 1)]))
+@example(families.reeve_simplex(2))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mask_kernel_matches_its_twins(P):
+    assume(P.dim >= 1)
+    interior = [GradedPoint(p, k) for k in range(1, P.dim + 2)
+                for p in P.interior_lattice_points(k)]
+    assert irreducible_generators(P).generators == tuple(
+        y for y in interior if is_irreducible(P, y))
+    assert full_generators(P).generators == tuple(
+        y for y in interior if is_irreducible_full(P, y))
+    assert idp_check(P) == _idp_loop(P, max(P.dim, 2))
+    queries = interior + [GradedPoint(p, P.dim + 2)
+                          for p in P.interior_lattice_points(P.dim + 2)]
+    for y in queries[::max(1, len(queries) // 8)]:
+        value, wit = reduced_degree(P, y)
+        assert value == reduced_degree_oracle(P, y)
+        assert wit.total() == y
+        assert (value, wit) == _rdeg_loop(P, y)
+
+
+def test_idp_check_refuses_an_oversized_top_degree():
+    with pytest.raises(ValueError, match="cap of 40000000"):
+        idp_check(families.unit_cube(4), kmax=200)

@@ -27,6 +27,7 @@ from .semigroup import (
     semigroup_contains,
 )
 from .simplex import (
+    HalfOpenBox,
     is_empty_simplex,
     is_unimodular,
     normalized_volume,
@@ -380,10 +381,23 @@ def _cell_emptiness(P: Polytope) -> Optional[str]:
         return None
     T = full_lattice_triangulation(P)
     for cell in T.cells[:SAMPLE_CAP * 5]:
-        S = Polytope.from_vertices(T.cell_points(cell))
-        if not is_empty_simplex(S):
+        if not _is_empty_cell(T.cell_points(cell)):
             return f"cell {cell} is not an empty simplex"
     return None
+
+
+def _is_empty_cell(points) -> bool:
+    """Whether ``points`` are the vertices of an empty simplex.
+
+    A lattice point of the simplex other than a vertex is a point of degree
+    one in its half-open box, and conversely.  Affinely dependent points
+    are not a simplex.
+    """
+    try:
+        box = HalfOpenBox(points)
+    except ValueError:
+        return False
+    return all(y[-1] != 1 for y in box.points)
 
 
 def _fineness(P: Polytope) -> Optional[str]:

@@ -33,6 +33,11 @@ from .exactmath import (
 
 _INT64_GUARD = 2**60
 BOX_POINT_CAP = 40_000_000
+# Subsets the brute-force vertex and facet searches may try.  The largest
+# search in the tests and the benchmark tries C(20, 4) = 4845 point subsets
+# and C(11, 3) = 165 inequality subsets; example2 d=5 tries C(30, 5) = 142506
+# point subsets, about 15 s.
+SUBSET_CAP = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -107,6 +112,7 @@ class Polytope:
                 raise ValueError(f"offset {o!r} must be an integer")
         forms = tuple(FacetForm(as_vector(n), o) for n, o in pairs)
         m = ambient_dim
+        _check_subsets("vertex search", len(forms), m, "inequality")
         normals = [f.normal for f in forms]
         if rank(normals) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
@@ -381,6 +387,7 @@ def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
     if d == 1:
         xs = [p[0] for p in fd_pts]
         return [FacetForm((1,), max(xs)), FacetForm((-1,), -min(xs))]
+    _check_subsets("facet search", len(fd_pts), d, "point")
     seen = {}
     for rows in itertools.combinations(fd_pts, d):
         base = rows[0]
@@ -397,6 +404,16 @@ def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
             n, o = vscale(n, -1), -o
         seen[(n, o)] = FacetForm(n, o)
     return list(seen.values())
+
+
+def _check_subsets(search: str, n: int, r: int, what: str) -> None:
+    """Refuse, before trying any, a search over all ``r``-subsets of ``n``
+    items when there are more than ``SUBSET_CAP`` of them."""
+    count = math.comb(n, r)
+    if count > SUBSET_CAP:
+        raise ValueError(
+            f"the {search} would try C({n}, {r}) = {count} {what} subsets,"
+            f" over the cap of {SUBSET_CAP}")
 
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -113,15 +114,23 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-class SimplexConeSlicer:
-    """Enumerates interior lattice points of a simplicial cone by degree.
+class HalfOpenBox:
+    """The half-open fundamental parallelepiped of a simplicial cone.
 
     Given affinely independent lattice points, the cone over them placed at
-    height one has the lifted points as generators.  Every lattice point of
-    the open cone is uniquely a point of the half-open box
-    ``{sum t_i * w_i : 0 < t_i <= 1}`` plus a nonnegative integer
-    combination of the generators, so each degree slice is enumerated in
-    time proportional to its size.
+    height one has the lifted points ``w_i`` as generators.  The box holds
+    the lattice points ``sum t_i * w_i`` of their span with every ``t_i``
+    in ``[0, 1)``, one per coset of the sublattice the ``w_i`` generate, so
+    it has as many points as the simplex has normalized volume.  They come
+    from one Smith form: ``t = frac(mu U)`` with ``mu_i = r_i / d_i`` over
+    the residues ``r_i`` modulo the invariant factors ``d_i``.
+
+    ``coefficients`` holds each point's ``t`` as the integers ``D * t`` in
+    ``[0, D)``, where ``D`` is the largest invariant factor (every ``d_i``
+    divides it); ``points`` holds the lattice points, in the same order.
+    When ``D`` is 1 the box is the origin alone and nothing is enumerated.
+    The box of any face is read off this one (:meth:`face_reps`), so a
+    cell's box serves all of its faces.
     """
 
     def __init__(self, points: Sequence) -> None:
@@ -129,28 +138,77 @@ class SimplexConeSlicer:
         if not pts:
             raise ValueError("need at least one point")
         self.lifted = tuple(p + (1,) for p in pts)
-        n = len(self.lifted)
+        n, width = len(self.lifted), len(self.lifted[0])
         S, U, _ = smith_normal_form(self.lifted)
         diag = [S[i][i] for i in range(n)] if len(S[0]) >= n else [0]
         if any(d == 0 for d in diag):
             raise ValueError("points are not affinely independent")
-        # The box coefficients t = frac(mu U) in (0, 1], mu_i = r_i / d_i,
-        # are kept as the integers D * t, where D is the largest invariant
-        # factor (every d_i divides it); the box point is divided by D last.
         D = diag[-1]
+        if D == 1:
+            self.coefficients = [(0,) * n]
+            self.points = [(0,) * width]
+            return
         scaled_U = [[(D // d) * u for u in row] for d, row in zip(diag, U)]
-        reps = []
+        self.coefficients, self.points = [], []
         for residues in itertools.product(*[range(d) for d in diag]):
-            t = [sum(r * row[j] for r, row in zip(residues, scaled_U)) % D or D
-                 for j in range(n)]
+            t = tuple(sum(r * row[j] for r, row in zip(residues, scaled_U))
+                      % D for j in range(n))
             y = [sum(ti * w[j] for ti, w in zip(t, self.lifted))
-                 for j in range(len(self.lifted[0]))]
+                 for j in range(width)]
             if any(c % D for c in y):
                 raise AssertionError("fundamental-domain point not integral")
-            point = tuple(c // D for c in y)
-            reps.append((point[-1], point))
+            self.coefficients.append(t)
+            self.points.append(tuple(c // D for c in y))
+
+    def face_reps(self, positions: Sequence[int]) -> list:
+        """The box ``{sum t_i * w_i : 0 < t_i <= 1}`` of the face spanned by
+        the lifted points at ``positions`` (increasing), as sorted
+        ``(degree, point)`` pairs.
+
+        The lattice of the face's span is the cell's lattice cut down to
+        that span, so the face's ``[0, 1)`` box is the set of box points
+        supported on the face; raising each zero coefficient on the face to
+        one maps it bijectively onto the ``(0, 1]`` box.
+        """
+        inside = set(positions)
+        off = [i not in inside for i in range(len(self.lifted))]
+        reps = []
+        for t, y in zip(self.coefficients, self.points):
+            if any(c and o for c, o in zip(t, off)):
+                continue
+            for i in positions:
+                if not t[i]:
+                    y = tuple(map(operator.add, y, self.lifted[i]))
+            reps.append((y[-1], y))
         reps.sort()
-        self._reps = reps
+        return reps
+
+
+class SimplexConeSlicer:
+    """Enumerates interior lattice points of a simplicial cone by degree.
+
+    Every lattice point of the open cone over the lifted points is uniquely
+    a point of the half-open box ``{sum t_i * w_i : 0 < t_i <= 1}`` plus a
+    nonnegative integer combination of the generators, so each degree
+    slice is enumerated in time proportional to its size.  The constructor
+    takes the box from a Smith form of its own; :meth:`from_box` reads a
+    face's box off the box of a simplex containing it.
+    """
+
+    def __init__(self, points: Sequence) -> None:
+        box = HalfOpenBox(points)
+        self.lifted = box.lifted
+        self._reps = box.face_reps(range(len(box.lifted)))
+
+    @classmethod
+    def from_box(cls, box: HalfOpenBox,
+                 positions: Sequence[int]) -> "SimplexConeSlicer":
+        """The slicer of the face of ``box``'s simplex spanned by its points
+        at ``positions`` (increasing), with no Smith form of its own."""
+        self = cls.__new__(cls)
+        self.lifted = tuple(box.lifted[i] for i in positions)
+        self._reps = box.face_reps(positions)
+        return self
 
     def interior_points(self, degree: int) -> list:
         """Lifted interior cone points of the given degree, sorted."""

@@ -4,20 +4,29 @@ Triangulations are stored combinatorially: a lex-sorted tuple of ambient
 lattice points plus maximal cells as sorted index tuples.  Construction is
 incremental placing (cone new points over strictly visible boundary faces)
 followed by stellar insertion of the points the placing pass skipped, all
-in exact integer arithmetic inside a chart on the affine hull.
+in exact integer arithmetic inside a chart on the affine hull.  The placing
+pass keeps the hull's boundary facets and their normals between
+insertions and rebuilds them only when the dimension jumps.
+
+A face lies in the boundary of the polytope iff the AND of its points'
+tight-facet bitmasks is nonzero.  The covering check gives each interior
+face one owning cell, computes that cell's half-open box from one Smith
+form, and reads the face's box off it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .exactmath import as_matrix, build_chart, det_bareiss, dot, \
+from .exactmath import build_chart, det_bareiss, dot, \
     generalized_cross, vsub
 from .polytope import Polytope
-from .simplex import SimplexConeSlicer
+from .simplex import HalfOpenBox, SimplexConeSlicer
 
 
 @dataclass(frozen=True)
@@ -30,14 +39,6 @@ class Triangulation:
     @property
     def dim(self) -> int:
         return len(self.cells[0]) - 1 if self.cells else -1
-
-    def faces(self) -> tuple:
-        """Every nonempty face of every cell, sorted by (size, indices)."""
-        seen = set()
-        for cell in self.cells:
-            for r in range(1, len(cell) + 1):
-                seen.update(itertools.combinations(cell, r))
-        return tuple(sorted(seen, key=lambda f: (len(f), f)))
 
     def cell_points(self, cell: Sequence[int]) -> tuple:
         return tuple(self.points[i] for i in cell)
@@ -60,27 +61,40 @@ def _chart_coords(chart, points) -> list:
     return [chart.to_chart(p) for p in points]
 
 
+def _facet_form(coords: Sequence[tuple], facet: Sequence[int],
+                inside: int) -> tuple:
+    """``(n, o)`` with ``n . x == o`` on the points of ``facet`` (chart
+    coordinates, as many points as the chart dimension) and
+    ``n . x > o`` at point ``inside``."""
+    base = coords[facet[0]]
+    n = generalized_cross([vsub(coords[j], base) for j in facet[1:]],
+                          len(base))
+    o = dot(n, base)
+    s = dot(n, coords[inside]) - o
+    if s == 0:
+        raise ValueError("degenerate cell")
+    return (n, o) if s > 0 else (tuple(-a for a in n), -o)
+
+
 def _cell_forms(coords: Sequence[tuple], cell: Sequence[int]) -> tuple:
     """Inequalities of a full-dimensional simplex cell in chart coordinates.
 
     Form ``j`` is tight on the facet opposite ``cell[j]`` and positive on
     the cell's interior; a point is in the cell iff every form is >= 0.
     """
-    d = len(cell) - 1
-    out = []
-    for j in range(len(cell)):
-        rest = [coords[i] for k, i in enumerate(cell) if k != j]
-        base = rest[0]
-        n = generalized_cross([vsub(q, base) for q in rest[1:]], d) \
-            if d >= 2 else (1,)
-        o = dot(n, base)
-        s = dot(n, coords[cell[j]]) - o
-        if s == 0:
-            raise ValueError("degenerate cell")
-        if s < 0:
-            n, o = tuple(-a for a in n), -o
-        out.append((n, o))
-    return tuple(out)
+    return tuple(_facet_form(coords, cell[:j] + cell[j + 1:], v)
+                 for j, v in enumerate(cell))
+
+
+def _free_facets(simplices) -> dict:
+    """Facets lying in exactly one of ``simplices`` (sorted index tuples),
+    each mapped to the vertex of its simplex opposite it."""
+    opposite = {}
+    for c in simplices:
+        for j, v in enumerate(c):
+            f = c[:j] + c[j + 1:]
+            opposite[f] = None if f in opposite else v
+    return {f: v for f, v in opposite.items() if v is not None}
 
 
 def _placing(coords_of, n_points: int) -> tuple:
@@ -90,48 +104,39 @@ def _placing(coords_of, n_points: int) -> tuple:
     dimension jumps.  Returns ``(cells, skipped)`` where ``skipped`` lists
     the points that were inside (or flat against) the hull when placed and
     so are not vertices of any cell.
+
+    The boundary of the hull placed so far is kept between insertions as
+    ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond).
+    A new point is coned over the facets it sees strictly; those leave the
+    boundary, and each horizon ridge (in exactly one seen facet) joined to
+    the point enters it.  Only a dimension jump rebuilds the boundary.
     """
     pts = [coords_of(i) for i in range(n_points)]
     cells = [(0,)]
     chart = build_chart([pts[0]])
     coords = [chart.to_chart(pts[0])]
-    cur_dim = 0
+    boundary: Dict[tuple, tuple] = {}
     skipped = []
     for i in range(1, n_points):
         if not chart.in_affine_hull(pts[i]):
             chart = build_chart(pts[: i + 1])
             coords = _chart_coords(chart, pts[: i + 1])
             cells = [c + (i,) for c in cells]
-            cur_dim += 1
+            boundary = {f: _facet_form(coords, f, v)
+                        for f, v in _free_facets(cells).items()}
             continue
         coords.append(chart.to_chart(pts[i]))
         p = coords[i]
-        boundary = [f for f, cnt in _boundary_count(cells).items()
-                    if cnt == 1]
-        owner = {}
-        for c in cells:
-            for f in itertools.combinations(c, len(c) - 1):
-                owner.setdefault(f, c)
-        new_cells = []
-        for f in boundary:
-            if cur_dim == 1:
-                n, o = (1,), coords[f[0]][0]
-            else:
-                base = coords[f[0]]
-                n = generalized_cross(
-                    [vsub(coords[j], base) for j in f[1:]], cur_dim)
-                o = dot(n, base)
-            inner = next(j for j in owner[f] if j not in f)
-            s = dot(n, coords[inner]) - o
-            if s > 0:
-                n, o = tuple(-a for a in n), -o
-            if dot(n, p) - o > 0:
-                new_cells.append(tuple(sorted(f + (i,))))
-        if new_cells:
-            cells = sorted(cells + new_cells)
-        else:
+        seen = [f for f, (n, o) in boundary.items() if dot(n, p) < o]
+        if not seen:
             skipped.append(i)
-    return tuple(cells), tuple(skipped)
+            continue
+        for f in seen:
+            del boundary[f]
+            cells.append(f + (i,))
+        for g, v in _free_facets(seen).items():
+            boundary[g + (i,)] = _facet_form(coords, g + (i,), v)
+    return tuple(sorted(cells)), tuple(skipped)
 
 
 def _boundary_count(cells) -> Counter:
@@ -232,26 +237,48 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
 def _boundary_restriction(T: Triangulation, P: Polytope) -> list:
     """Maximal boundary faces: cell facets lying in a single cell and
     contained in a facet of ``P``."""
-    out = []
-    for f, cnt in _boundary_count(T.cells).items():
-        if cnt == 1:
-            out.append(tuple(sorted(f)))
+    masks = _tight_masks(T, P)
+    out = sorted(_free_facets(T.cells))
     for f in out:
-        if not _face_in_boundary(T, P, f):
+        if not _face_in_boundary(masks, f):
             raise AssertionError("free cell facet not on the boundary")
-    return sorted(set(out))
+    return out
 
 
-def _face_in_boundary(T: Triangulation, P: Polytope, face) -> bool:
-    pts = [T.points[i] for i in face]
-    return any(all(ff.slack(p) == 0 for p in pts) for ff in P.facets)
+def _tight_masks(T: Triangulation, P: Polytope) -> list:
+    """Per point of ``T``, the bitmask of the facets of ``P`` it is tight on."""
+    return [sum(1 << j for j, ff in enumerate(P.facets) if ff.slack(p) == 0)
+            for p in T.points]
+
+
+def _face_in_boundary(masks: Sequence[int], face) -> bool:
+    """A face lies in the boundary iff some facet is tight on all of its
+    points, i.e. iff the AND of their tight-facet masks is nonzero."""
+    return functools.reduce(operator.and_, (masks[i] for i in face)) != 0
 
 
 def interior_faces(T: Triangulation, P: Polytope) -> tuple:
     """Faces of ``T`` not contained in the boundary of ``P``, sorted by
     (size, indices).  The open cones over exactly these faces partition the
     interior of the cone over ``P``."""
-    return tuple(f for f in T.faces() if not _face_in_boundary(T, P, f))
+    return _interior_faces(T, P)[0]
+
+
+def _interior_faces(T: Triangulation, P: Polytope) -> tuple:
+    """``(faces, owner)``: :func:`interior_faces` and, for each of them, the
+    first cell of ``T`` containing it.  Cached on ``P`` per triangulation."""
+    def build():
+        masks = _tight_masks(T, P)
+        owner: Dict[tuple, Optional[tuple]] = {}
+        for cell in T.cells:
+            for r in range(1, len(cell) + 1):
+                for f in itertools.combinations(cell, r):
+                    if f not in owner:
+                        owner[f] = None if _face_in_boundary(masks, f) \
+                            else cell
+        owner = {f: c for f, c in owner.items() if c is not None}
+        return tuple(sorted(owner, key=lambda f: (len(f), f))), owner
+    return P._memo(("interior_faces", T), build)
 
 
 def total_normalized_volume(T: Triangulation) -> int:
@@ -272,11 +299,20 @@ def verify_decomposition(T: Triangulation, P: Polytope,
     covered exactly once by the open cones over the interior faces."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    try:
-        slicers = [SimplexConeSlicer(T.cell_points(f))
-                   for f in interior_faces(T, P)]
-    except ValueError:
-        return DecompositionResult(ok=False, reason="degenerate face")
+    faces = interior_faces(T, P)
+    owner = _interior_faces(T, P)[1]  # cached by the call above
+    # One box per owning cell; each face's box is read off its owner's.
+    boxes: Dict[tuple, HalfOpenBox] = {}
+    slicers = []
+    for f in faces:
+        cell = owner[f]
+        if cell not in boxes:
+            try:
+                boxes[cell] = HalfOpenBox(T.cell_points(cell))
+            except ValueError:
+                return DecompositionResult(ok=False, reason="degenerate face")
+        slicers.append(SimplexConeSlicer.from_box(
+            boxes[cell], [cell.index(i) for i in f]))
     for k in range(1, kmax + 1):
         target = {p + (k,) for p in P.interior_lattice_points(k)}
         seen = set()

@@ -5,6 +5,7 @@ canonical-JSON contract (sorted keys, two-space indent, trailing newline,
 no timing noise on stdout) is byte-checkable.
 """
 
+import itertools
 import json
 
 import pytest
@@ -248,6 +249,16 @@ def test_malformed_file_exits_one(tmp_path, capsys):
 def test_missing_file_exits_one(capsys):
     rc, _, err = run_cli(capsys, "generators", "/nonexistent/p.json")
     assert rc == 1 and "error:" in err
+
+
+def test_oversized_hull_exits_one(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "ambient_dim": 4,
+        "vertices": [list(p) for p in itertools.product(range(6), repeat=4)],
+    }))
+    rc, out, err = run_cli(capsys, "triangulate", str(grid))
+    assert rc == 1 and out == "" and "cap of 1000000" in err
 
 
 def test_usage_error_exits_one(capsys):

@@ -1,5 +1,7 @@
 """Tests for polytope construction, scanning, classification and JSON."""
 
+import itertools
+
 import pytest
 
 import polycanon.polytope as pmod
@@ -139,6 +141,26 @@ def test_scan_falls_back_when_coordinates_are_huge():
 def test_oversized_box_is_refused_before_scanning():
     with pytest.raises(ValueError, match="cap of 40000000"):
         families.unit_cube(4).lattice_points(200)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the search started")
+
+
+def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
+    grid = list(itertools.product(range(6), repeat=4))  # C(1296, 4) subsets
+    monkeypatch.setattr(pmod, "generalized_cross", _never)
+    with pytest.raises(ValueError, match=r"C\(1296, 4\) = .* cap of 1000000"):
+        Polytope.from_vertices(grid)
+
+
+def test_oversized_vertex_search_is_refused_before_enumerating(monkeypatch):
+    forms = [FacetForm((a, b, c, 1), 9) for a in range(-2, 3)
+             for b in range(-2, 3) for c in range(-1, 3)]  # C(100, 4)
+    monkeypatch.setattr(pmod, "rank", _never)
+    monkeypatch.setattr(pmod, "solve_rational", _never)
+    with pytest.raises(ValueError, match=r"C\(100, 4\) = .* cap of 1000000"):
+        Polytope.from_inequalities(forms, 4)
 
 
 # ------------------------------------------------------------- point queries

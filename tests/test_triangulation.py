@@ -1,12 +1,23 @@
 """Tests for placing/full/interior-respecting triangulations, stellar
 subdivision, and the disjoint interior-cone covering checker."""
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from polycanon import families
+from polycanon.checks import _is_empty_cell
+from polycanon.exactmath import build_chart, dot, generalized_cross, vsub
 from polycanon.polytope import Polytope
+from polycanon.simplex import HalfOpenBox, SimplexConeSlicer, is_empty_simplex
 from polycanon.triangulation import (
     Triangulation,
+    _interior_faces,
+    _placing,
     full_lattice_triangulation,
     interior_faces,
     interior_respecting_triangulation,
@@ -184,3 +195,103 @@ def test_verify_decomposition_validates_kmax(unit_square):
     T = full_lattice_triangulation(unit_square)
     with pytest.raises(ValueError):
         verify_decomposition(T, unit_square, 0)
+
+
+# ----------------------------------------- fast paths against slow twins
+
+@st.composite
+def hulls(draw):
+    """Hulls of 2 to 6 points in [-2, 2]^m, m <= 4, sometimes lifted onto
+    the lattice hyperplane ``x_{m+1} = c . x + t`` of Z^(m+1)."""
+    m = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=2, max_size=6))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    return Polytope.from_vertices(pts)
+
+
+def _placing_by_recount(pts):
+    """Placing from scratch at every point: recount the free facets of all
+    cells and cone the point over those it sees strictly."""
+    cells, skipped = [(0,)], []
+    for i in range(1, len(pts)):
+        chart = build_chart(pts[:i])
+        if not chart.in_affine_hull(pts[i]):
+            cells = [c + (i,) for c in cells]
+            continue
+        q = [chart.to_chart(p) for p in pts[:i + 1]]
+        facets = [(f, c) for c in cells
+                  for f in itertools.combinations(c, len(c) - 1)]
+        count = Counter(f for f, _ in facets)
+        new = []
+        for f, c in facets:
+            if count[f] != 1:
+                continue
+            (v,) = set(c) - set(f)
+            n = generalized_cross([vsub(q[j], q[f[0]]) for j in f[1:]],
+                                  chart.dim)
+            if dot(n, vsub(q[i], q[f[0]])) * dot(n, vsub(q[v], q[f[0]])) < 0:
+                new.append(f + (i,))
+        if new:
+            cells += new
+        else:
+            skipped.append(i)
+    return tuple(sorted(cells)), tuple(skipped)
+
+
+def _interior_faces_by_slack(T, P):
+    """Faces of ``T`` on which no facet of ``P`` is tight at every point."""
+    faces = {f for c in T.cells for r in range(1, len(c) + 1)
+             for f in itertools.combinations(c, r)}
+    return tuple(sorted(
+        (f for f in faces
+         if not any(all(ff.slack(T.points[i]) == 0 for i in f)
+                    for ff in P.facets)),
+        key=lambda f: (len(f), f)))
+
+
+def _empty_by_scan(points):
+    return is_empty_simplex(Polytope.from_vertices(points))
+
+
+@given(hulls(), st.randoms(use_true_random=False))
+@example(families.reeve_simplex(3), random.Random(0))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_triangulation_layer_matches_its_twins(P, rnd):
+    assume(P.dim >= 1)
+    pts = list(P.lattice_points(1))
+    for order in (pts, rnd.sample(pts, len(pts))):
+        assert _placing(order.__getitem__, len(order)) == \
+            _placing_by_recount(order)
+    # placing cells span only vertices, so some of them are not empty
+    placing = placing_triangulation(P)
+    for cell in placing.cells:
+        cp = placing.cell_points(cell)
+        assert _is_empty_cell(cp) == _empty_by_scan(cp)
+    tris = [full_lattice_triangulation(P)]
+    if P.dim >= 2 and P.interior_lattice_points(1):
+        tris.append(interior_respecting_triangulation(P))
+    for T in tris:
+        faces = interior_faces(T, P)
+        assert faces == _interior_faces_by_slack(T, P)
+        assert set(_interior_faces(T, P)[1]) == set(faces)
+        reps = {f: SimplexConeSlicer(T.cell_points(f))._reps for f in faces}
+        for cell in T.cells:
+            cp = T.cell_points(cell)
+            assert _is_empty_cell(cp) == _empty_by_scan(cp)
+            box = HalfOpenBox(cp)
+            for r in range(1, len(cell) + 1):
+                for f in itertools.combinations(cell, r):
+                    if f in reps:
+                        got = SimplexConeSlicer.from_box(
+                            box, [cell.index(i) for i in f])
+                        assert got._reps == reps[f], (cell, f)
+
+
+def test_dependent_cell_is_not_empty():
+    assert not _is_empty_cell([(0, 0), (1, 1), (2, 2)])
+    assert not _is_empty_cell([(0, 0), (0, 0)])

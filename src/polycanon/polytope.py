@@ -3,6 +3,10 @@
 A polytope lives in ``Z^m`` but may have smaller dimension ``d``; all facet
 data is stored both in ambient coordinates and in an exact chart on the
 affine hull, so every enumeration runs in a full-dimensional picture.
+
+Facets are read off the boundary of a placing triangulation (``_placing``,
+the one hull routine, shared with the triangulation layer); the
+``facet_duality`` check rebuilds them through ``from_inequalities``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -33,10 +37,12 @@ from .exactmath import (
 
 _INT64_GUARD = 2**60
 BOX_POINT_CAP = 40_000_000
-# Subsets the brute-force vertex and facet searches may try.  The largest
-# search in the tests and the benchmark tries C(20, 4) = 4845 point subsets
-# and C(11, 3) = 165 inequality subsets; example2 d=5 tries C(30, 5) = 142506
-# point subsets, about 15 s.
+# Input budget, checked before any work starts: C(#forms, m) inequality
+# subsets for the vertex search, and C(n, d), which bounds the boundary
+# facets (d-subsets of the points) the placing pass can hold.  Tests and
+# benchmark reach C(11, 5) = 462 and C(30, 5) = 142506 (example2 d=5); a
+# 6^4 grid, C(1296, 4), is refused: its hull alone takes seconds, the rest
+# far longer.
 SUBSET_CAP = 1_000_000
 
 
@@ -112,7 +118,8 @@ class Polytope:
                 raise ValueError(f"offset {o!r} must be an integer")
         forms = tuple(FacetForm(as_vector(n), o) for n, o in pairs)
         m = ambient_dim
-        _check_subsets("vertex search", len(forms), m, "inequality")
+        _check_subsets(len(forms), m,
+                       "the vertex search would try {} inequality subsets")
         normals = [f.normal for f in forms]
         if rank(normals) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
@@ -381,39 +388,112 @@ class Polytope:
 
 
 def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
-    """Facet inequalities of the convex hull of full-dimensional points."""
+    """Facet inequalities of the convex hull of full-dimensional points:
+    one primitive form per boundary simplex of a placing triangulation, so
+    coplanar simplices merge into one facet."""
     if d == 0:
         return []
-    if d == 1:
-        xs = [p[0] for p in fd_pts]
-        return [FacetForm((1,), max(xs)), FacetForm((-1,), -min(xs))]
-    _check_subsets("facet search", len(fd_pts), d, "point")
-    seen = {}
-    for rows in itertools.combinations(fd_pts, d):
-        base = rows[0]
-        n = generalized_cross([vsub(r, base) for r in rows[1:]], d)
-        if all(c == 0 for c in n):
-            continue
-        n = primitive_vector(n)
-        o = dot(n, base)
-        lower = any(dot(n, p) > o for p in fd_pts)
-        upper = any(dot(n, p) < o for p in fd_pts)
-        if lower and upper:
-            continue
-        if lower:
-            n, o = vscale(n, -1), -o
-        seen[(n, o)] = FacetForm(n, o)
-    return list(seen.values())
+    _check_subsets(len(fd_pts), d,
+                   "the hull of these points could have {} boundary facets")
+    cells, _ = _placing(fd_pts.__getitem__, len(fd_pts))
+    facets = set()
+    for f, v in _free_facets(cells).items():
+        n, o = _facet_form(fd_pts, f, v)  # n . x >= o on the hull
+        g = gcd_vector(n)
+        facets.add(FacetForm(tuple(-a // g for a in n), -o // g))
+    return list(facets)
 
 
-def _check_subsets(search: str, n: int, r: int, what: str) -> None:
-    """Refuse, before trying any, a search over all ``r``-subsets of ``n``
-    items when there are more than ``SUBSET_CAP`` of them."""
+def _facet_form(coords: Sequence[tuple], facet: Sequence[int],
+                inside: int) -> tuple:
+    """``(n, o)`` with ``n . x == o`` on the points of ``facet`` (affine
+    coordinates on the hull, as many points as its dimension) and
+    ``n . x > o`` at point ``inside``."""
+    base = coords[facet[0]]
+    n = generalized_cross([vsub(coords[j], base) for j in facet[1:]],
+                          len(base))
+    o = dot(n, base)
+    s = dot(n, coords[inside]) - o
+    if s == 0:
+        raise ValueError("degenerate cell")
+    return (n, o) if s > 0 else (tuple(-a for a in n), -o)
+
+
+def _free_facets(simplices) -> dict:
+    """Facets lying in exactly one of ``simplices`` (sorted index tuples),
+    each mapped to the vertex of its simplex opposite it."""
+    opposite = {}
+    for c in simplices:
+        for j, v in enumerate(c):
+            f = c[:j] + c[j + 1:]
+            opposite[f] = None if f in opposite else v
+    return {f: v for f, v in opposite.items() if v is not None}
+
+
+def _placing(coords_of, n_points: int) -> tuple:
+    """Triangulate the convex hull of points 0..n-1 by placing in order.
+
+    ``coords_of(i)`` returns ambient coordinates.  Returns ``(cells,
+    skipped)`` where ``skipped`` lists the points that were inside (or flat
+    against) the hull when placed and so are not vertices of any cell.
+
+    The directions spanned so far are integer echelon rows; a point whose
+    direction does not reduce to zero is a dimension jump and adds a row.
+    Points are read in their pivot columns, which map the affine hull
+    bijectively onto its image (no lattice chart is needed).
+
+    The boundary of the hull placed so far is kept between insertions as
+    ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond).
+    A new point is coned over the facets it sees strictly; those leave the
+    boundary, and each horizon ridge (in exactly one seen facet) joined to
+    the point enters it.  A dimension jump drops the boundary; the next
+    point placed without a jump rebuilds it from the free facets.
+    """
+    pts = [coords_of(i) for i in range(n_points)]
+    rows: list = []    # echelon rows, each zero at the earlier pivots
+    pivots: list = []
+    cells = [(0,)]
+    coords = [()]      # no pivots yet: point 0 is the origin of Z^0
+    boundary: Optional[Dict[tuple, tuple]] = {}
+    skipped = []
+    for i in range(1, n_points):
+        y = vsub(pts[i], pts[0])
+        for row, c in zip(rows, pivots):
+            a, b = row[c], y[c]
+            if b:
+                y = tuple(a * u - b * v for u, v in zip(y, row))
+        if any(y):
+            rows.append(primitive_vector(y))
+            pivots.append(next(c for c, u in enumerate(y) if u))
+            coords = [tuple(p[c] for c in pivots) for p in pts[: i + 1]]
+            cells = [c + (i,) for c in cells]
+            boundary = None
+            continue
+        coords.append(tuple(pts[i][c] for c in pivots))
+        p = coords[i]
+        if boundary is None:
+            boundary = {f: _facet_form(coords, f, v)
+                        for f, v in _free_facets(cells).items()}
+        seen = [f for f, (n, o) in boundary.items() if dot(n, p) < o]
+        if not seen:
+            skipped.append(i)
+            continue
+        for f in seen:
+            del boundary[f]
+            cells.append(f + (i,))
+        for g, v in _free_facets(seen).items():
+            boundary[g + (i,)] = _facet_form(coords, g + (i,), v)
+    return tuple(sorted(cells)), tuple(skipped)
+
+
+def _check_subsets(n: int, r: int, what: str) -> None:
+    """Refuse an input, before any work on it, when ``C(n, r)`` is over
+    ``SUBSET_CAP``; ``what`` says what the count bounds, with ``{}``
+    where the count goes."""
     count = math.comb(n, r)
     if count > SUBSET_CAP:
-        raise ValueError(
-            f"the {search} would try C({n}, {r}) = {count} {what} subsets,"
-            f" over the cap of {SUBSET_CAP}")
+        raise ValueError(what.format(f"C({n}, {r}) = {count}")
+                         + f", over the cap of {SUBSET_CAP}")
 
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:

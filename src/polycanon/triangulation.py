@@ -2,11 +2,10 @@
 
 Triangulations are stored combinatorially: a lex-sorted tuple of ambient
 lattice points plus maximal cells as sorted index tuples.  Construction is
-incremental placing (cone new points over strictly visible boundary faces)
+incremental placing (cone new points over strictly visible boundary faces;
+``polytope._placing``, the routine the polytope's facets are read off)
 followed by stellar insertion of the points the placing pass skipped, all
-in exact integer arithmetic inside a chart on the affine hull.  The placing
-pass keeps the hull's boundary facets and their normals between
-insertions and rebuilds them only when the dimension jumps.
+in exact integer arithmetic.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
@@ -23,9 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from .exactmath import build_chart, det_bareiss, dot, \
-    generalized_cross, vsub
-from .polytope import Polytope
+from .exactmath import build_chart, det_bareiss, dot, vsub
+from .polytope import Polytope, _facet_form, _free_facets, _placing
 from .simplex import HalfOpenBox, SimplexConeSlicer
 
 
@@ -61,21 +59,6 @@ def _chart_coords(chart, points) -> list:
     return [chart.to_chart(p) for p in points]
 
 
-def _facet_form(coords: Sequence[tuple], facet: Sequence[int],
-                inside: int) -> tuple:
-    """``(n, o)`` with ``n . x == o`` on the points of ``facet`` (chart
-    coordinates, as many points as the chart dimension) and
-    ``n . x > o`` at point ``inside``."""
-    base = coords[facet[0]]
-    n = generalized_cross([vsub(coords[j], base) for j in facet[1:]],
-                          len(base))
-    o = dot(n, base)
-    s = dot(n, coords[inside]) - o
-    if s == 0:
-        raise ValueError("degenerate cell")
-    return (n, o) if s > 0 else (tuple(-a for a in n), -o)
-
-
 def _cell_forms(coords: Sequence[tuple], cell: Sequence[int]) -> tuple:
     """Inequalities of a full-dimensional simplex cell in chart coordinates.
 
@@ -84,59 +67,6 @@ def _cell_forms(coords: Sequence[tuple], cell: Sequence[int]) -> tuple:
     """
     return tuple(_facet_form(coords, cell[:j] + cell[j + 1:], v)
                  for j, v in enumerate(cell))
-
-
-def _free_facets(simplices) -> dict:
-    """Facets lying in exactly one of ``simplices`` (sorted index tuples),
-    each mapped to the vertex of its simplex opposite it."""
-    opposite = {}
-    for c in simplices:
-        for j, v in enumerate(c):
-            f = c[:j] + c[j + 1:]
-            opposite[f] = None if f in opposite else v
-    return {f: v for f, v in opposite.items() if v is not None}
-
-
-def _placing(coords_of, n_points: int) -> tuple:
-    """Triangulate the convex hull of points 0..n-1 by placing in order.
-
-    ``coords_of(i)`` returns ambient coordinates; charts are rebuilt at
-    dimension jumps.  Returns ``(cells, skipped)`` where ``skipped`` lists
-    the points that were inside (or flat against) the hull when placed and
-    so are not vertices of any cell.
-
-    The boundary of the hull placed so far is kept between insertions as
-    ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond).
-    A new point is coned over the facets it sees strictly; those leave the
-    boundary, and each horizon ridge (in exactly one seen facet) joined to
-    the point enters it.  Only a dimension jump rebuilds the boundary.
-    """
-    pts = [coords_of(i) for i in range(n_points)]
-    cells = [(0,)]
-    chart = build_chart([pts[0]])
-    coords = [chart.to_chart(pts[0])]
-    boundary: Dict[tuple, tuple] = {}
-    skipped = []
-    for i in range(1, n_points):
-        if not chart.in_affine_hull(pts[i]):
-            chart = build_chart(pts[: i + 1])
-            coords = _chart_coords(chart, pts[: i + 1])
-            cells = [c + (i,) for c in cells]
-            boundary = {f: _facet_form(coords, f, v)
-                        for f, v in _free_facets(cells).items()}
-            continue
-        coords.append(chart.to_chart(pts[i]))
-        p = coords[i]
-        seen = [f for f, (n, o) in boundary.items() if dot(n, p) < o]
-        if not seen:
-            skipped.append(i)
-            continue
-        for f in seen:
-            del boundary[f]
-            cells.append(f + (i,))
-        for g, v in _free_facets(seen).items():
-            boundary[g + (i,)] = _facet_form(coords, g + (i,), v)
-    return tuple(sorted(cells)), tuple(skipped)
 
 
 def _boundary_count(cells) -> Counter:
@@ -299,6 +229,7 @@ def verify_decomposition(T: Triangulation, P: Polytope,
     covered exactly once by the open cones over the interior faces."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    P._box(kmax)  # refuse an oversized top degree before any scan
     faces = interior_faces(T, P)
     owner = _interior_faces(T, P)[1]  # cached by the call above
     # One box per owning cell; each face's box is read off its owner's.

@@ -48,10 +48,11 @@ def test_criterion_1_long_edge_family_single_generator_at_dimension():
 
 
 def test_criterion_2_capped_box_family_value_set_and_named_generators():
-    """For d = 2, 3, 4 the capped-box family attains every reduced degree
-    in {1, ..., d-1}, with (1,...,1,(i-1)d+i) at degree i irreducible for
-    each i; the d = 4 case must finish within 60 seconds."""
-    for d in (2, 3, 4):
+    """For d = 2, 3, 4, 5 the capped-box family attains every reduced
+    degree in {1, ..., d-1}, so the bound dim - 1 is sharp, with
+    (1,...,1,(i-1)d+i) at degree i irreducible for each i; the d = 4 case
+    must finish within 60 seconds."""
+    for d in (2, 3, 4, 5):
         start = time.monotonic()
         P = families.example2(d)
         assert set(reduced_degree_values(P)) == set(range(1, d)), d
@@ -64,10 +65,10 @@ def test_criterion_2_capped_box_family_value_set_and_named_generators():
 
 
 def test_criterion_3_capped_box_degree_one_splitting_and_equality():
-    """For d = 2, 3, 4 every capped-box point of degree up to d+1 splits
+    """For d = 2, 3, 4, 5 every capped-box point of degree up to d+1 splits
     into degree-one points, and the generators under the full semigroup
     action coincide exactly with the degree-one-action generators."""
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5):
         P = families.example2(d)
         ok, witness = idp_check(P, kmax=d + 1)
         assert ok and witness is None, (d, witness)

@@ -202,6 +202,15 @@ def test_triangulate_capped_box_cell_count(tmp_path, capsys):
     assert doc["covering"]["ok"] is True
 
 
+def test_triangulate_refuses_an_oversized_kmax(tmp_path, capsys):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(
+        {"ambient_dim": 2, "vertices": [[0, 0], [4, 0], [0, 4]]}))
+    rc, out, err = run_cli(capsys, "triangulate", str(path),
+                           "--kmax", "100000")
+    assert rc == 1 and out == "" and "cap of 40000000" in err
+
+
 def test_triangulate_interior_respecting_needs_interior(tmp_path, capsys):
     path = write_family(tmp_path, capsys, "cube", d=2)
     rc, _, err = run_cli(capsys, "triangulate", path,

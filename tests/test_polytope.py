@@ -3,10 +3,20 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import polycanon.polytope as pmod
 from polycanon import families
 from polycanon.checks import default_corpus
+from polycanon.exactmath import (
+    build_chart,
+    dot,
+    generalized_cross,
+    primitive_vector,
+    rank,
+    vsub,
+)
 from polycanon.polytope import FacetForm, Polytope
 
 
@@ -161,6 +171,60 @@ def test_oversized_vertex_search_is_refused_before_enumerating(monkeypatch):
     monkeypatch.setattr(pmod, "solve_rational", _never)
     with pytest.raises(ValueError, match=r"C\(100, 4\) = .* cap of 1000000"):
         Polytope.from_inequalities(forms, 4)
+
+
+def _hull_by_subsets(points):
+    """``(vertices, facets, fd_facets)`` of the hull of ``points`` by the
+    C(n, d) search: a d-subset of the chart points spans a facet iff its
+    hyperplane has every point on one side."""
+    pts = sorted(set(points))
+    chart = build_chart(pts)
+    d = chart.dim
+    q = [chart.to_chart(p) for p in pts]
+    fd_facets = set()
+    for rows in itertools.combinations(q, d) if d else ():
+        n = generalized_cross([vsub(r, rows[0]) for r in rows[1:]], d)
+        if not any(n):
+            continue
+        n = primitive_vector(n)
+        o = dot(n, rows[0])
+        sides = {(dot(n, p) > o) - (dot(n, p) < o) for p in q} - {0}
+        if sides == {1}:
+            n, o = tuple(-a for a in n), -o
+        if len(sides) == 1:
+            fd_facets.add(FacetForm(n, o))
+    vertices = tuple(sorted(
+        p for p, c in zip(pts, q)
+        if d == 0 or rank([f.normal for f in fd_facets
+                           if f.slack(c) == 0]) == d))
+    facets = tuple(sorted(pmod._pull_back_facet(f, chart) for f in fd_facets))
+    return vertices, facets, tuple(sorted(fd_facets))
+
+
+@st.composite
+def point_sets(draw):
+    """2 to 10 points in [-2, 2]^m, m <= 4, half of the time lifted onto
+    the lattice hyperplane ``x_{m+1} = c . x + t`` of Z^(m+1)."""
+    m = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=2, max_size=10))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    return pts
+
+
+@given(point_sets())
+@example(list(itertools.product(range(3), repeat=3)))
+@example(list(families.example2(4).vertices))
+@example([(x, y, x + 2 * y + 1) for x in range(3) for y in range(3)])
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_hull_matches_the_subset_search(pts):
+    # the examples have many coplanar boundary simplices per facet
+    P = Polytope.from_vertices(pts)
+    assert (P.vertices, P.facets, P._fd_facets) == _hull_by_subsets(pts)
 
 
 # ------------------------------------------------------------- point queries

@@ -197,6 +197,19 @@ def test_verify_decomposition_validates_kmax(unit_square):
         verify_decomposition(T, unit_square, 0)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a scan started")
+
+
+def test_verify_decomposition_refuses_an_oversized_top_degree(monkeypatch):
+    P = Polytope.from_vertices([(0, 0), (4, 0), (0, 4)])
+    T = full_lattice_triangulation(P)
+    monkeypatch.setattr(Polytope, "_scan", _never)
+    monkeypatch.setattr(Polytope, "_slice", _never)
+    with pytest.raises(ValueError, match="cap of 40000000"):
+        verify_decomposition(T, P, 100000)
+
+
 # ----------------------------------------- fast paths against slow twins
 
 @st.composite

@@ -37,13 +37,16 @@ from .exactmath import (
 
 _INT64_GUARD = 2**60
 BOX_POINT_CAP = 40_000_000
-# Input budget, checked before any work starts: C(#forms, m) inequality
-# subsets for the vertex search, and C(n, d), which bounds the boundary
-# facets (d-subsets of the points) the placing pass can hold.  Tests and
-# benchmark reach C(11, 5) = 462 and C(30, 5) = 142506 (example2 d=5); a
-# 6^4 grid, C(1296, 4), is refused: its hull alone takes seconds, the rest
-# far longer.
+# Input budgets, checked before any work starts.  SUBSET_CAP bounds the
+# C(#forms, m) inequality subsets of the vertex search; tests and benchmark
+# reach C(11, 5) = 462 (example2 d=5).
 SUBSET_CAP = 1_000_000
+# PLACING_CAP bounds n * UBT(n, d): the placing pass scans its boundary once
+# per point, and by the upper bound theorem the boundary of a d-polytope on
+# n vertices has at most UBT(n, d) facets (see _check_placing).  The
+# 216-point cube [0,5]^3 reads 92448 and example2(6) 5193804; a 6^4 grid,
+# 1085871744, is refused.
+PLACING_CAP = 10_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -393,9 +396,8 @@ def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
     coplanar simplices merge into one facet."""
     if d == 0:
         return []
-    _check_subsets(len(fd_pts), d,
-                   "the hull of these points could have {} boundary facets")
-    cells, _ = _placing(fd_pts.__getitem__, len(fd_pts))
+    _check_placing(len(fd_pts), d)
+    cells = _placing(fd_pts)
     facets = set()
     for f, v in _free_facets(cells).items():
         n, o = _facet_form(fd_pts, f, v)  # n . x >= o on the hull
@@ -430,12 +432,16 @@ def _free_facets(simplices) -> dict:
     return {f: v for f, v in opposite.items() if v is not None}
 
 
-def _placing(coords_of, n_points: int) -> tuple:
-    """Triangulate the convex hull of points 0..n-1 by placing in order.
+def _placing(pts: Sequence[tuple]) -> tuple:
+    """Triangulate the convex hull of ``pts`` by placing them in order.
 
-    ``coords_of(i)`` returns ambient coordinates.  Returns ``(cells,
-    skipped)`` where ``skipped`` lists the points that were inside (or flat
-    against) the hull when placed and so are not vertices of any cell.
+    ``pts`` are distinct and lex-sorted, or the image of such a sequence
+    under an injective affine map.  Returns the cells as a sorted tuple of
+    sorted index tuples, with every point a vertex of some cell: the
+    lex-greatest point placed so far maximizes ``(1, e, e^2, ...)`` for small
+    ``e > 0``, so it is a vertex of the hull placed so far and lies strictly
+    beyond some boundary facet (De Loera-Rambau-Santos, *Triangulations*,
+    4.3).  A point that sees no facet raises ``AssertionError``.
 
     The directions spanned so far are integer echelon rows; a point whose
     direction does not reduce to zero is a dimension jump and adds a row.
@@ -449,14 +455,12 @@ def _placing(coords_of, n_points: int) -> tuple:
     the point enters it.  A dimension jump drops the boundary; the next
     point placed without a jump rebuilds it from the free facets.
     """
-    pts = [coords_of(i) for i in range(n_points)]
     rows: list = []    # echelon rows, each zero at the earlier pivots
     pivots: list = []
     cells = [(0,)]
     coords = [()]      # no pivots yet: point 0 is the origin of Z^0
     boundary: Optional[Dict[tuple, tuple]] = {}
-    skipped = []
-    for i in range(1, n_points):
+    for i in range(1, len(pts)):
         y = vsub(pts[i], pts[0])
         for row, c in zip(rows, pivots):
             a, b = row[c], y[c]
@@ -476,14 +480,28 @@ def _placing(coords_of, n_points: int) -> tuple:
                         for f, v in _free_facets(cells).items()}
         seen = [f for f, (n, o) in boundary.items() if dot(n, p) < o]
         if not seen:
-            skipped.append(i)
-            continue
+            raise AssertionError(f"point {i} sees no facet while placing")
         for f in seen:
             del boundary[f]
             cells.append(f + (i,))
         for g, v in _free_facets(seen).items():
             boundary[g + (i,)] = _facet_form(coords, g + (i,), v)
-    return tuple(sorted(cells)), tuple(skipped)
+    return tuple(sorted(cells))
+
+
+def _check_placing(n: int, d: int) -> None:
+    """Refuse, before any work, a placing pass over ``n`` points spanning
+    dimension ``d`` whose boundary scans could visit more than
+    ``PLACING_CAP`` facets: ``n`` times the upper bound theorem's
+    ``C(n - ceil(d/2), floor(d/2)) + C(n - floor(d/2) - 1, ceil(d/2) - 1)``
+    facets of a simplicial ``(d-1)``-sphere on ``n`` vertices (McMullen
+    1970; Stanley 1975)."""
+    lo, hi = d // 2, (d + 1) // 2
+    count = n * (math.comb(n - hi, lo) + math.comb(n - lo - 1, hi - 1))
+    if count > PLACING_CAP:
+        raise ValueError(
+            f"placing {n} points in dimension {d} could scan n * UBT(n, d)"
+            f" = {count} boundary facets, over the cap of {PLACING_CAP}")
 
 
 def _check_subsets(n: int, r: int, what: str) -> None:

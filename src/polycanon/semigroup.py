@@ -18,6 +18,7 @@ independent twins to test the mask kernel against.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -27,6 +28,11 @@ import numpy as np
 from .cone import GradedPoint, ReductionWitness, cone_over, cone_slice
 from .exactmath import vadd, vsub
 from .polytope import Polytope
+
+# Work budget of the shifted ORs, in mask cells ORed, checked before the
+# first sumset.  example2(6) reads 1.5e10 for its degree-one generators and
+# 3.3e11 under the full action; conv{0, 60e1, 60e2, 60e3} reads 3.1e11.
+SUMSET_CAP = 10**11
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,18 @@ def _lattice_set(P: Polytope, k: int) -> frozenset:
 def _interior_set(P: Polytope, k: int) -> frozenset:
     return P._memo(("interior_set", k),
                    lambda: frozenset(P.interior_lattice_points(k)))
+
+
+def _sumset_work(a: tuple, b: tuple) -> int:
+    """Mask cells :func:`_sumset` ORs for slices ``a`` and ``b``."""
+    na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
+    return na * b[1].size if na <= nb else nb * a[1].size
+
+
+def _check_work(work: int) -> None:
+    if work > SUMSET_CAP:
+        raise ValueError(f"the sumsets would OR {work} mask cells, over the"
+                         f" cap of {SUMSET_CAP}")
 
 
 def _sumset(a: tuple, b: tuple) -> tuple:
@@ -224,13 +242,16 @@ def _generator_report(P: Polytope, lows: Callable[[int], range]
                       ) -> GeneratorReport:
     """Scan degrees ``1 .. dim + 1`` for the interior points outside every
     sumset ``interior_low + lattice_{k-low}`` with ``low`` in ``lows(k)``."""
+    pairs = {k: [(P._slice(low, True), P._slice(k - low, False))
+                 for low in lows(k)] for k in range(1, P.dim + 2)}
+    _check_work(sum(_sumset_work(a, b)
+                    for k in pairs for a, b in pairs[k]))
     gens = []
     for k in range(1, P.dim + 2):
         lo, inner = P._slice(k, True)
         reducible = np.zeros_like(inner)
-        for low in lows(k):
-            reducible |= _sumset(P._slice(low, True),
-                                 P._slice(k - low, False))[1]
+        for a, b in pairs[k]:
+            reducible |= _sumset(a, b)[1]
         gens.extend(GradedPoint(p, k)
                     for p in P._points(k, lo, inner & ~reducible))
     hist: Dict[int, int] = {}
@@ -306,6 +327,9 @@ def idp_check(P: Polytope, kmax: Optional[int] = None
         raise ValueError("kmax must be at least 2")
     P._box(kmax)  # refuse an oversized top degree before any scan
     ones = P._slice(1, False)
+    # step k costs at most |P| * size(box_{k-1}); no slice above 1 is read
+    _check_work(sum(np.count_nonzero(ones[1]) * math.prod(P._box(k)[1])
+                    for k in range(1, kmax)))
     for k in range(2, kmax + 1):
         lo, lat = P._slice(k, False)
         bad = lat & ~_sumset(P._slice(k - 1, False), ones)[1]

@@ -1,11 +1,13 @@
 """Exact triangulations of lattice polytopes.
 
 Triangulations are stored combinatorially: a lex-sorted tuple of ambient
-lattice points plus maximal cells as sorted index tuples.  Construction is
-incremental placing (cone new points over strictly visible boundary faces;
-``polytope._placing``, the routine the polytope's facets are read off)
-followed by stellar insertion of the points the placing pass skipped, all
-in exact integer arithmetic.
+lattice points plus maximal cells as sorted index tuples.  The placing and
+fine triangulations are one placing pass over lex-sorted points (cone each
+new point over the boundary facets it sees strictly;
+``polytope._placing``, the routine the polytope's facets are read off),
+which uses every point.  The interior-respecting triangulation cones the
+boundary over one interior point and stellar-inserts the others
+(``_split_at``).  All arithmetic is exact and in integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
@@ -59,14 +61,27 @@ def _chart_coords(chart, points) -> list:
     return [chart.to_chart(p) for p in points]
 
 
-def _cell_forms(coords: Sequence[tuple], cell: Sequence[int]) -> tuple:
+def _cell_forms(coords: Sequence[tuple], cell: Sequence[int],
+                planes: Dict[tuple, tuple]) -> tuple:
     """Inequalities of a full-dimensional simplex cell in chart coordinates.
 
     Form ``j`` is tight on the facet opposite ``cell[j]`` and positive on
     the cell's interior; a point is in the cell iff every form is >= 0.
+    ``planes`` maps each facet to one ``(n, o)`` with ``n . x == o`` on it,
+    shared by the cells on both sides; a cell orients it by the sign at its
+    vertex opposite the facet.
     """
-    return tuple(_facet_form(coords, cell[:j] + cell[j + 1:], v)
-                 for j, v in enumerate(cell))
+    out = []
+    for j, v in enumerate(cell):
+        f = cell[:j] + cell[j + 1:]
+        if f not in planes:
+            planes[f] = _facet_form(coords, f, v)
+        n, o = planes[f]
+        s = dot(n, coords[v]) - o
+        if s == 0:
+            raise ValueError("degenerate cell")
+        out.append((n, o) if s > 0 else (tuple(-a for a in n), -o))
+    return tuple(out)
 
 
 def _boundary_count(cells) -> Counter:
@@ -77,15 +92,18 @@ def _boundary_count(cells) -> Counter:
     return cnt
 
 
-def _split_at(coords, cells, forms: Dict[tuple, tuple], x_index: int) -> list:
-    """Stellar-insert point ``x_index`` into every cell containing it."""
+def _split_at(coords, cells, forms: Dict[tuple, tuple],
+              planes: Dict[tuple, tuple], x_index: int) -> list:
+    """Stellar-insert point ``x_index`` into every cell containing it.
+
+    ``forms`` (cell -> its forms) and ``planes`` (facet -> its plane, see
+    :func:`_cell_forms`) are kept across the calls of one build."""
     x = coords[x_index]
     hit = []
     for c in cells:
         fs = forms.get(c)
         if fs is None:
-            fs = _cell_forms(coords, c)
-            forms[c] = fs
+            fs = forms[c] = _cell_forms(coords, c, planes)
         if all(dot(n, x) - o >= 0 for n, o in fs):
             hit.append(c)
     if not hit:
@@ -106,29 +124,16 @@ def placing_triangulation(P: Polytope) -> Triangulation:
     if P.dim < 1:
         raise ValueError("triangulation needs dimension >= 1")
     pts = P.vertices  # already lex-sorted
-    cells, skipped = _placing(lambda i: pts[i], len(pts))
-    if skipped:
-        raise AssertionError("an extreme point was skipped while placing")
-    return Triangulation(points=pts, cells=cells)
+    return Triangulation(points=pts, cells=_placing(pts))
 
 
 def full_lattice_triangulation(P: Polytope) -> Triangulation:
     """Triangulation of ``P`` using every lattice point of ``P`` as a vertex."""
     if P.dim < 1:
         raise ValueError("triangulation needs dimension >= 1")
-    return P._memo("full_triangulation", lambda: _full_triangulation(P))
-
-
-def _full_triangulation(P: Polytope) -> Triangulation:
-    pts = P.lattice_points(1)
-    cells, skipped = _placing(lambda i: pts[i], len(pts))
-    chart = build_chart(list(pts))
-    coords = _chart_coords(chart, pts)
-    forms: Dict[tuple, tuple] = {}
-    cells = list(cells)
-    for i in skipped:
-        cells = _split_at(coords, cells, forms, i)
-    return Triangulation(points=pts, cells=tuple(sorted(cells)))
+    pts = P.lattice_points(1)  # lex-sorted
+    return P._memo("full_triangulation",
+                   lambda: Triangulation(points=pts, cells=_placing(pts)))
 
 
 def interior_respecting_triangulation(P: Polytope) -> Triangulation:
@@ -154,13 +159,13 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     apex = interior[0]  # lex-least interior point
     apex_i = pts.index(apex)
     cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary_cells)
-    chart = build_chart(list(pts))
-    coords = _chart_coords(chart, pts)
+    coords = _chart_coords(P._chart, pts)
     forms: Dict[tuple, tuple] = {}
+    planes: Dict[tuple, tuple] = {}
     for x in interior:
         if x == apex:
             continue
-        cells = _split_at(coords, cells, forms, pts.index(x))
+        cells = _split_at(coords, cells, forms, planes, pts.index(x))
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
@@ -277,6 +282,5 @@ def stellar_subdivide(T: Triangulation, x) -> Triangulation:
     old_to_new = [remap[p] for p in T.points]
     cells = sorted(tuple(sorted(old_to_new[i] for i in c)) for c in T.cells)
     coords = _chart_coords(chart, new_points)
-    forms: Dict[tuple, tuple] = {}
-    cells = _split_at(coords, cells, forms, remap[x])
+    cells = _split_at(coords, cells, {}, {}, remap[x])
     return Triangulation(points=new_points, cells=tuple(sorted(cells)))

@@ -267,7 +267,33 @@ def test_oversized_hull_exits_one(tmp_path, capsys):
         "vertices": [list(p) for p in itertools.product(range(6), repeat=4)],
     }))
     rc, out, err = run_cli(capsys, "triangulate", str(grid))
-    assert rc == 1 and out == "" and "cap of 1000000" in err
+    assert rc == 1 and out == "" and "cap of 10000000" in err
+
+
+def test_hull_of_every_cube_point_matches_the_vertex_cube(tmp_path, capsys):
+    # 216 points, under the hull budget the C(216, 3) count used to exceed
+    outs = []
+    for pts in (itertools.product(range(6), repeat=3),
+                itertools.product((0, 5), repeat=3)):
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": 3, "vertices": [list(p) for p in pts]}))
+        rc, out, _ = run_cli(capsys, "generators", str(path))
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a sumset started")
+
+    monkeypatch.setattr("polycanon.semigroup._sumset", never)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "vertices": [
+        [0, 0, 0], [60, 0, 0], [0, 60, 0], [0, 0, 60]]}))
+    rc, out, err = run_cli(capsys, "generators", str(path))
+    assert rc == 1 and out == "" and "cap of 100000000000" in err
 
 
 def test_usage_error_exits_one(capsys):

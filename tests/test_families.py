@@ -27,6 +27,13 @@ def test_capped_box_counts_scale_with_dimension():
     assert len(families.example2(4).lattice_points(1)) == 80
 
 
+def test_capped_box_builds_at_dimension_six():
+    # 77 vertices: inside the placing budget, n * UBT(77, 6) = 5193804
+    P = families.example2(6)
+    assert len(P.facets) == 13
+    assert len(P.vertices) == 77
+
+
 def test_unit_simplex_and_cube():
     assert families.unit_simplex(2).vertices == ((0, 0), (0, 1), (1, 0))
     assert len(families.unit_cube(3).vertices) == 8

@@ -158,9 +158,10 @@ def _never(*args, **kwargs):
 
 
 def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
-    grid = list(itertools.product(range(6), repeat=4))  # C(1296, 4) subsets
+    grid = list(itertools.product(range(6), repeat=4))  # 1296 * UBT(1296, 4)
     monkeypatch.setattr(pmod, "generalized_cross", _never)
-    with pytest.raises(ValueError, match=r"C\(1296, 4\) = .* cap of 1000000"):
+    with pytest.raises(ValueError,
+                       match=r"1296 points .* = 1085871744 .* cap of 10000000"):
         Polytope.from_vertices(grid)
 
 

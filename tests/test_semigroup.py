@@ -354,3 +354,14 @@ def test_mask_kernel_matches_its_twins(P):
 def test_idp_check_refuses_an_oversized_top_degree():
     with pytest.raises(ValueError, match="cap of 40000000"):
         idp_check(families.unit_cube(4), kmax=200)
+
+
+def test_idp_check_refuses_oversized_sumsets(monkeypatch):
+    def never(*args):
+        raise AssertionError("a sumset started")
+
+    monkeypatch.setattr("polycanon.semigroup._sumset", never)
+    P = Polytope.from_vertices([(0, 0, 0), (60, 0, 0), (0, 60, 0),
+                                (0, 0, 60)])
+    with pytest.raises(ValueError, match="cap of 100000000000"):
+        idp_check(P, kmax=4)  # every box is under the box cap

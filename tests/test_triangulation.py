@@ -228,7 +228,8 @@ def hulls(draw):
 
 def _placing_by_recount(pts):
     """Placing from scratch at every point: recount the free facets of all
-    cells and cone the point over those it sees strictly."""
+    cells and cone the point over those it sees strictly.  Returns the cells
+    and the points that saw no facet."""
     cells, skipped = [(0,)], []
     for i in range(1, len(pts)):
         chart = build_chart(pts[:i])
@@ -277,9 +278,16 @@ def _empty_by_scan(points):
 def test_triangulation_layer_matches_its_twins(P, rnd):
     assume(P.dim >= 1)
     pts = list(P.lattice_points(1))
-    for order in (pts, rnd.sample(pts, len(pts))):
-        assert _placing(order.__getitem__, len(order)) == \
-            _placing_by_recount(order)
+    # in lex order every point is a vertex of the hull placed so far
+    cells, skipped = _placing_by_recount(pts)
+    assert skipped == () and _placing(pts) == cells
+    shuffled = rnd.sample(pts, len(pts))
+    cells, skipped = _placing_by_recount(shuffled)
+    if skipped:
+        with pytest.raises(AssertionError, match="sees no facet"):
+            _placing(shuffled)
+    else:
+        assert _placing(shuffled) == cells
     # placing cells span only vertices, so some of them are not empty
     placing = placing_triangulation(P)
     for cell in placing.cells:

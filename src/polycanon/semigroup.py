@@ -245,7 +245,7 @@ def _generator_report(P: Polytope, lows: Callable[[int], range]
     pairs = {k: [(P._slice(low, True), P._slice(k - low, False))
                  for low in lows(k)] for k in range(1, P.dim + 2)}
     _check_work(sum(_sumset_work(a, b)
-                    for k in pairs for a, b in pairs[k]))
+                    for ps in pairs.values() for a, b in ps))
     gens = []
     for k in range(1, P.dim + 2):
         lo, inner = P._slice(k, True)
@@ -328,8 +328,8 @@ def idp_check(P: Polytope, kmax: Optional[int] = None
     P._box(kmax)  # refuse an oversized top degree before any scan
     ones = P._slice(1, False)
     # step k costs at most |P| * size(box_{k-1}); no slice above 1 is read
-    _check_work(sum(np.count_nonzero(ones[1]) * math.prod(P._box(k)[1])
-                    for k in range(1, kmax)))
+    _check_work(np.count_nonzero(ones[1])
+                * sum(math.prod(P._box(k)[1]) for k in range(1, kmax)))
     for k in range(2, kmax + 1):
         lo, lat = P._slice(k, False)
         bad = lat & ~_sumset(P._slice(k - 1, False), ones)[1]

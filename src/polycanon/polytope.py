@@ -90,12 +90,15 @@ class Polytope:
         fd_facets = _facets_from_points(fd_pts, d)
 
         # Extreme-point filter: a vertex is a point where the tight facet
-        # normals span the full chart space.
+        # normals span the full chart space, so it is tight on at least d
+        # facets.  d + 1 points spanning dimension d are all vertices.
         verts_fd = []
         for q in fd_pts:
-            tight = [f.normal for f in fd_facets if f.slack(q) == 0]
-            if d == 0 or rank(tight) == d:
-                verts_fd.append(q)
+            if len(fd_pts) > d + 1:
+                tight = [f.normal for f in fd_facets if f.slack(q) == 0]
+                if len(tight) < d or rank(tight) < d:
+                    continue
+            verts_fd.append(q)
         vertices = tuple(sorted(chart.from_chart(q) for q in verts_fd))
 
         facets = tuple(sorted(
@@ -226,21 +229,23 @@ class Polytope:
                      for f in self._fd_facets), default=0)
         if (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD:
             return lo, self._fd_scan_python(lo, shape, scale, interior)
-        # n . q - o * scale per facet, summed axis by axis over broadcast
-        # aranges, so that only the last sum is box-shaped.
+        # n . q - o * scale < 0 (<= 0) per facet: the terms of all axes but
+        # the last, summed over broadcast aranges, against minus the last
+        # axis's term, so that only the reused bool buffer is box-shaped.
         d = self.dim
         axes = [np.arange(l, l + n, dtype=np.int64)
                 .reshape((n,) + (1,) * (d - 1 - i))
                 for i, (l, n) in enumerate(zip(lo, shape))]
+        below = np.less if interior else np.less_equal
         mask = np.ones(shape, dtype=bool)
-        vals = np.empty(shape, dtype=np.int64)
+        buf = np.empty(shape, dtype=bool)
         for f in self._fd_facets:
             part = np.int64(-f.offset * scale)
             for a, ax in zip(f.normal[:-1], axes[:-1]):
                 if a:
                     part = part + a * ax
-            np.add(part, f.normal[-1] * axes[-1], out=vals)
-            mask &= (vals < 0) if interior else (vals <= 0)
+            below(part, -f.normal[-1] * axes[-1], out=buf)
+            mask &= buf
         return lo, mask
 
     def _fd_scan_python(self, lo, shape, scale, interior):

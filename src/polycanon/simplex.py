@@ -123,7 +123,10 @@ class HalfOpenBox:
     in ``[0, 1)``, one per coset of the sublattice the ``w_i`` generate, so
     it has as many points as the simplex has normalized volume.  They come
     from one Smith form: ``t = frac(mu U)`` with ``mu_i = r_i / d_i`` over
-    the residues ``r_i`` modulo the invariant factors ``d_i``.
+    the residues ``r_i`` modulo the invariant factors ``d_i``.  A cell of
+    full ambient dimension whose lifted points have determinant +-1 is
+    unimodular, so its box is the origin; a Bareiss determinant proves it
+    and no Smith form is taken.
 
     ``coefficients`` holds each point's ``t`` as the integers ``D * t`` in
     ``[0, D)``, where ``D`` is the largest invariant factor (every ``d_i``
@@ -139,11 +142,14 @@ class HalfOpenBox:
             raise ValueError("need at least one point")
         self.lifted = tuple(p + (1,) for p in pts)
         n, width = len(self.lifted), len(self.lifted[0])
-        S, U, _ = smith_normal_form(self.lifted)
-        diag = [S[i][i] for i in range(n)] if len(S[0]) >= n else [0]
-        if any(d == 0 for d in diag):
-            raise ValueError("points are not affinely independent")
-        D = diag[-1]
+        if n == width and abs(det_bareiss(self.lifted)) == 1:
+            D = 1  # unimodular: the generators span the whole lattice
+        else:
+            S, U, _ = smith_normal_form(self.lifted)
+            diag = [S[i][i] for i in range(n)] if len(S[0]) >= n else [0]
+            if any(d == 0 for d in diag):
+                raise ValueError("points are not affinely independent")
+            D = diag[-1]
         if D == 1:
             self.coefficients = [(0,) * n]
             self.points = [(0,) * width]

@@ -11,22 +11,36 @@ boundary over one interior point and stellar-inserts the others
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
-face one owning cell, computes that cell's half-open box from one Smith
-form, and reads the face's box off it.
+face one owning cell, computes that cell's half-open box (one Smith form,
+none for a unimodular cell), and reads the face's box off it.  It counts
+each degree on the chart box of the dilate: the points of all faces of one
+size from box points of one degree are one integer product, and their
+``bincount`` must equal the dilate's interior mask, which the facet-form
+scan builds, so the two routes stay independent.  A degree that does not
+match is walked point by point, which names the failing point.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from .exactmath import build_chart, det_bareiss, dot, vsub
-from .polytope import Polytope, _facet_form, _free_facets, _placing
-from .simplex import HalfOpenBox, SimplexConeSlicer
+from .polytope import (
+    _INT64_GUARD,
+    Polytope,
+    _facet_form,
+    _free_facets,
+    _placing,
+)
+from .simplex import HalfOpenBox, SimplexConeSlicer, _compositions
 
 
 @dataclass(frozen=True)
@@ -231,13 +245,33 @@ def total_normalized_volume(T: Triangulation) -> int:
 def verify_decomposition(T: Triangulation, P: Polytope,
                          kmax: int) -> DecompositionResult:
     """Check degree by degree that the interior cone points of ``P`` are
-    covered exactly once by the open cones over the interior faces."""
+    covered exactly once by the open cones over the interior faces.
+
+    Each degree is counted on its chart box (:func:`_covered_by_counts`);
+    a degree whose counts do not match, or that the count route cannot
+    hold in int64, is walked point by point (:func:`_cover_by_points`),
+    which names the first bad point."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     P._box(kmax)  # refuse an oversized top degree before any scan
+    slicers = _face_slicers(T, P)
+    if slicers is None:
+        return DecompositionResult(ok=False, reason="degenerate face")
+    cover = _cover_groups(slicers, P._chart)
+    for k in range(1, kmax + 1):
+        if not _covered_by_counts(cover, P, k):
+            res = _cover_by_points(slicers, P, k)
+            if not res:
+                return res
+    return DecompositionResult(ok=True)
+
+
+def _face_slicers(T: Triangulation, P: Polytope) -> Optional[list]:
+    """One slicer per interior face, in face order, or ``None`` when an
+    owning cell is degenerate.  One box per owning cell; each face's box is
+    read off its owner's."""
     faces = interior_faces(T, P)
     owner = _interior_faces(T, P)[1]  # cached by the call above
-    # One box per owning cell; each face's box is read off its owner's.
     boxes: Dict[tuple, HalfOpenBox] = {}
     slicers = []
     for f in faces:
@@ -246,26 +280,120 @@ def verify_decomposition(T: Triangulation, P: Polytope,
             try:
                 boxes[cell] = HalfOpenBox(T.cell_points(cell))
             except ValueError:
-                return DecompositionResult(ok=False, reason="degenerate face")
+                return None
         slicers.append(SimplexConeSlicer.from_box(
             boxes[cell], [cell.index(i) for i in f]))
-    for k in range(1, kmax + 1):
-        target = {p + (k,) for p in P.interior_lattice_points(k)}
-        seen = set()
-        for sl in slicers:
-            for y in sl.interior_points(k):
-                if y in seen:
-                    return DecompositionResult(
-                        ok=False, degree=k, point=y, reason="covered twice")
-                if y not in target:
-                    return DecompositionResult(
-                        ok=False, degree=k, point=y,
-                        reason="point outside the interior")
-                seen.add(y)
-        if len(seen) != len(target):
-            missing = min(target - seen)
-            return DecompositionResult(
-                ok=False, degree=k, point=missing, reason="point not covered")
+    return slicers
+
+
+def _cover_groups(slicers, chart) -> Optional[tuple]:
+    """``(bound, groups)``: the box points of all faces in lifted chart
+    coordinates, grouped by ``(n, h)`` (face size, point degree), and a
+    bound on the absolute entries of them and of their generators.
+
+    Lifted chart coordinates of ``(x, h)`` are the chart coordinates of
+    ``x`` at scale ``h`` followed by its coordinates across the affine hull,
+    which are zero iff ``x`` lies on the hull of the ``h``-th dilate.  The
+    map is linear, so it carries sums of lifted points to sums.  Each group
+    is ``(R, G)`` with ``R[p]`` its ``p``-th point and ``G[p]`` that point's
+    face's ``n`` lifted generators, as int64 arrays.  ``None`` when a point
+    has another ambient dimension or an entry could overflow int64.
+    """
+    width = chart.ambient_dim + 1
+    pairs: Dict[tuple, tuple] = {}
+    for sl in slicers:
+        if len(sl.lifted[0]) != width:
+            return None
+        for h, y in sl._reps:
+            reps, gens = pairs.setdefault((len(sl.lifted), h), ([], []))
+            reps.append(y)
+            gens.append(sl.lifted)
+    cols = [(*c, -dot(chart.origin, c))
+            for c in (*chart.proj_cols, *chart.comp_cols)]
+    gain = max(abs(a) for c in cols for a in c) * width  # of the lift
+    groups, big = {}, 0
+    for key, (reps, gens) in pairs.items():
+        try:
+            R = np.array(reps, dtype=np.int64)
+            G = np.array(gens, dtype=np.int64)
+        except OverflowError:
+            return None
+        big = max(big, int(R.max()), -int(R.min()),
+                  int(G.max()), -int(G.min()))
+        groups[key] = (R, G)
+    if big * gain >= _INT64_GUARD:
+        return None
+    lift = np.array(cols, dtype=np.int64).T
+    groups = {key: (R @ lift, G @ lift) for key, (R, G) in groups.items()}
+    return big * gain, groups
+
+
+@functools.lru_cache(maxsize=128)
+def _composition_array(total: int, parts: int) -> np.ndarray:
+    """``_compositions(total, parts)`` as rows of a read-only int64 array."""
+    a = np.array(list(_compositions(total, parts)),
+                 dtype=np.int64).reshape(-1, parts)
+    a.setflags(write=False)
+    return a
+
+
+def _covered_by_counts(cover: Optional[tuple], P: Polytope,
+                       k: int) -> bool:
+    """Whether the degree-``k`` points of the faces' open cones, given as
+    their :func:`_cover_groups`, hit every interior point of the ``k``-th
+    dilate exactly once.  Each group's points are one integer product (box
+    points plus compositions of ``k - h`` times the generators), shifted
+    into the chart box of ``k * P``; one ``bincount`` counts them all, and
+    the counts must equal the interior mask.
+
+    False on any mismatch, and when the points could overflow int64."""
+    if cover is None:
+        return False
+    bound, groups = cover
+    lo, mask = P._slice(k, True)
+    shape = mask.shape
+    if bound * (k + 1) + max(map(abs, lo), default=0) >= _INT64_GUARD:
+        return False
+    d = len(shape)
+    lo_ = np.array(lo, dtype=np.int64)
+    dims = np.array(shape, dtype=np.int64)
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(d)],
+                       dtype=np.int64)
+    flat = [np.zeros(0, dtype=np.int64)]
+    for (n, h), (R, G) in groups.items():
+        if h > k:
+            continue
+        pts = _composition_array(k - h, n) @ G  # (faces, compositions, w)
+        pts += R[:, None, :]
+        pts = pts.reshape(-1, pts.shape[-1])
+        q = pts[:, :d] - lo_
+        if pts[:, d:].any() or (q < 0).any() or (q >= dims).any():
+            return False
+        flat.append(q @ strides)
+    counts = np.bincount(np.concatenate(flat), minlength=mask.size)
+    return np.array_equal(counts, mask.reshape(-1))
+
+
+def _cover_by_points(slicers, P: Polytope, k: int) -> DecompositionResult:
+    """The degree-``k`` covering walked point by point, in face order, so
+    that a failure names the first point covered twice, the first point
+    outside the interior, or the least point not covered."""
+    target = {p + (k,) for p in P.interior_lattice_points(k)}
+    seen = set()
+    for sl in slicers:
+        for y in sl.interior_points(k):
+            if y in seen:
+                return DecompositionResult(
+                    ok=False, degree=k, point=y, reason="covered twice")
+            if y not in target:
+                return DecompositionResult(
+                    ok=False, degree=k, point=y,
+                    reason="point outside the interior")
+            seen.add(y)
+    if len(seen) != len(target):
+        missing = min(target - seen)
+        return DecompositionResult(
+            ok=False, degree=k, point=missing, reason="point not covered")
     return DecompositionResult(ok=True)
 
 

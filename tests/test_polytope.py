@@ -1,6 +1,7 @@
 """Tests for polytope construction, scanning, classification and JSON."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,6 +136,42 @@ def test_numpy_and_python_scans_agree(monkeypatch):
             mp.setattr(pmod, "_INT64_GUARD", 0)
             for job, want in expect.items():
                 assert fresh._scan(*job) == want
+
+
+@st.composite
+def point_sets(draw):
+    """2 to 8 points in [-2, 2]^m, m <= 4, half of them lifted onto the
+    lattice hyperplane ``x_{m+1} = c . x + t`` of Z^(m+1)."""
+    m = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=2, max_size=8))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (dot(c, p) + t,) for p in pts]
+    return pts
+
+
+@given(point_sets())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_slice_masks_and_vertices_match_their_twins(pts):
+    P = Polytope.from_vertices(pts)
+    for scale in range(1, 4):
+        # the twin walks every box point in Python, and a flat hull's chart
+        # box can be far larger than its ambient one
+        if math.prod(P._box(1)[1]) * scale ** P.dim > 20_000:
+            break
+        for interior in (False, True):
+            lo, mask = P._build_slice(scale, interior)
+            ref = P._fd_scan_python(lo, mask.shape, scale, interior)
+            assert (mask == ref).all()
+    # a vertex is a point whose tight facet normals span the chart space
+    spans = [p for p in sorted(set(pts))
+             if P.dim == 0 or rank([f.normal for f in P._fd_facets
+                                    if f.slack(P._chart.to_chart(p)) == 0])
+             == P.dim]
+    assert P.vertices == tuple(spans)
 
 
 def test_scan_falls_back_when_coordinates_are_huge():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import polycanon.simplex as smod
 from polycanon import families
 from polycanon.cone import GradedPoint
 from polycanon.polytope import Polytope
 from polycanon.simplex import (
+    HalfOpenBox,
     SimplexConeSlicer,
     barycentric,
     cone_interior_slice,
@@ -16,6 +18,10 @@ from polycanon.simplex import (
     is_unimodular,
     normalized_volume,
     unit_box_decomposition,
+)
+from polycanon.triangulation import (
+    full_lattice_triangulation,
+    placing_triangulation,
 )
 
 
@@ -145,3 +151,31 @@ def test_slicer_apex_only_cases():
     slicer = SimplexConeSlicer([(2,)])
     assert slicer.interior_points(0) == []
     assert slicer.interior_points(3) == [(6, 3)]
+
+
+def _never(*args):
+    raise AssertionError("a Smith form was taken")
+
+
+def test_unimodular_boxes_match_the_smith_form_route(monkeypatch):
+    cells = []
+    for P in (families.example2(3), families.unit_cube(3),
+              families.reeve_simplex(3), families.example1(3)):
+        for T in (full_lattice_triangulation(P), placing_triangulation(P)):
+            cells += [T.cell_points(c) for c in T.cells]
+    cells.append(((0, 0, 1), (1, 0, 2), (0, 1, 3)))  # flat: not square
+    square = [c for c in cells if len(c) == len(c[0]) + 1]
+    unimodular = [c for c in square
+                  if is_unimodular(Polytope.from_vertices(c))]
+    assert 0 < len(unimodular) < len(square)
+    boxes = [HalfOpenBox(c) for c in cells]
+    with monkeypatch.context() as mp:
+        mp.setattr(smod, "det_bareiss", lambda M: 0)  # force the Smith form
+        for c, box in zip(cells, boxes):
+            ref = HalfOpenBox(c)
+            assert (box.coefficients, box.points) == (
+                ref.coefficients, ref.points), c
+    with monkeypatch.context() as mp:
+        mp.setattr(smod, "smith_normal_form", _never)
+        for c in unimodular:
+            assert HalfOpenBox(c).points == [(0,) * (len(c[0]) + 1)]

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import polycanon.triangulation as tmod
 from polycanon import families
-from polycanon.checks import _is_empty_cell
+from polycanon.checks import _is_empty_cell, default_corpus
 from polycanon.exactmath import build_chart, dot, generalized_cross, vsub
 from polycanon.polytope import Polytope
 from polycanon.simplex import HalfOpenBox, SimplexConeSlicer, is_empty_simplex
 from polycanon.triangulation import (
+    DecompositionResult,
     Triangulation,
+    _cover_groups,
+    _covered_by_counts,
+    _face_slicers,
     _interior_faces,
     _placing,
     full_lattice_triangulation,
@@ -311,6 +316,137 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
                         got = SimplexConeSlicer.from_box(
                             box, [cell.index(i) for i in f])
                         assert got._reps == reps[f], (cell, f)
+
+
+def _box_fits(P, scale):
+    """Whether the chart box of the dilate is under ``BOX_POINT_CAP``; a
+    flat hull's chart box can be far larger than its ambient one."""
+    try:
+        P._box(scale)
+    except ValueError:
+        return False
+    return True
+
+
+def _degree_by_points(slicers, P, k):
+    """One degree of the covering walked point by point as a set of tuples:
+    the first point covered twice or outside the interior, in face order,
+    else the least point not covered."""
+    target = {p + (k,) for p in P.interior_lattice_points(k)}
+    seen = set()
+    for sl in slicers:
+        for y in sl.interior_points(k):
+            if y in seen:
+                return DecompositionResult(False, k, y, "covered twice")
+            if y not in target:
+                return DecompositionResult(False, k, y,
+                                           "point outside the interior")
+            seen.add(y)
+    if seen != target:
+        return DecompositionResult(False, k, min(target - seen),
+                                   "point not covered")
+    return DecompositionResult(ok=True)
+
+
+def _cover_loop(T, P, kmax, faces, owner):
+    """The covering over ``faces`` walked point by point, with one Smith
+    form per face."""
+    for f in faces:
+        try:
+            HalfOpenBox(T.cell_points(owner[f]))
+        except ValueError:
+            return DecompositionResult(ok=False, reason="degenerate face")
+    slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
+    for k in range(1, kmax + 1):
+        res = _degree_by_points(slicers, P, k)
+        if not res:
+            return res
+    return DecompositionResult(ok=True)
+
+
+@given(hulls())
+@example(families.reeve_simplex(3))
+@example(Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_count_mask_covering_matches_the_point_loop(P):
+    assume(P.dim >= 1)
+    kmax = P.dim + 2
+    assume(_box_fits(P, kmax))
+    tris = [full_lattice_triangulation(P), placing_triangulation(P)]
+    if P.dim >= 2 and P.interior_lattice_points(1):
+        tris.append(interior_respecting_triangulation(P))
+    for T in tris:
+        faces, owner = _interior_faces(T, P)
+        slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
+        cover = _cover_groups(_face_slicers(T, P), P._chart)
+        for k in range(1, kmax + 1):
+            assert _covered_by_counts(cover, P, k) == bool(
+                _degree_by_points(slicers, P, k))
+        assert verify_decomposition(T, P, kmax) == _cover_loop(
+            T, P, kmax, faces, owner)
+
+
+def _mutants(T):
+    """``T`` with its first, middle or last cell dropped, and with one of
+    them listed twice."""
+    cells = list(T.cells)
+    picks = sorted({0, len(cells) // 2, len(cells) - 1})
+    out = [Triangulation(T.points, tuple(sorted(cells + [cells[i]])))
+           for i in picks]
+    if len(cells) > 1:
+        out += [Triangulation(T.points, tuple(cells[:i] + cells[i + 1:]))
+                for i in picks]
+    return out
+
+
+def test_mutated_coverings_match_the_point_loop(monkeypatch):
+    square = ((0, 0), (0, 1), (1, 0), (1, 1))
+    polys = [families.unit_cube(2), families.example2(2),
+             families.example2(3), families.reeve_simplex(2),
+             *default_corpus(seed=3, count=12, dims=(2, 3))]
+    trusted = [
+        # overlapping cells cover the diagonal twice
+        (polys[0], Triangulation(square, ((0, 1, 2), (0, 1, 3), (1, 2, 3)))),
+        # a cell outside the square: its open edge leaves the interior
+        (polys[0], Triangulation(square + ((2, 0),),
+                                 ((0, 1, 2), (1, 2, 3), (2, 3, 4)))),
+    ]
+    # a flat triangle's fine triangulation moved off its affine hull along
+    # a direction the chart does not see: same chart coordinates, no point
+    # of the cone on the hull
+    flat = Polytope.from_vertices([(0, 0, 0), (3, 0, 3), (0, 3, 3)])
+    v = next(v for v in itertools.product(range(-2, 3), repeat=3)
+             if not any(dot(v, c) for c in flat._chart.proj_cols)
+             and any(dot(v, c) for c in flat._chart.comp_cols))
+    T = full_lattice_triangulation(flat)
+    trusted.append((flat, Triangulation(
+        tuple(tuple(a + b for a, b in zip(p, v)) for p in T.points),
+        T.cells)))
+    cases = trusted + [(P, M) for P in polys
+                       for M in _mutants(full_lattice_triangulation(P))]
+    reasons = set()
+    for P, M in cases:
+        kmax = P.dim + 2
+        faces, owner = _interior_faces(M, P)
+        res = verify_decomposition(M, P, kmax)
+        assert res == _cover_loop(M, P, kmax, faces, owner)
+        reasons.add(res.reason)
+    for P in polys:
+        # each interior face removed in turn leaves its open cone uncovered
+        T = full_lattice_triangulation(P)
+        faces, owner = _interior_faces(T, P)
+        for f in faces[::max(1, len(faces) // 4)]:
+            kept = tuple(g for g in faces if g != f)
+            own = {g: c for g, c in owner.items() if g != f}
+            with monkeypatch.context() as mp:
+                mp.setattr(tmod, "_interior_faces", lambda T, P: (kept, own))
+                res = verify_decomposition(T, P, P.dim + 2)
+            assert not res
+            assert res == _cover_loop(T, P, P.dim + 2, kept, own)
+            reasons.add(res.reason)
+    assert reasons == {"", "covered twice", "point outside the interior",
+                       "point not covered"}
 
 
 def test_dependent_cell_is_not_empty():

@@ -4,15 +4,25 @@ Placing a polytope ``P`` in ``Z^m`` at height one and coning over it yields
 a cone in ``Z^(m+1)`` whose lattice points at height ``k`` are exactly the
 lattice points of the ``k``-th dilate of ``P``.  The last coordinate of a
 graded point is called its degree.
+
+``GradedCone.classify`` sorts a whole list of points of one degree into
+interior, boundary and outside with one int64 product by the cone's ambient
+forms; ``GradedCone.membership`` is its exact per-point twin and the route
+past the int64 guard.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exactmath import dot, gcd_vector, vadd
-from .polytope import Polytope
+from .polytope import _INT64_GUARD, Polytope
+
+_LABELS = ("interior", "boundary", "outside")
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,8 @@ class GradedCone:
                 e = tuple(-a for a in e)
             eqs.append(e)
         self.span_equations = tuple(sorted(eqs))
+        self._coeff = max((abs(a) for g in self.span_equations
+                           + self.support_forms for a in g), default=0)
 
     def membership(self, point: GradedPoint) -> str:
         """Classify a graded point: ``"interior"`` (relative interior of the
@@ -99,6 +111,35 @@ class GradedCone:
             if v == 0:
                 on_boundary = True
         return "boundary" if on_boundary else "interior"
+
+    def classify(self, positions: Sequence[tuple], degree: int) -> tuple:
+        """``membership(GradedPoint(p, degree))`` for each ``p`` in
+        ``positions``, in order, from one int64 product of the lifted points
+        with the span equations and support forms: a nonzero span value or a
+        negative support value means outside, and otherwise a zero support
+        value, or degree zero, means boundary.
+
+        When an entry of the product could reach the int64 guard, and for
+        an empty list, the points go through :meth:`membership` one by one.
+        """
+        big = max(map(abs, itertools.chain.from_iterable(positions)),
+                  default=0)
+        if (not positions or (max(big, abs(degree)) + 1) * self._coeff
+                * self.ambient_dim >= _INT64_GUARD):
+            return tuple(self.membership(GradedPoint(tuple(p), degree))
+                         for p in positions)
+        if degree < 0:
+            return ("outside",) * len(positions)
+        forms = np.array(self.span_equations + self.support_forms,
+                         dtype=np.int64).reshape(-1, self.ambient_dim)
+        pts = np.array(positions, dtype=np.int64)
+        vals = pts @ forms[:, :-1].T + degree * forms[:, -1]
+        span = vals[:, :len(self.span_equations)]
+        support = vals[:, len(self.span_equations):]
+        outside = span.any(axis=1) | (support < 0).any(axis=1)
+        boundary = (support == 0).any(axis=1) | (degree == 0)
+        codes = np.where(outside, 2, boundary.astype(np.int64))
+        return tuple(map(_LABELS.__getitem__, codes.tolist()))
 
     def contains(self, point: GradedPoint) -> bool:
         return self.membership(point) != "outside"

@@ -49,6 +49,11 @@ SUBSET_CAP = 1_000_000
 PLACING_CAP = 10_000_000
 
 
+class BudgetError(ValueError):
+    """An input refused, before the work starts, for asking more work than
+    a cap allows."""
+
+
 @dataclass(frozen=True, order=True)
 class FacetForm:
     """One inequality ``normal . x <= offset`` with primitive integer normal."""
@@ -188,7 +193,7 @@ class Polytope:
         """``(lo, shape)`` of the chart box ``scale * B``, where ``B`` is the
         bounding box of the chart vertices; ``lo`` is its lowest corner.
 
-        Raises ``ValueError`` before anything is allocated when the box
+        Raises ``BudgetError`` before anything is allocated when the box
         holds more than ``BOX_POINT_CAP`` lattice points.
         """
         if scale < 0:
@@ -198,7 +203,7 @@ class Polytope:
         shape = tuple((max(c) - min(c)) * scale + 1 for c in cols)
         total = math.prod(shape)
         if total > BOX_POINT_CAP:
-            raise ValueError(
+            raise BudgetError(
                 f"the box around dilate {scale} holds {total} lattice points,"
                 f" over the cap of {BOX_POINT_CAP}")
         return lo, shape
@@ -504,7 +509,7 @@ def _check_placing(n: int, d: int) -> None:
     lo, hi = d // 2, (d + 1) // 2
     count = n * (math.comb(n - hi, lo) + math.comb(n - lo - 1, hi - 1))
     if count > PLACING_CAP:
-        raise ValueError(
+        raise BudgetError(
             f"placing {n} points in dimension {d} could scan n * UBT(n, d)"
             f" = {count} boundary facets, over the cap of {PLACING_CAP}")
 
@@ -515,8 +520,8 @@ def _check_subsets(n: int, r: int, what: str) -> None:
     where the count goes."""
     count = math.comb(n, r)
     if count > SUBSET_CAP:
-        raise ValueError(what.format(f"C({n}, {r}) = {count}")
-                         + f", over the cap of {SUBSET_CAP}")
+        raise BudgetError(what.format(f"C({n}, {r}) = {count}")
+                          + f", over the cap of {SUBSET_CAP}")
 
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:

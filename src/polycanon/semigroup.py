@@ -27,7 +27,7 @@ import numpy as np
 
 from .cone import GradedPoint, ReductionWitness, cone_over, cone_slice
 from .exactmath import vadd, vsub
-from .polytope import Polytope
+from .polytope import BudgetError, Polytope
 
 # Work budget of the shifted ORs, in mask cells ORed, checked before the
 # first sumset.  example2(6) reads 1.5e10 for its degree-one generators and
@@ -74,8 +74,8 @@ def _sumset_work(a: tuple, b: tuple) -> int:
 
 def _check_work(work: int) -> None:
     if work > SUMSET_CAP:
-        raise ValueError(f"the sumsets would OR {work} mask cells, over the"
-                         f" cap of {SUMSET_CAP}")
+        raise BudgetError(f"the sumsets would OR {work} mask cells, over the"
+                          f" cap of {SUMSET_CAP}")
 
 
 def _sumset(a: tuple, b: tuple) -> tuple:

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from polycanon import families
-from polycanon.checks import check_polytope, default_corpus, run_suite
+from polycanon.checks import (
+    _slice_projection,
+    check_polytope,
+    default_corpus,
+    run_suite,
+)
+from polycanon.cone import GradedCone
 from polycanon.polytope import Polytope
 
 
@@ -49,6 +55,20 @@ def test_fixture_polytopes_pass_every_check():
 
 def test_check_polytope_returns_structured_violations(unit_square):
     assert check_polytope(unit_square) == []
+
+
+def test_slice_projection_reports_a_wrong_label(monkeypatch, unit_square):
+    classify = GradedCone.classify
+
+    def one_boundary_point_called_interior(self, positions, degree):
+        labels = list(classify(self, positions, degree))
+        labels[labels.index("boundary")] = "interior"
+        return tuple(labels)
+
+    monkeypatch.setattr(GradedCone, "classify",
+                        one_boundary_point_called_interior)
+    assert _slice_projection(unit_square) == (
+        "slice point (0, 0) degree 1 membership interior, expected boundary")
 
 
 def test_suite_identical_across_thread_counts():

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+import polycanon.checks as checks_mod
 from polycanon.cli import main
-from polycanon.polytope import Polytope
+from polycanon.polytope import BudgetError, Polytope
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +295,38 @@ def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch):
         [0, 0, 0], [60, 0, 0], [0, 60, 0], [0, 0, 60]]}))
     rc, out, err = run_cli(capsys, "generators", str(path))
     assert rc == 1 and out == "" and "cap of 100000000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["FILE"],
+    ["--corpus", "--dims", "2", "--count", "3"],
+])
+def test_budget_refusal_inside_verify_exits_one_at_once(
+        tmp_path, capsys, monkeypatch, argv):
+    path = write_family(tmp_path, capsys, "unit", d=2)
+    argv = [path if a == "FILE" else a for a in argv]
+    monkeypatch.setattr("polycanon.polytope.BOX_POINT_CAP", 3)
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            events.append(("enter", name))
+            try:
+                return fn(*args)
+            except BudgetError:
+                events.append(("refused", name))
+                raise
+        return wrapped
+
+    for name, fn in list(vars(checks_mod).items()):
+        if (name.startswith("_") and callable(fn)
+                and getattr(fn, "__module__", None) == checks_mod.__name__):
+            monkeypatch.setattr(checks_mod, name, spy(name, fn))
+    rc, out, err = run_cli(capsys, "verify", *argv)
+    assert rc == 1 and out == "" and "cap of 3" in err
+    first = events.index(next(e for e in events if e[0] == "refused"))
+    assert first > 0
+    assert all(kind == "refused" for kind, _ in events[first:])
 
 
 def test_usage_error_exits_one(capsys):

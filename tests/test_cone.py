@@ -1,8 +1,19 @@
 """Tests for the graded cone over a polytope and its point classification."""
 
-import pytest
+from unittest import mock
 
-from polycanon.cone import GradedPoint, ReductionWitness, cone_over, cone_slice
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import polycanon.cone as cmod
+from polycanon.cone import (
+    GradedCone,
+    GradedPoint,
+    ReductionWitness,
+    cone_over,
+    cone_slice,
+)
 from polycanon.polytope import Polytope
 
 
@@ -78,3 +89,63 @@ def test_support_forms_reject_scaled_duplicates():
     C = cone_over(P)
     # one support form per facet of the base
     assert len(C.support_forms) == len(P.facets)
+
+
+# ------------------------------------- batched classification and its twin
+
+@st.composite
+def hulls_and_points(draw):
+    """A hull of 1 to 8 points in [-2, 2]^m, m <= 4 (so of dimension 0 to
+    4), half of them lifted onto the lattice hyperplane
+    ``x_{m+1} = c . x + t`` of Z^(m+1); and up to 12 random points of its
+    ambient space, which for a lifted hull are mostly off the span."""
+    m = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=1, max_size=8))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    P = Polytope.from_vertices(pts)
+    n = P.ambient_dim
+    extra = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n),
+                          max_size=12))
+    return P, extra
+
+
+@given(hulls_and_points())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_classify_matches_membership_on_both_routes(case):
+    P, extra = case
+    C = cone_over(P)
+    zero = (0,) * P.ambient_dim
+    batches = [((), 1), ([zero], 0), (extra + [zero], 0),
+               (extra, -1), (P.lattice_points(1), -2)]
+    for k in range(1, 4):
+        batches += [(P.lattice_points(k), k), (extra, k),
+                    (list(P.lattice_points(k)) + extra + [zero], k)]
+    for positions, k in batches:
+        want = tuple(C.membership(GradedPoint(p, k)) for p in positions)
+        if positions:
+            # the int64 route calls no membership
+            with mock.patch.object(GradedCone, "membership",
+                                   side_effect=AssertionError):
+                assert C.classify(positions, k) == want
+        else:
+            assert C.classify(positions, k) == want == ()
+        with mock.patch.object(cmod, "_INT64_GUARD", 0):
+            assert C.classify(positions, k) == want
+
+
+def test_classify_past_the_int64_guard(unit_square, flat_triangle):
+    big = 2**70
+    C = cone_over(unit_square)
+    assert C.classify([(1, 1), (big, 1), (0, 1)], 2) == (
+        "interior", "outside", "boundary")
+    P = Polytope.from_vertices([(0, 0), (big, 0), (0, big)])
+    C = cone_over(P)
+    positions = [(1, 1), (big, 0), (big, 1), (-1, 0)]
+    assert C.classify(positions, 1) == tuple(
+        C.membership(GradedPoint(p, 1)) for p in positions) == (
+        "interior", "boundary", "outside", "outside")

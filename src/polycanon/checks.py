@@ -12,6 +12,7 @@ import itertools
 import operator
 import os
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -510,11 +511,36 @@ def run_suite(polytopes: Sequence[Polytope],
     if threads == 1:
         results = [check_polytope(P) for P in polytopes]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_polytope, polytopes))
+        results = _check_in_pool(polytopes, threads)
     violations = [v for batch in results for v in batch]
     return {
         "polytopes_checked": len(polytopes),
         "violations": violations,
         "ok": not violations,
     }
+
+
+def _check_in_pool(polytopes: Sequence[Polytope], threads: int) -> list:
+    """:func:`check_polytope` on a thread pool, results in input order.
+
+    The first ``BudgetError`` stops the run: polytopes not yet started
+    are cancelled, a worker that has already taken one skips it, and the
+    exception of the first failed polytope in input order is raised."""
+    stop = threading.Event()
+
+    def check(P: Polytope):
+        if stop.is_set():
+            return None
+        try:
+            return check_polytope(P)
+        except BudgetError:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(check, P) for P in polytopes]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -5,7 +5,9 @@ tuples; Python ints never overflow and nothing here touches floating point.
 Rank, exact solving and unimodular inverses share one fraction-free
 Gauss-Jordan elimination over the integers; the Smith normal form and the
 Bareiss determinant are integer-only too, and Laplace expansion stays as
-the independent determinant route.  ``fractions.Fraction`` appears only in
+the independent determinant route.  :func:`det_stack` runs Bareiss on a
+stack of int64 matrices at once, and hands a stack whose entries could
+overflow to :func:`det_bareiss`.  ``fractions.Fraction`` appears only in
 the results of :func:`solve_rational`.
 """
 
@@ -15,6 +17,12 @@ import math
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
+
+# Integer arithmetic on int64 arrays is taken only while every value it
+# can form stays below this bound.
+_INT64_GUARD = 2**60
 
 LatticeVector = tuple
 IntMatrix = tuple
@@ -132,6 +140,52 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
+
+
+def det_stack(stack) -> list:
+    """Determinants of a stack of square int64 matrices, as Python ints.
+
+    Fraction-free Bareiss with row pivoting, one step for the whole stack
+    at a time; a matrix with no pivot left in a column is singular and its
+    rows are set to the identity so that the steps go on.  Every value the
+    steps form is a product of two minors, so it is at most twice the
+    square of the Hadamard bound (product of the row norms).  A stack for
+    which that could reach ``_INT64_GUARD`` goes through
+    :func:`det_bareiss` one matrix at a time.
+    """
+    A = np.array(stack, dtype=np.int64)
+    s, n = A.shape[0], A.shape[-1]
+    if n == 0 or s == 0:
+        return [1] * s
+    if (int(np.abs(A).max()) ** 2 * n >= _INT64_GUARD
+            or 2 * math.prod(max(1, int(r)) for r in
+                             (A * A).sum(axis=2).max(axis=0))
+            >= _INT64_GUARD):
+        return [det_bareiss(M) for M in A.tolist()]
+    sign = np.ones(s, dtype=np.int64)
+    prev = np.ones(s, dtype=np.int64)
+    dead = np.zeros(s, dtype=bool)
+    every = np.arange(s)
+    eye = np.eye(n, dtype=np.int64)
+    for k in range(n - 1):
+        nonzero = A[:, k:, k] != 0
+        dead |= ~nonzero.any(axis=1)
+        A[dead] = eye
+        prev[dead] = 1
+        p = k + nonzero.argmax(axis=1)
+        swap = p != k
+        A[every, k], A[every, p] = A[every, p], A[every, k]
+        sign[swap] = -sign[swap]
+        piv = A[:, k, k]
+        A[:, k + 1:, k + 1:] = (
+            A[:, k + 1:, k + 1:] * piv[:, None, None]
+            - A[:, k + 1:, k, None] * A[:, k, None, k + 1:]
+        ) // prev[:, None, None]
+        A[:, k + 1:, k] = 0
+        prev = piv.copy()
+    det = sign * A[:, n - 1, n - 1]
+    det[dead] = 0
+    return det.tolist()
 
 
 def _row_reduce(rows: Iterable[Sequence[int]], ncols: int) -> tuple:

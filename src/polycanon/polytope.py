@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .exactmath import (
+    _INT64_GUARD,
     AffineChart,
     as_matrix,
     as_vector,
@@ -35,7 +36,6 @@ from .exactmath import (
     vsub,
 )
 
-_INT64_GUARD = 2**60
 BOX_POINT_CAP = 40_000_000
 # Input budgets, checked before any work starts.  SUBSET_CAP bounds the
 # C(#forms, m) inequality subsets of the vertex search; tests and benchmark

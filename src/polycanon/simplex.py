@@ -126,7 +126,11 @@ class HalfOpenBox:
     the residues ``r_i`` modulo the invariant factors ``d_i``.  A cell of
     full ambient dimension whose lifted points have determinant +-1 is
     unimodular, so its box is the origin; a Bareiss determinant proves it
-    and no Smith form is taken.
+    and no Smith form is taken.  The covering check builds its boxes on
+    chart coordinates (``Polytope._chart``), where every full-dimensional
+    cell of an embedded hull is square too; chart coordinates are a lattice
+    isomorphism of the hull, so the box points are the same up to the
+    chart.
 
     ``coefficients`` holds each point's ``t`` as the integers ``D * t`` in
     ``[0, D)``, where ``D`` is the largest invariant factor (every ``d_i``
@@ -154,13 +158,17 @@ class HalfOpenBox:
             self.coefficients = [(0,) * n]
             self.points = [(0,) * width]
             return
-        scaled_U = [[(D // d) * u for u in row] for d, row in zip(diag, U)]
+        # a row with d == 1 takes residue 0 only
+        steps = [(d, [(D // d) * u for u in row])
+                 for d, row in zip(diag, U) if d > 1]
+        cols = list(zip(*self.lifted))
         self.coefficients, self.points = [], []
-        for residues in itertools.product(*[range(d) for d in diag]):
-            t = tuple(sum(r * row[j] for r, row in zip(residues, scaled_U))
-                      % D for j in range(n))
-            y = [sum(ti * w[j] for ti, w in zip(t, self.lifted))
-                 for j in range(width)]
+        for residues in itertools.product(*[range(d) for d, _ in steps]):
+            t = [0] * n
+            for r, (_, row) in zip(residues, steps):
+                t = [a + r * b for a, b in zip(t, row)]
+            t = tuple(a % D for a in t)
+            y = [sum(map(operator.mul, t, c)) for c in cols]
             if any(c % D for c in y):
                 raise AssertionError("fundamental-domain point not integral")
             self.coefficients.append(t)

@@ -11,13 +11,17 @@ boundary over one interior point and stellar-inserts the others
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
-face one owning cell, computes that cell's half-open box (one Smith form,
-none for a unimodular cell), and reads the face's box off it.  It counts
-each degree on the chart box of the dilate: the points of all faces of one
-size from box points of one degree are one integer product, and their
-``bincount`` must equal the dilate's interior mask, which the facet-form
-scan builds, so the two routes stay independent.  A degree that does not
-match is walked point by point, which names the failing point.
+face one owning cell.  Its set-up works on index arrays: every point is
+lifted into chart coordinates in one product, and every owning cell's
+determinant is taken in one batched call.  A face of a unimodular cell has
+one box point, the sum of its lifted vertices; the faces of every other
+cell are read off that cell's half-open box (one Smith form) on chart
+coordinates.  It counts each degree on the chart box of the dilate: the
+points of all faces of one size from box points of one degree are one
+integer product, and their ``bincount`` must equal the dilate's interior
+mask, which the facet-form scan builds, so the two routes stay
+independent.  A degree that does not match is walked point by point by
+per-face slicers, built only then, which names the failing point.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .exactmath import build_chart, det_bareiss, dot, vsub
+from .exactmath import build_chart, det_bareiss, det_stack, dot, vsub
 from .polytope import (
     _INT64_GUARD,
     Polytope,
@@ -250,16 +254,22 @@ def verify_decomposition(T: Triangulation, P: Polytope,
     Each degree is counted on its chart box (:func:`_covered_by_counts`);
     a degree whose counts do not match, or that the count route cannot
     hold in int64, is walked point by point (:func:`_cover_by_points`),
-    which names the first bad point."""
+    which names the first bad point.  The slicers of that walk are built
+    only then, or up front when :func:`_cover_arrays` declines the input,
+    which also finds degenerate faces."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     P._box(kmax)  # refuse an oversized top degree before any scan
-    slicers = _face_slicers(T, P)
-    if slicers is None:
-        return DecompositionResult(ok=False, reason="degenerate face")
-    cover = _cover_groups(slicers, P._chart)
+    cover = _cover_arrays(T, P)
+    slicers = None
+    if cover is None:
+        slicers = _face_slicers(T, P)
+        if slicers is None:
+            return DecompositionResult(ok=False, reason="degenerate face")
     for k in range(1, kmax + 1):
         if not _covered_by_counts(cover, P, k):
+            if slicers is None:
+                slicers = _face_slicers(T, P)
             res = _cover_by_points(slicers, P, k)
             if not res:
                 return res
@@ -286,46 +296,82 @@ def _face_slicers(T: Triangulation, P: Polytope) -> Optional[list]:
     return slicers
 
 
-def _cover_groups(slicers, chart) -> Optional[tuple]:
-    """``(bound, groups)``: the box points of all faces in lifted chart
-    coordinates, grouped by ``(n, h)`` (face size, point degree), and a
-    bound on the absolute entries of them and of their generators.
+def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
+    """``(bound, groups)``: the box points of all interior faces in lifted
+    chart coordinates, grouped by ``(n, h)`` (face size, point degree), and
+    a bound on the absolute entries of them and of their generators.
 
     Lifted chart coordinates of ``(x, h)`` are the chart coordinates of
     ``x`` at scale ``h`` followed by its coordinates across the affine hull,
     which are zero iff ``x`` lies on the hull of the ``h``-th dilate.  The
     map is linear, so it carries sums of lifted points to sums.  Each group
     is ``(R, G)`` with ``R[p]`` its ``p``-th point and ``G[p]`` that point's
-    face's ``n`` lifted generators, as int64 arrays.  ``None`` when a point
-    has another ambient dimension or an entry could overflow int64.
+    face's ``n`` lifted generators, as int64 arrays.
+
+    Every triangulation point is lifted in one product, and every owning
+    cell's ``|det|`` over its chart coordinates and a column of ones is
+    taken in one :func:`det_stack` call.  A face owned by a unimodular cell
+    has one box point, the sum of its lifted vertices, at degree ``n``;
+    the faces of each other owning cell are read off its
+    :class:`HalfOpenBox` on chart coordinates.
+
+    ``None`` when a point has another ambient dimension or lies off the
+    hull, an owning cell is not a full-dimensional simplex, or an entry
+    could overflow int64; :func:`_face_slicers` takes those inputs.
     """
-    width = chart.ambient_dim + 1
-    pairs: Dict[tuple, tuple] = {}
-    for sl in slicers:
-        if len(sl.lifted[0]) != width:
-            return None
-        for h, y in sl._reps:
-            reps, gens = pairs.setdefault((len(sl.lifted), h), ([], []))
-            reps.append(y)
-            gens.append(sl.lifted)
+    chart = P._chart
+    d, m = chart.dim, chart.ambient_dim
+    faces = interior_faces(T, P)
+    owner = _interior_faces(T, P)[1]  # cached by the call above
+    cells = list(set(owner.values()))
+    if (any(len(p) != m for p in T.points)
+            or any(len(c) != d + 1 for c in cells)):
+        return None
     cols = [(*c, -dot(chart.origin, c))
             for c in (*chart.proj_cols, *chart.comp_cols)]
-    gain = max(abs(a) for c in cols for a in c) * width  # of the lift
-    groups, big = {}, 0
-    for key, (reps, gens) in pairs.items():
-        try:
-            R = np.array(reps, dtype=np.int64)
-            G = np.array(gens, dtype=np.int64)
-        except OverflowError:
-            return None
-        big = max(big, int(R.max()), -int(R.min()),
-                  int(G.max()), -int(G.min()))
-        groups[key] = (R, G)
-    if big * gain >= _INT64_GUARD:
+    gain = max((abs(a) for c in cols for a in c), default=0) * (m + 1)
+    big = max((abs(a) for p in T.points for a in p), default=0) + 1
+    if big * gain * (d + 1) >= _INT64_GUARD:
         return None
     lift = np.array(cols, dtype=np.int64).T
-    groups = {key: (R @ lift, G @ lift) for key, (R, G) in groups.items()}
-    return big * gain, groups
+    W = np.array([p + (1,) for p in T.points],
+                 dtype=np.int64).reshape(len(T.points), m + 1) @ lift
+    if W[:, d:].any():
+        return None
+    charted = np.ones((len(W), d + 1), dtype=np.int64)
+    charted[:, :d] = W[:, :d]  # chart coordinates and a column of ones
+    dets = det_stack(charted[np.array(cells, dtype=np.int64)
+                             .reshape(len(cells), d + 1)])
+    if 0 in dets:
+        return None
+    boxes = {c: HalfOpenBox(W[list(c), :d].tolist())
+             for c, v in zip(cells, dets) if abs(v) != 1}
+    groups: Dict[tuple, tuple] = {}
+    boxed: Dict[tuple, tuple] = {}  # (n, h) -> box points, faces
+    for n, group in itertools.groupby(faces, len):
+        plain = []
+        for f in group:
+            cell = owner[f]
+            if cell not in boxes:
+                plain.append(f)
+                continue
+            for h, y in boxes[cell].face_reps([cell.index(i) for i in f]):
+                ys, fs = boxed.setdefault((n, h), ([], []))
+                ys.append(y[:d] + (0,) * (m - d))
+                fs.append(f)
+        if plain:
+            G = W[np.array(plain, dtype=np.int64)]
+            groups[(n, n)] = (G.sum(axis=1), G)
+    for (n, h), (ys, fs) in boxed.items():
+        R = np.array(ys, dtype=np.int64)
+        G = W[np.array(fs, dtype=np.int64)]
+        if (n, h) in groups:
+            R0, G0 = groups[(n, h)]
+            R, G = np.concatenate([R0, R]), np.concatenate([G0, G])
+        groups[(n, h)] = (R, G)
+    bound = max([int(np.abs(W).max(initial=0))]
+                + [int(np.abs(R).max(initial=0)) for R, _ in groups.values()])
+    return bound, groups
 
 
 @functools.lru_cache(maxsize=128)
@@ -340,7 +386,7 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
 def _covered_by_counts(cover: Optional[tuple], P: Polytope,
                        k: int) -> bool:
     """Whether the degree-``k`` points of the faces' open cones, given as
-    their :func:`_cover_groups`, hit every interior point of the ``k``-th
+    their :func:`_cover_arrays`, hit every interior point of the ``k``-th
     dilate exactly once.  Each group's points are one integer product (box
     points plus compositions of ``k - h`` times the generators), shifted
     into the chart box of ``k * P``; one ``bincount`` counts them all, and

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import polycanon.checks as checks_mod
 from polycanon import families
 from polycanon.checks import (
     _slice_projection,
@@ -12,7 +13,7 @@ from polycanon.checks import (
     run_suite,
 )
 from polycanon.cone import GradedCone
-from polycanon.polytope import Polytope
+from polycanon.polytope import BudgetError, Polytope
 
 
 def test_corpus_is_reproducible_and_in_bounds():
@@ -85,3 +86,22 @@ def test_suite_reads_thread_env(monkeypatch):
     monkeypatch.delenv("POLYCANON_THREADS")
     r_one = run_suite(polys, threads=1)
     assert r_env == r_one
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_suite_stops_at_the_first_refusal(monkeypatch, threads):
+    polys = default_corpus(seed=0, count=12)
+    monkeypatch.setattr("polycanon.polytope.BOX_POINT_CAP", 3)
+    reached = []
+    point_count = checks_mod._point_count
+
+    def spy(P):
+        reached.append(P)
+        return point_count(P)
+
+    monkeypatch.setattr(checks_mod, "_point_count", spy)
+    with pytest.raises(BudgetError, match="cap of 3"):
+        run_suite(polys, threads=threads)
+    # only the polytopes already being checked when the first one is
+    # refused get this far
+    assert 1 <= len(reached) <= threads

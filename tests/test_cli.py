@@ -329,6 +329,13 @@ def test_budget_refusal_inside_verify_exits_one_at_once(
     assert all(kind == "refused" for kind, _ in events[first:])
 
 
+def test_budget_refusal_on_threads_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("polycanon.polytope.BOX_POINT_CAP", 3)
+    rc, out, err = run_cli(capsys, "verify", "--corpus", "--count", "12",
+                           "--threads", "2")
+    assert rc == 1 and out == "" and "cap of 3" in err
+
+
 def test_usage_error_exits_one(capsys):
     # exit 2 is reserved for failed checks; usage problems report as 1
     rc, out, err = run_cli(capsys, "no-such-command")

@@ -2,16 +2,20 @@
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import polycanon.exactmath as emod
 from polycanon.exactmath import (
     as_matrix,
     as_vector,
     build_chart,
     det_bareiss,
     det_cofactor,
+    det_stack,
     dot,
     gcd_vector,
     generalized_cross,
@@ -92,6 +96,32 @@ def test_determinant_known_values():
     assert det_bareiss(((2, 0), (0, 3))) == 6
     assert det_bareiss(((0, 1), (1, 0))) == -1
     assert det_cofactor(((Fraction(1, 2),),)) == Fraction(1, 2)
+
+
+# entries in [-3, 3] make singular matrices common
+stacks = st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n), max_size=6)))
+
+
+@given(stacks)
+@example((2, [[[2**40, 3], [5, 2**40 - 1]], [[2**40, 1], [2**40, 1]]]))
+@example((3, [[[2**40, 1, 0], [0, 2**40, 1], [1, 0, 2**40]]]))
+def test_det_stack_matches_both_routes(case):
+    n, stack = case
+    A = np.array(stack, dtype=np.int64).reshape(len(stack), n, n)
+    want = [det_bareiss(M) for M in stack]
+    assert want == [det_cofactor(M) for M in stack]
+    if all(abs(a) <= 3 for M in stack for row in M for a in row):
+        # the int64 route calls no det_bareiss
+        with mock.patch.object(emod, "det_bareiss",
+                               side_effect=AssertionError):
+            got = det_stack(A)
+    else:
+        got = det_stack(A)
+    assert got == want and all(type(v) is int for v in got)
+    with mock.patch.object(emod, "_INT64_GUARD", 0):
+        assert det_stack(A) == want
 
 
 @given(st.integers(2, 4).flatmap(square_matrix))

@@ -5,6 +5,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from polycanon.simplex import HalfOpenBox, SimplexConeSlicer, is_empty_simplex
 from polycanon.triangulation import (
     DecompositionResult,
     Triangulation,
-    _cover_groups,
+    _cover_arrays,
     _covered_by_counts,
     _face_slicers,
     _interior_faces,
@@ -379,12 +380,101 @@ def test_count_mask_covering_matches_the_point_loop(P):
     for T in tris:
         faces, owner = _interior_faces(T, P)
         slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
-        cover = _cover_groups(_face_slicers(T, P), P._chart)
+        cover = _cover_arrays(T, P)
         for k in range(1, kmax + 1):
             assert _covered_by_counts(cover, P, k) == bool(
                 _degree_by_points(slicers, P, k))
         assert verify_decomposition(T, P, kmax) == _cover_loop(
             T, P, kmax, faces, owner)
+
+
+def _groups_by_slicers(T, P):
+    """The count groups built face by face: every interior face's slicer,
+    its box points and generators stacked by ``(n, h)``, then lifted into
+    chart coordinates in one product."""
+    chart = P._chart
+    pairs = {}
+    for sl in _face_slicers(T, P):
+        for h, y in sl._reps:
+            reps, gens = pairs.setdefault((len(sl.lifted), h), ([], []))
+            reps.append(y)
+            gens.append(sl.lifted)
+    lift = np.array([(*c, -dot(chart.origin, c))
+                     for c in (*chart.proj_cols, *chart.comp_cols)],
+                    dtype=np.int64).T
+    return {key: (np.array(reps, dtype=np.int64) @ lift,
+                  np.array(gens, dtype=np.int64) @ lift)
+            for key, (reps, gens) in pairs.items()}
+
+
+def _sorted_rows(groups):
+    """Per ``(n, h)``, each point with its generators as one sorted row."""
+    return {key: sorted(r + g for r, g in zip(
+                R.tolist(), G.reshape(len(G), -1).tolist()))
+            for key, (R, G) in groups.items()}
+
+
+@given(hulls())
+@example(families.reeve_simplex(3))
+@example(Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cover_arrays_match_the_per_face_groups(P):
+    assume(P.dim >= 1)
+    tris = [full_lattice_triangulation(P), placing_triangulation(P)]
+    if P.dim >= 2 and P.interior_lattice_points(1):
+        tris.append(interior_respecting_triangulation(P))
+    for T in tris:
+        bound, groups = _cover_arrays(T, P)
+        assert _sorted_rows(groups) == _sorted_rows(_groups_by_slicers(T, P))
+        assert all(bound >= int(np.abs(A).max(initial=0))
+                   for pair in groups.values() for A in pair)
+    # past the int64 guard the covering takes the per-face route
+    kmax = P.dim + 1
+    if _box_fits(P, kmax):
+        want = verify_decomposition(tris[0], P, kmax)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmod, "_INT64_GUARD", 0)
+            assert _cover_arrays(tris[0], P) is None
+            assert verify_decomposition(tris[0], P, kmax) == want
+
+
+def test_cover_arrays_decline_points_off_the_hull():
+    # one cell of normalized volume 6 in Z^3, moved along a direction the
+    # chart does not see: same chart coordinates, every point off the hull
+    P = Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)])
+    v = next(v for v in itertools.product(range(-2, 3), repeat=3)
+             if not any(dot(v, c) for c in P._chart.proj_cols)
+             and any(dot(v, c) for c in P._chart.comp_cols))
+    T = placing_triangulation(P)
+    M = Triangulation(tuple(tuple(a + b for a, b in zip(p, v))
+                            for p in T.points), T.cells)
+    assert _cover_arrays(T, P) is not None
+    assert _cover_arrays(M, P) is None
+    faces, owner = _interior_faces(M, P)
+    res = verify_decomposition(M, P, 3)
+    assert not res and res == _cover_loop(M, P, 3, faces, owner)
+
+
+def _no_slicer(*args, **kwargs):
+    raise AssertionError("a slicer was built")
+
+
+def test_passing_covering_builds_no_slicer(monkeypatch):
+    polys = [families.example2(3), families.reeve_simplex(3),
+             families.unit_cube(3),
+             Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)])]
+    tris = [(P, T) for P in polys
+            for T in (full_lattice_triangulation(P),
+                      placing_triangulation(P))]
+    # cells with a box beyond the origin are among them
+    assert any(abs(v) > 1 for P, T in tris for v in tmod.det_stack(
+        [[P._chart.to_chart(T.points[i]) + (1,) for i in c]
+         for c in T.cells]))
+    monkeypatch.setattr(SimplexConeSlicer, "__init__", _no_slicer)
+    monkeypatch.setattr(SimplexConeSlicer, "from_box", _no_slicer)
+    for P, T in tris:
+        assert verify_decomposition(T, P, P.dim + 2)
 
 
 def _mutants(T):

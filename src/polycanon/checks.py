@@ -387,8 +387,9 @@ def _cell_emptiness(P: Polytope) -> Optional[str]:
     if P.dim < 1:
         return None
     T = full_lattice_triangulation(P)
+    to_chart = P._chart.to_chart  # every full-dimensional cell is square
     for cell in T.cells[:SAMPLE_CAP * 5]:
-        if not _is_empty_cell(T.cell_points(cell)):
+        if not _is_empty_cell([to_chart(p) for p in T.cell_points(cell)]):
             return f"cell {cell} is not an empty simplex"
     return None
 
@@ -398,7 +399,9 @@ def _is_empty_cell(points) -> bool:
 
     A lattice point of the simplex other than a vertex is a point of degree
     one in its half-open box, and conversely.  Affinely dependent points
-    are not a simplex.
+    are not a simplex.  ``cell_emptiness`` passes chart coordinates, so a
+    unimodular full-dimensional cell takes no Smith form
+    (:class:`HalfOpenBox`).
     """
     try:
         box = HalfOpenBox(points)

@@ -459,17 +459,24 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     bijectively onto its image (no lattice chart is needed).
 
     The boundary of the hull placed so far is kept between insertions as
-    ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond).
-    A new point is coned over the facets it sees strictly; those leave the
-    boundary, and each horizon ridge (in exactly one seen facet) joined to
-    the point enters it.  A dimension jump drops the boundary; the next
-    point placed without a jump rebuilds it from the free facets.
+    ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond),
+    next to ``ridge -> its two boundary facets``.  A new point ``p`` is
+    coned over the facets it sees strictly; those leave the boundary, and
+    each horizon ridge ``g`` (in exactly one seen facet ``f``) joined to
+    ``p`` enters it.  The new plane lies in the pencil of the planes of
+    ``f`` and of the unseen facet ``f2`` through ``g``: with
+    ``F = n . x - o``, it is ``F2(p) * F + (-F(p)) * F2``, which vanishes
+    on ``g`` and at ``p``, is positive on the hull placed so far away from
+    ``g``, and is divided by the gcd of its entries.  A dimension jump
+    drops the boundary; the next point placed without a jump rebuilds it
+    from the free facets, one determinant per facet.
     """
     rows: list = []    # echelon rows, each zero at the earlier pivots
     pivots: list = []
     cells = [(0,)]
     coords = [()]      # no pivots yet: point 0 is the origin of Z^0
     boundary: Optional[Dict[tuple, tuple]] = {}
+    ridges: Dict[tuple, list] = {}
     for i in range(1, len(pts)):
         y = vsub(pts[i], pts[0])
         for row, c in zip(rows, pivots):
@@ -488,15 +495,43 @@ def _placing(pts: Sequence[tuple]) -> tuple:
         if boundary is None:
             boundary = {f: _facet_form(coords, f, v)
                         for f, v in _free_facets(cells).items()}
-        seen = [f for f, (n, o) in boundary.items() if dot(n, p) < o]
+            ridges = {}
+            for f in boundary:
+                for r in _ridges(f):
+                    ridges.setdefault(r, []).append(f)
+        # facet -> -F(p) > 0 over the facets p sees
+        seen = {f: t for f, (n, o) in boundary.items()
+                if (t := o - dot(n, p)) > 0}
         if not seen:
             raise AssertionError(f"point {i} sees no facet while placing")
+        for g in _free_facets(seen):  # the horizon
+            pair = ridges.get(g, ())
+            if len(pair) != 2:
+                raise AssertionError(
+                    f"ridge {g} lies in {len(pair)} boundary facets")
+            f, f2 = pair if pair[0] in seen else pair[::-1]
+            (n1, o1), (n2, o2) = boundary[f], boundary[f2]
+            s, t = dot(n2, p) - o2, seen[f]
+            n = [s * a + t * b for a, b in zip(n1, n2)]
+            o = s * o1 + t * o2
+            c = math.gcd(*n, o)
+            h = g + (i,)
+            boundary[h] = (tuple(a // c for a in n), o // c)
+            ridges[g] = [f2, h]
+            for r in _ridges(g):
+                ridges.setdefault(r + (i,), []).append(h)
+        # a ridge of two seen facets is inside the hull from now on: no
+        # later horizon reaches it, so its entry in ridges is left as is
         for f in seen:
             del boundary[f]
             cells.append(f + (i,))
-        for g, v in _free_facets(seen).items():
-            boundary[g + (i,)] = _facet_form(coords, g + (i,), v)
     return tuple(sorted(cells))
+
+
+def _ridges(f: tuple) -> list:
+    """The faces of the simplex ``f`` (a sorted index tuple) one vertex
+    smaller, in the order of the vertex left out."""
+    return [f[:j] + f[j + 1:] for j in range(len(f))]
 
 
 def _check_placing(n: int, d: int) -> None:

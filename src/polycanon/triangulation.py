@@ -7,7 +7,11 @@ new point over the boundary facets it sees strictly;
 ``polytope._placing``, the routine the polytope's facets are read off),
 which uses every point.  The interior-respecting triangulation cones the
 boundary over one interior point and stellar-inserts the others
-(``_split_at``).  All arithmetic is exact and in integers.
+(``_stellar_insert``): one integer table of every cell's facet forms, one
+product per inserted point to find the cells that contain it, and each
+new piece's forms from the pencil of two forms of its cell, so neither
+pass takes a determinant per new plane.  All arithmetic is exact and in
+integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
@@ -110,31 +114,56 @@ def _boundary_count(cells) -> Counter:
     return cnt
 
 
-def _split_at(coords, cells, forms: Dict[tuple, tuple],
-              planes: Dict[tuple, tuple], x_index: int) -> list:
-    """Stellar-insert point ``x_index`` into every cell containing it.
+def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
+    """Stellar-insert the points ``xs`` (indices into ``coords``), one after
+    another, into every cell containing them; returns the sorted cells.
 
-    ``forms`` (cell -> its forms) and ``planes`` (facet -> its plane, see
-    :func:`_cell_forms`) are kept across the calls of one build."""
-    x = coords[x_index]
-    hit = []
-    for c in cells:
-        fs = forms.get(c)
-        if fs is None:
-            fs = forms[c] = _cell_forms(coords, c, planes)
-        if all(dot(n, x) - o >= 0 for n, o in fs):
-            hit.append(c)
-    if not hit:
-        raise ValueError("point to insert is outside the triangulated region")
-    out = [c for c in cells if c not in hit]
-    for c in hit:
-        fs = forms.pop(c)
-        for j, (n, o) in enumerate(fs):
-            if dot(n, x) - o > 0:
-                piece = tuple(sorted(
-                    [v for k, v in enumerate(c) if k != j] + [x_index]))
-                out.append(piece)
-    return sorted(out)
+    One integer table holds the forms ``(n, o)`` of every cell
+    (:func:`_cell_forms`) as rows ``(n, -o)``: ``A`` is cells x (d+1) x
+    (d+1), row ``j`` tight on the facet opposite vertex ``j``.  A point
+    ``x`` takes one product, ``V = A @ (x, 1)``, and hits the cells where
+    every ``V_j >= 0``.  Each hit cell ``c`` and each ``j`` with ``V_j > 0``
+    gives the piece ``c`` with ``c_j`` replaced by ``x``.  Its row opposite
+    ``x`` is row ``j`` of ``c``; its row opposite ``c_t`` is the pencil
+    ``V_j * A_t - V_t * A_j``, which vanishes on the ridge the two rows
+    share and at ``x`` and is positive at ``c_t``, divided by its gcd.  The
+    table is int64 while a bound from the largest coordinate of ``xs`` and
+    the largest table entry keeps ``V`` and the pencil products under
+    ``_INT64_GUARD``, and Python ints (``object``) from the first point
+    where it does not.
+    """
+    d = len(coords[0])
+    planes: Dict[tuple, tuple] = {}
+    rows = [[(*n, -o) for n, o in _cell_forms(coords, c, planes)]
+            for c in cells]
+    X = max((abs(a) for i in xs for a in coords[i]), default=0)
+    F = max((abs(a) for r in rows for f in r for a in f), default=0)
+    C = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
+    A = np.array(rows, dtype=object).reshape(len(cells), d + 1, d + 1)
+    for x in xs:
+        # |V| <= F * (d * X + 1), and a pencil entry is at most 2 |V| F
+        wide = 2 * F * F * (d * X + 1) >= _INT64_GUARD
+        dtype = object if wide else np.int64
+        A = A.astype(dtype, copy=False)
+        V = A @ np.array(coords[x] + (1,), dtype=dtype)
+        hit = (V >= 0).all(1)
+        if not hit.any():
+            raise ValueError(
+                "point to insert is outside the triangulated region")
+        hc, j = np.nonzero((V > 0) & hit[:, None])
+        k = np.arange(len(hc))
+        Vc, Ac = V[hc], A[hc]
+        Vj, Aj = Vc[k, j], Ac[k, j]
+        Ap = Vj[:, None, None] * Ac - Vc[:, :, None] * Aj[:, None, :]
+        Ap[k, j] = Aj
+        Ap //= np.gcd.reduce(Ap, axis=2)[:, :, None]
+        Cp = C[hc]
+        Cp[k, j] = x
+        order = k[:, None], np.argsort(Cp, axis=1)
+        C = np.concatenate([C[~hit], Cp[order]])
+        A = np.concatenate([A[~hit], Ap[order]])
+        F = max(F, int(np.abs(Ap).max()))
+    return sorted(map(tuple, C.tolist()))
 
 
 def placing_triangulation(P: Polytope) -> Triangulation:
@@ -177,13 +206,10 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     apex = interior[0]  # lex-least interior point
     apex_i = pts.index(apex)
     cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary_cells)
-    coords = _chart_coords(P._chart, pts)
-    forms: Dict[tuple, tuple] = {}
-    planes: Dict[tuple, tuple] = {}
-    for x in interior:
-        if x == apex:
-            continue
-        cells = _split_at(coords, cells, forms, planes, pts.index(x))
+    if len(interior) > 1:
+        index = {p: i for i, p in enumerate(pts)}
+        cells = _stellar_insert(_chart_coords(P._chart, pts), cells,
+                                [index[x] for x in interior[1:]])
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
@@ -455,6 +481,6 @@ def stellar_subdivide(T: Triangulation, x) -> Triangulation:
     remap = {p: i for i, p in enumerate(new_points)}
     old_to_new = [remap[p] for p in T.points]
     cells = sorted(tuple(sorted(old_to_new[i] for i in c)) for c in T.cells)
-    coords = _chart_coords(chart, new_points)
-    cells = _split_at(coords, cells, {}, {}, remap[x])
+    cells = _stellar_insert(_chart_coords(chart, new_points), cells,
+                            [remap[x]])
     return Triangulation(points=new_points, cells=tuple(sorted(cells)))

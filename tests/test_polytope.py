@@ -257,6 +257,10 @@ def point_sets(draw):
 @example(list(itertools.product(range(3), repeat=3)))
 @example(list(families.example2(4).vertices))
 @example([(x, y, x + 2 * y + 1) for x in range(3) for y in range(3)])
+@example([tuple(2**40 * a for a in p)  # pencil planes past 2^60
+          for p in itertools.product(range(3), repeat=3)])
+@example([(2**40 + x, 2**41 - y, 3 * x + y) for x in range(3)
+          for y in range(3)] + [(2**40 + 1, 2**41 - 1, 2**40)])
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hull_matches_the_subset_search(pts):

@@ -279,6 +279,9 @@ def _empty_by_scan(points):
 
 @given(hulls(), st.randoms(use_true_random=False))
 @example(families.reeve_simplex(3), random.Random(0))
+@example(Polytope.from_vertices(  # pencil planes on Python ints past 2^60
+    [(x + 2**40, y - 2**40, 2**40 + x + 2 * y)
+     for x, y in families.example2(2).vertices]), random.Random(1))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_triangulation_layer_matches_its_twins(P, rnd):
@@ -537,6 +540,138 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
             reasons.add(res.reason)
     assert reasons == {"", "covered twice", "point outside the interior",
                        "point not covered"}
+
+
+# ------------------------------------------- stellar insertion on one table
+
+def _split_at(coords, cells, forms, planes, x_index):
+    """Stellar-insert point ``x_index`` into every cell containing it, one
+    cell at a time; ``forms`` (cell -> its forms) and ``planes`` (facet ->
+    its plane) are kept across the calls of one build."""
+    x = coords[x_index]
+    hit = []
+    for c in cells:
+        fs = forms.get(c)
+        if fs is None:
+            fs = forms[c] = tmod._cell_forms(coords, c, planes)
+        if all(dot(n, x) - o >= 0 for n, o in fs):
+            hit.append(c)
+    if not hit:
+        raise ValueError("point to insert is outside the triangulated region")
+    out = [c for c in cells if c not in hit]
+    for c in hit:
+        fs = forms.pop(c)
+        for j, (n, o) in enumerate(fs):
+            if dot(n, x) - o > 0:
+                piece = tuple(sorted(
+                    [v for k, v in enumerate(c) if k != j] + [x_index]))
+                out.append(piece)
+    return sorted(out)
+
+
+def _insert_by_cells(coords, cells, xs):
+    forms, planes = {}, {}
+    for x in xs:
+        cells = _split_at(coords, cells, forms, planes, x)
+    return cells
+
+
+def _stellar_cases(P):
+    """``(coords, cells, xs)`` insertions on the fine triangulation's points
+    in chart coordinates: the interior-respecting start (the boundary coned
+    over the lex-least interior point, then the other interior points) and
+    the placing triangulation of the vertices, then every other point."""
+    T = full_lattice_triangulation(P)
+    pts = T.points
+    coords = [P._chart.to_chart(p) for p in pts]
+    inside = [pts.index(x) for x in P.interior_lattice_points(1)]
+    apex = inside[0]
+    cones = sorted(tuple(sorted(f + (apex,)))
+                   for f in tmod._boundary_restriction(T, P))
+    verts = [pts.index(v) for v in P.vertices]
+    placed = sorted(tuple(verts[i] for i in c) for c in _placing(P.vertices))
+    rest = [i for i in range(len(pts)) if i not in verts]
+    return [(coords, cones, inside[1:]), (coords, placed, rest)]
+
+
+@st.composite
+def interior_hulls(draw):
+    """Hulls of 4 to 8 points in [-3, 3]^m, 2 <= m <= 4, half of them
+    lifted onto a lattice hyperplane of Z^(m+1)."""
+    m = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m),
+                        min_size=4, max_size=8))
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + 1,) for p in pts]
+    return Polytope.from_vertices(pts)
+
+
+@given(interior_hulls())
+@example(families.example2(3))
+@example(Polytope.from_vertices(
+    [(0, 0, 1), (4, 0, 5), (0, 4, -3), (4, 4, 1)]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_stellar_table_matches_the_cell_loop(P):
+    assume(P.dim >= 2 and _box_fits(P, 1) and P.interior_lattice_points(1))
+    for coords, cells, xs in _stellar_cases(P):
+        want = _insert_by_cells(coords, cells, xs)
+        assert tmod._stellar_insert(coords, cells, xs) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmod, "_INT64_GUARD", 0)  # Python ints throughout
+            assert tmod._stellar_insert(coords, cells, xs) == want
+    assert interior_respecting_triangulation(P).cells == \
+        tuple(_insert_by_cells(*_stellar_cases(P)[0]))
+
+
+def _subdivide_by_cells(T, x):
+    """:func:`stellar_subdivide` on the per-cell loop."""
+    chart = build_chart(list(T.points))
+    points = tuple(sorted(T.points + (x,)))
+    index = {p: i for i, p in enumerate(points)}
+    cells = sorted(tuple(sorted(index[T.points[i]] for i in c))
+                   for c in T.cells)
+    coords = [chart.to_chart(p) for p in points]
+    return Triangulation(points, tuple(sorted(
+        _split_at(coords, cells, {}, {}, index[x]))))
+
+
+@st.composite
+def subdivisions(draw):
+    """A placing triangulation and a lattice point of its hull that is not
+    a vertex, or a point beyond it on its affine hull."""
+    P = draw(hulls())
+    assume(P.dim >= 1 and _box_fits(P, 2))
+    T = placing_triangulation(P)
+    pts = [p for p in P.lattice_points(1) if p not in T.points]
+    pts += [tuple(2 * a - b for a, b in zip(T.points[-1], T.points[0]))]
+    return T, draw(st.sampled_from(pts))
+
+
+@given(subdivisions())
+@example((placing_triangulation(Polytope.from_vertices(
+    [(0, 0), (2**40, 0), (0, 2**40)])), (1, 1)))  # past the int64 bound
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_stellar_subdivide_matches_the_cell_loop(case):
+    T, x = case
+
+    def outcome():
+        try:
+            return stellar_subdivide(T, x)
+        except ValueError as e:
+            return str(e)
+    try:
+        want = _subdivide_by_cells(T, x)
+    except ValueError as e:
+        want = str(e)
+    assert outcome() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmod, "_INT64_GUARD", 0)
+        assert outcome() == want
 
 
 def test_dependent_cell_is_not_empty():

@@ -8,7 +8,11 @@ Bareiss determinant are integer-only too, and Laplace expansion stays as
 the independent determinant route.  :func:`det_stack` runs Bareiss on a
 stack of int64 matrices at once, and hands a stack whose entries could
 overflow to :func:`det_bareiss`.  ``fractions.Fraction`` appears only in
-the results of :func:`solve_rational`.
+the results of :func:`solve_rational`; the polytope layer's vertex search
+reads its common-denominator solutions off :func:`_row_reduce` directly.
+
+An :class:`AffineChart` of a full-dimensional point set is the identity
+with origin 0 and maps points without any arithmetic.
 """
 
 from __future__ import annotations
@@ -387,6 +391,11 @@ class AffineChart:
     onto ``Z^dim`` and ``from_chart`` inverts it.  Passing ``scale=k``
     shifts the chart to the hull of the k-th dilate, which shares the same
     direction lattice.
+
+    A chart with ``dim == ambient_dim`` and origin 0 is the identity
+    (``identity`` is true): its maps return the point as a tuple without
+    any dot product, and still refuse a vector of the wrong length with
+    ``ValueError``.
     """
 
     def __init__(self, ambient_dim, dim, origin, basis, proj_cols, comp_cols):
@@ -396,18 +405,28 @@ class AffineChart:
         self.basis = basis          # dim rows of length m
         self.proj_cols = proj_cols  # dim columns of length m
         self.comp_cols = comp_cols  # m - dim columns of length m
+        self.identity = dim == ambient_dim and not any(origin)
 
     def in_affine_hull(self, x, scale: int = 1) -> bool:
+        if self.identity:
+            _check_length(x, self.ambient_dim)
+            return True
         y = vsub(x, vscale(self.origin, scale))
         return all(dot(y, col) == 0 for col in self.comp_cols)
 
     def to_chart(self, x, scale: int = 1) -> tuple:
+        if self.identity:
+            _check_length(x, self.ambient_dim)
+            return tuple(x)
         y = vsub(x, vscale(self.origin, scale))
         if any(dot(y, col) != 0 for col in self.comp_cols):
             raise ValueError(f"point {tuple(x)} is not in the affine hull")
         return tuple(dot(y, col) for col in self.proj_cols)
 
     def from_chart(self, c, scale: int = 1) -> tuple:
+        if self.identity:
+            _check_length(c, self.dim)
+            return tuple(c)
         x = list(vscale(self.origin, scale))
         for ci, row in zip(c, self.basis, strict=True):
             for j in range(self.ambient_dim):
@@ -415,8 +434,16 @@ class AffineChart:
         return tuple(x)
 
 
+def _check_length(v, n: int) -> None:
+    if len(v) != n:
+        raise ValueError(f"expected a vector of length {n}, got {len(v)}")
+
+
 def build_chart(points) -> AffineChart:
-    """Build the exact full-dimensionalization chart for a point set."""
+    """Build the exact full-dimensionalization chart for a point set.
+
+    Every point of a chart other than the identity is checked to round-trip
+    through it."""
     pts = as_matrix(points)
     if not pts:
         raise ValueError("no points")
@@ -436,6 +463,8 @@ def build_chart(points) -> AffineChart:
         basis = Vinv[:r]
         cols = transpose(V)
         chart = AffineChart(m, r, p0, basis, cols[:r], cols[r:])
+    if chart.identity:
+        return chart
     for p in pts:
         if not chart.in_affine_hull(p) or chart.from_chart(chart.to_chart(p)) != p:
             raise AssertionError("chart construction failed to round-trip")

@@ -4,9 +4,14 @@ A polytope lives in ``Z^m`` but may have smaller dimension ``d``; all facet
 data is stored both in ambient coordinates and in an exact chart on the
 affine hull, so every enumeration runs in a full-dimensional picture.
 
-Facets are read off the boundary of a placing triangulation (``_placing``,
-the one hull routine, shared with the triangulation layer); the
-``facet_duality`` check rebuilds them through ``from_inequalities``.
+Facets are the final boundary of a placing pass (``_placing``, the one
+hull routine, shared with the triangulation layer), whose planes come
+oriented and gcd-reduced; the vertices are the points whose sets of tight
+facets are maximal (``_tight_form_masks``).  ``from_inequalities``
+solves each subset of forms by one integer elimination and tests each
+distinct solution once, in integers; the ``facet_duality`` check rebuilds
+every polytope through it.  A full-dimensional polytope's chart is the
+identity and costs no arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -22,6 +28,7 @@ import numpy as np
 from .exactmath import (
     _INT64_GUARD,
     AffineChart,
+    _row_reduce,
     as_matrix,
     as_vector,
     build_chart,
@@ -30,7 +37,6 @@ from .exactmath import (
     generalized_cross,
     primitive_vector,
     rank,
-    solve_rational,
     vec_mat,
     vscale,
     vsub,
@@ -94,16 +100,19 @@ class Polytope:
 
         fd_facets = _facets_from_points(fd_pts, d)
 
-        # Extreme-point filter: a vertex is a point where the tight facet
-        # normals span the full chart space, so it is tight on at least d
-        # facets.  d + 1 points spanning dimension d are all vertices.
-        verts_fd = []
-        for q in fd_pts:
-            if len(fd_pts) > d + 1:
-                tight = [f.normal for f in fd_facets if f.slack(q) == 0]
-                if len(tight) < d or rank(tight) < d:
-                    continue
-            verts_fd.append(q)
+        # Extreme-point filter: every vertex is a candidate, and a vertex is
+        # the only point of P on all of its tight facets, so no other
+        # candidate's tight set contains its own.  Any other candidate lies
+        # inside a face of dimension >= 1, whose vertices are tight on more
+        # facets.  So the vertices are the candidates with maximal tight
+        # sets.  d + 1 points spanning dimension d are all vertices.
+        verts_fd = fd_pts
+        if len(fd_pts) > d + 1:
+            masks = _tight_form_masks(fd_pts, fd_facets)
+            distinct = set(masks)
+            maximal = {a for a in distinct
+                       if not any(b != a and b & a == a for b in distinct)}
+            verts_fd = [q for q, a in zip(fd_pts, masks) if a in maximal]
         vertices = tuple(sorted(chart.from_chart(q) for q in verts_fd))
 
         facets = tuple(sorted(
@@ -134,34 +143,40 @@ class Polytope:
         normals = [f.normal for f in forms]
         if rank(normals) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
+        # m - 1 normals are dependent iff their cross product is zero
         for rows in itertools.combinations(normals, m - 1):
-            if m == 1 or rank(rows) == m - 1:
-                ray = generalized_cross(rows, m) if m > 1 else (1,)
-                for v in (ray, vscale(ray, -1)):
-                    if all(dot(n, v) <= 0 for n in normals):
-                        raise ValueError("unbounded polyhedron (recession ray"
-                                         f" {tuple(v)})")
-        candidates = set()
-        for subset in itertools.combinations(range(len(forms)), m):
-            A = [forms[i].normal for i in subset]
-            b = [forms[i].offset for i in subset]
-            try:
-                x = solve_rational(A, b)
-            except ValueError:
+            ray = generalized_cross(rows, m) if m > 1 else (1,)
+            if not any(ray):
                 continue
-            if x is None:
+            for v in (ray, vscale(ray, -1)):
+                if all(dot(n, v) <= 0 for n in normals):
+                    raise ValueError("unbounded polyhedron (recession ray"
+                                     f" {tuple(v)})")
+        # A regular m-subset of forms meets in one point x = num / e, e > 0
+        # and in lowest terms, read off the reduced rows (n | o) of one
+        # integer elimination; each distinct point is tested once, as
+        # o * e - n . num >= 0 per form.
+        points = set()
+        for subset in itertools.combinations(forms, m):
+            rows, pivots = _row_reduce(
+                [f.normal + (f.offset,) for f in subset], m)
+            if len(pivots) < m:
                 continue
-            if all(ff.offset - dot(ff.normal, x) >= 0 for ff in forms):
-                candidates.add(x)
+            e = math.lcm(*(row[c] for c, row in enumerate(rows)))
+            num = [row[m] * (e // row[c]) for c, row in enumerate(rows)]
+            g = math.gcd(e, *num)
+            points.add((tuple(a // g for a in num), e // g))
+        candidates = [
+            (num, e) for num, e in points
+            if all(f.offset * e - dot(f.normal, num) >= 0 for f in forms)]
         if not candidates:
             raise ValueError("infeasible system (no vertices)")
-        bad = next((x for x in sorted(candidates)
-                    if any(c.denominator != 1 for c in x)), None)
-        if bad is not None:
-            raise ValueError(
-                f"vertex {tuple(str(c) for c in bad)} is not a lattice point")
-        pts = [tuple(int(c) for c in x) for x in candidates]
-        return cls.from_vertices(pts, name=name)
+        bad = [tuple(Fraction(a, e) for a in num)
+               for num, e in candidates if e != 1]
+        if bad:
+            raise ValueError(f"vertex {tuple(str(c) for c in min(bad))}"
+                             " is not a lattice point")
+        return cls.from_vertices([num for num, _ in candidates], name=name)
 
     # -- enumeration -------------------------------------------------------
 
@@ -402,18 +417,42 @@ class Polytope:
 
 def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
     """Facet inequalities of the convex hull of full-dimensional points:
-    one primitive form per boundary simplex of a placing triangulation, so
-    coplanar simplices merge into one facet."""
+    one primitive form per simplex of the final boundary of a placing pass,
+    so coplanar simplices merge into one facet.  Only a pass that ends on a
+    dimension jump (a simplex, say) leaves no boundary; its free facets then
+    take one determinant each."""
     if d == 0:
         return []
     _check_placing(len(fd_pts), d)
-    cells = _placing(fd_pts)
+    cells, planes = _placing(fd_pts)
+    if planes is None:
+        planes = [_facet_form(fd_pts, f, v)
+                  for f, v in _free_facets(cells).items()]
     facets = set()
-    for f, v in _free_facets(cells).items():
-        n, o = _facet_form(fd_pts, f, v)  # n . x >= o on the hull
+    for n, o in planes:  # n . x >= o on the hull
         g = gcd_vector(n)
         facets.add(FacetForm(tuple(-a // g for a in n), -o // g))
     return list(facets)
+
+
+def _tight_form_masks(points: Sequence[tuple], forms: Sequence[FacetForm]
+                      ) -> list:
+    """Per point, the bitmask of the forms it is tight on (bit ``j`` for
+    ``forms[j]``), from one integer product of the points with the normals:
+    int64 while every value it forms stays below ``_INT64_GUARD``, else the
+    same statements on Python ints (``object``)."""
+    if not forms:
+        return [0] * len(points)
+    big = max((abs(a) for p in points for a in p), default=0)
+    coeff = max(abs(a) for f in forms for a in f.normal)
+    top = max(abs(f.offset) for f in forms)
+    wide = len(forms[0].normal) * big * coeff + top >= _INT64_GUARD
+    dtype = object if wide else np.int64
+    N = np.array([f.normal for f in forms], dtype=dtype)
+    o = np.array([f.offset for f in forms], dtype=dtype)
+    tight = np.array(points, dtype=dtype) @ N.T == o
+    packed = np.packbits(tight, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _facet_form(coords: Sequence[tuple], facet: Sequence[int],
@@ -446,12 +485,14 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     """Triangulate the convex hull of ``pts`` by placing them in order.
 
     ``pts`` are distinct and lex-sorted, or the image of such a sequence
-    under an injective affine map.  Returns the cells as a sorted tuple of
-    sorted index tuples, with every point a vertex of some cell: the
-    lex-greatest point placed so far maximizes ``(1, e, e^2, ...)`` for small
-    ``e > 0``, so it is a vertex of the hull placed so far and lies strictly
-    beyond some boundary facet (De Loera-Rambau-Santos, *Triangulations*,
-    4.3).  A point that sees no facet raises ``AssertionError``.
+    under an injective affine map.  Returns ``(cells, planes)``: the cells
+    as a sorted tuple of sorted index tuples, with every point a vertex of
+    some cell, and the planes of the final boundary (below).  The
+    lex-greatest point placed so far maximizes ``(1, e, e^2, ...)`` for
+    small ``e > 0``, so it is a vertex of the hull placed so far and lies
+    strictly beyond some boundary facet (De Loera-Rambau-Santos,
+    *Triangulations*, 4.3).  A point that sees no facet raises
+    ``AssertionError``.
 
     The directions spanned so far are integer echelon rows; a point whose
     direction does not reduce to zero is a dimension jump and adds a row.
@@ -470,6 +511,13 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     ``g``, and is divided by the gcd of its entries.  A dimension jump
     drops the boundary; the next point placed without a jump rebuilds it
     from the free facets, one determinant per facet.
+
+    ``planes`` lists the ``(n, o)`` of the final boundary, one per boundary
+    simplex, with ``n`` moved from pivot-column order back to the
+    coordinates of ``pts`` (zero off the pivot columns), so ``n . x >= o``
+    on the hull.  A plane taken from a pencil is gcd-reduced.  After a pass
+    that ends on a dimension jump there is no boundary and ``planes`` is
+    ``None``.
     """
     rows: list = []    # echelon rows, each zero at the earlier pivots
     pivots: list = []
@@ -525,7 +573,15 @@ def _placing(pts: Sequence[tuple]) -> tuple:
         for f in seen:
             del boundary[f]
             cells.append(f + (i,))
-    return tuple(sorted(cells))
+    planes = None
+    if boundary is not None:
+        planes = []
+        for n, o in boundary.values():
+            full = [0] * len(pts[0])
+            for c, a in zip(pivots, n):
+                full[c] = a
+            planes.append((tuple(full), o))
+    return tuple(sorted(cells)), planes
 
 
 def _ridges(f: tuple) -> list:
@@ -561,6 +617,8 @@ def _check_subsets(n: int, r: int, what: str) -> None:
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:
     """Transport a chart-coordinate facet inequality to ambient space."""
+    if chart.identity:
+        return f
     # chart coordinate i of x is dot(x - origin, proj_cols[i]), so the chart
     # form n . c <= o becomes a . x <= o + a . origin with a as below.
     n_amb = vec_mat(f.normal, chart.proj_cols)

@@ -47,6 +47,7 @@ from .polytope import (
     _facet_form,
     _free_facets,
     _placing,
+    _tight_form_masks,
 )
 from .simplex import HalfOpenBox, SimplexConeSlicer, _compositions
 
@@ -171,7 +172,7 @@ def placing_triangulation(P: Polytope) -> Triangulation:
     if P.dim < 1:
         raise ValueError("triangulation needs dimension >= 1")
     pts = P.vertices  # already lex-sorted
-    return Triangulation(points=pts, cells=_placing(pts))
+    return Triangulation(points=pts, cells=_placing(pts)[0])
 
 
 def full_lattice_triangulation(P: Polytope) -> Triangulation:
@@ -180,7 +181,7 @@ def full_lattice_triangulation(P: Polytope) -> Triangulation:
         raise ValueError("triangulation needs dimension >= 1")
     pts = P.lattice_points(1)  # lex-sorted
     return P._memo("full_triangulation",
-                   lambda: Triangulation(points=pts, cells=_placing(pts)))
+                   lambda: Triangulation(points=pts, cells=_placing(pts)[0]))
 
 
 def interior_respecting_triangulation(P: Polytope) -> Triangulation:
@@ -225,9 +226,10 @@ def _boundary_restriction(T: Triangulation, P: Polytope) -> list:
 
 
 def _tight_masks(T: Triangulation, P: Polytope) -> list:
-    """Per point of ``T``, the bitmask of the facets of ``P`` it is tight on."""
-    return [sum(1 << j for j, ff in enumerate(P.facets) if ff.slack(p) == 0)
-            for p in T.points]
+    """Per point of ``T``, the bitmask of the facets of ``P`` it is tight on.
+    Cached on ``P`` per point list."""
+    return P._memo(("tight_masks", T.points),
+                   lambda: _tight_form_masks(T.points, P.facets))
 
 
 def _face_in_boundary(masks: Sequence[int], face) -> bool:

@@ -239,6 +239,33 @@ def test_chart_round_trips_its_own_points(pts):
         assert chart.from_chart(chart.to_chart(p)) == tuple(p)
 
 
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(entries, min_size=m, max_size=m),
+             min_size=m + 1, max_size=m + 4),
+    st.lists(entries, min_size=m, max_size=m),
+    st.integers(0, 3))))
+def test_identity_chart_matches_the_dot_product_formulas(data):
+    pts, x, scale = data
+    chart = build_chart(pts)
+    if rank([vsub(p, pts[0]) for p in pts[1:]]) < len(x):
+        assert not chart.identity
+        return
+    assert chart.identity
+    y = vsub(x, vscale(chart.origin, scale))
+    assert chart.in_affine_hull(x, scale=scale) == all(
+        dot(y, col) == 0 for col in chart.comp_cols)
+    assert chart.to_chart(x, scale=scale) == tuple(
+        dot(y, col) for col in chart.proj_cols)
+    z = list(vscale(chart.origin, scale))
+    for ci, row in zip(x, chart.basis):
+        z = [a + ci * b for a, b in zip(z, row)]
+    assert chart.from_chart(x, scale=scale) == tuple(z)
+    for wrong in (x[:-1], x + [0]):
+        for f in (chart.in_affine_hull, chart.to_chart, chart.from_chart):
+            with pytest.raises(ValueError):
+                f(wrong, scale=scale)
+
+
 def test_chart_detects_points_off_the_hull():
     chart = build_chart([(0, 0, 0), (1, 0, 1), (0, 1, 1)])
     assert chart.dim == 2

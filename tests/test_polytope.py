@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -16,6 +17,7 @@ from polycanon.exactmath import (
     generalized_cross,
     primitive_vector,
     rank,
+    solve_rational,
     vsub,
 )
 from polycanon.polytope import FacetForm, Polytope
@@ -152,7 +154,17 @@ def point_sets(draw):
     return pts
 
 
+_CUBE = list(itertools.product((0, 1), repeat=3))
+
+
 @given(point_sets())
+@example([(0, 0), (2, 0), (1, 0), (0, 2)])  # inside an edge
+@example([tuple(2 * a for a in p) for p in _CUBE]
+         + [(1, 1, 0), (1, 0, 2), (1, 1, 1)])  # inside a 2-face, an edge
+@example([(0, 0), (1, 0), (0, 0), (0, 1), (1, 0), (1, 1), (0, 1)])
+@example([tuple(2**40 + a for a in p) for p in _CUBE])
+@example([tuple(2**60 + 2 * a for a in p) for p in _CUBE]
+         + [(2**60 + 1,) * 3])  # tight masks on Python ints
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_slice_masks_and_vertices_match_their_twins(pts):
@@ -172,6 +184,19 @@ def test_slice_masks_and_vertices_match_their_twins(pts):
                                     if f.slack(P._chart.to_chart(p)) == 0])
              == P.dim]
     assert P.vertices == tuple(spans)
+
+
+@given(point_sets())
+@example([tuple(2**60 + a for a in p) for p in _CUBE])
+@settings(max_examples=40, deadline=None)
+def test_tight_form_masks_match_the_slack_loop(pts):
+    P = Polytope.from_vertices(pts)
+    pts = sorted(set(pts))
+    want = [sum(1 << j for j, f in enumerate(P.facets) if f.slack(p) == 0)
+            for p in pts]
+    assert pmod._tight_form_masks(pts, P.facets) == want
+    with mock.patch.object(pmod, "_INT64_GUARD", 0):  # the object route
+        assert pmod._tight_form_masks(pts, P.facets) == want
 
 
 def test_scan_falls_back_when_coordinates_are_huge():
@@ -197,6 +222,7 @@ def _never(*args, **kwargs):
 def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
     grid = list(itertools.product(range(6), repeat=4))  # 1296 * UBT(1296, 4)
     monkeypatch.setattr(pmod, "generalized_cross", _never)
+    monkeypatch.setattr(pmod, "_placing", _never)
     with pytest.raises(ValueError,
                        match=r"1296 points .* = 1085871744 .* cap of 10000000"):
         Polytope.from_vertices(grid)
@@ -205,8 +231,9 @@ def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
 def test_oversized_vertex_search_is_refused_before_enumerating(monkeypatch):
     forms = [FacetForm((a, b, c, 1), 9) for a in range(-2, 3)
              for b in range(-2, 3) for c in range(-1, 3)]  # C(100, 4)
-    monkeypatch.setattr(pmod, "rank", _never)
-    monkeypatch.setattr(pmod, "solve_rational", _never)
+    # the rank check, the recession search and the per-subset elimination
+    for name in ("rank", "generalized_cross", "_row_reduce"):
+        monkeypatch.setattr(pmod, name, _never)
     with pytest.raises(ValueError, match=r"C\(100, 4\) = .* cap of 1000000"):
         Polytope.from_inequalities(forms, 4)
 
@@ -251,6 +278,93 @@ def point_sets(draw):
         t = draw(st.integers(-3, 3))
         pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
     return pts
+
+
+def _from_inequalities_by_fractions(forms, m):
+    """The vertex search on Fractions: a rank test per ``m - 1`` normals
+    before their recession ray, ``solve_rational`` per ``m``-subset."""
+    normals = [f.normal for f in forms]
+    if rank(normals) < m:
+        raise ValueError("unbounded polyhedron (normals do not span)")
+    for rows in itertools.combinations(normals, m - 1):
+        if m == 1 or rank(rows) == m - 1:
+            ray = generalized_cross(rows, m) if m > 1 else (1,)
+            for v in (ray, tuple(-a for a in ray)):
+                if all(dot(n, v) <= 0 for n in normals):
+                    raise ValueError("unbounded polyhedron (recession ray"
+                                     f" {v})")
+    candidates = set()
+    for subset in itertools.combinations(forms, m):
+        try:
+            x = solve_rational([f.normal for f in subset],
+                               [f.offset for f in subset])
+        except ValueError:
+            continue
+        if x is not None and all(f.slack(x) >= 0 for f in forms):
+            candidates.add(x)
+    if not candidates:
+        raise ValueError("infeasible system (no vertices)")
+    bad = next((x for x in sorted(candidates)
+                if any(c.denominator != 1 for c in x)), None)
+    if bad is not None:
+        raise ValueError(
+            f"vertex {tuple(str(c) for c in bad)} is not a lattice point")
+    return Polytope.from_vertices([tuple(map(int, x)) for x in candidates])
+
+
+@st.composite
+def form_lists(draw):
+    """``(forms, m)``: up to 11 inequalities in Z^m, m <= 4, from the
+    facets of a full-dimensional lattice hull (sometimes one dropped) or
+    drawn at random, with random cuts, repeated and scaled forms, and half
+    of the time translated by about 2^40 in each coordinate."""
+    m = draw(st.integers(1, 4))
+    forms = []
+    if draw(st.integers(0, 3)):
+        pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                            max_size=4))
+        pts += [tuple(2 * (i == j) for j in range(m)) for i in range(m + 1)]
+        forms = list(Polytope.from_vertices(pts).facets)
+        if forms and not draw(st.integers(0, 3)):
+            del forms[draw(st.integers(0, len(forms) - 1))]
+    normals = st.tuples(*[st.integers(-3, 3)] * m)
+    forms += draw(st.lists(st.builds(FacetForm, normals, st.integers(-6, 6)),
+                           min_size=0 if forms else 1, max_size=3))
+    for f, k in draw(st.lists(st.tuples(st.sampled_from(forms),
+                                        st.integers(1, 3)), max_size=2)):
+        forms.append(FacetForm(tuple(k * a for a in f.normal), k * f.offset))
+    if draw(st.booleans()):
+        t = [draw(st.sampled_from((-1, 1))) * 2**40 + draw(st.integers(-3, 3))
+             for _ in range(m)]
+        forms = [FacetForm(f.normal, f.offset + dot(f.normal, t))
+                 for f in forms]
+    return draw(st.permutations(forms[:11])), m
+
+
+def _vertices_or_message(build):
+    try:
+        return build().vertices
+    except ValueError as e:
+        return str(e)
+
+
+@given(form_lists())
+@example(([FacetForm(f.normal, f.offset + 2**40 * sum(f.normal))
+           for f in families.example2(3).facets], 3))
+@example(([FacetForm((1, 0), 1), FacetForm((0, 1), 1), FacetForm((-1, 0), 0),
+           FacetForm((0, -1), 0), FacetForm((1, 0), 1),
+           FacetForm((2, 0), 2), FacetForm((1, 1), 5)], 2))
+@example(([FacetForm((2, 1), 1), FacetForm((-1, 0), 0),
+           FacetForm((0, -1), 0)], 2))  # vertex (1/2, 0)
+@example(([FacetForm((1,), 0), FacetForm((-1,), -1)], 1))  # infeasible
+@example(([FacetForm((-1, 0), 0), FacetForm((0, -1), 0)], 2))  # a ray
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_vertex_search_matches_the_fraction_search(case):
+    forms, m = case
+    assert (_vertices_or_message(lambda: Polytope.from_inequalities(forms, m))
+            == _vertices_or_message(
+                lambda: _from_inequalities_by_fractions(forms, m)))
 
 
 @given(point_sets())

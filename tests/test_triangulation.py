@@ -119,6 +119,22 @@ def test_interior_respecting_on_reeve_like_volume():
         assert any(p in inside for p in S.cell_points(cell))
 
 
+def test_tight_masks_are_built_once_per_point_list(monkeypatch):
+    # the interior-respecting triangulation restricts the fine one to the
+    # boundary, and its interior faces then read the same points' masks
+    calls = []
+    build = tmod._tight_form_masks
+    monkeypatch.setattr(tmod, "_tight_form_masks",
+                        lambda *args: calls.append(args) or build(*args))
+    P = families.example2(3)
+    S = interior_respecting_triangulation(P)
+    interior_faces(S, P)
+    assert len(calls) == 1
+    assert tmod._tight_masks(S, P) == [
+        sum(1 << j for j, f in enumerate(P.facets) if f.slack(p) == 0)
+        for p in S.points]
+
+
 def test_interior_respecting_requires_interior_point(unit_square,
                                                      unit_triangle):
     with pytest.raises(ValueError, match="interior"):
@@ -289,14 +305,14 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
     pts = list(P.lattice_points(1))
     # in lex order every point is a vertex of the hull placed so far
     cells, skipped = _placing_by_recount(pts)
-    assert skipped == () and _placing(pts) == cells
+    assert skipped == () and _placing(pts)[0] == cells
     shuffled = rnd.sample(pts, len(pts))
     cells, skipped = _placing_by_recount(shuffled)
     if skipped:
         with pytest.raises(AssertionError, match="sees no facet"):
             _placing(shuffled)
     else:
-        assert _placing(shuffled) == cells
+        assert _placing(shuffled)[0] == cells
     # placing cells span only vertices, so some of them are not empty
     placing = placing_triangulation(P)
     for cell in placing.cells:
@@ -589,7 +605,8 @@ def _stellar_cases(P):
     cones = sorted(tuple(sorted(f + (apex,)))
                    for f in tmod._boundary_restriction(T, P))
     verts = [pts.index(v) for v in P.vertices]
-    placed = sorted(tuple(verts[i] for i in c) for c in _placing(P.vertices))
+    placed = sorted(tuple(verts[i] for i in c)
+                    for c in _placing(P.vertices)[0])
     rest = [i for i in range(len(pts)) if i not in verts]
     return [(coords, cones, inside[1:]), (coords, placed, rest)]
 

@@ -8,11 +8,14 @@ Bareiss determinant are integer-only too, and Laplace expansion stays as
 the independent determinant route.  :func:`det_stack` runs Bareiss on a
 stack of int64 matrices at once, and hands a stack whose entries could
 overflow to :func:`det_bareiss`.  ``fractions.Fraction`` appears only in
-the results of :func:`solve_rational`; the polytope layer's vertex search
-reads its common-denominator solutions off :func:`_row_reduce` directly.
+the results of :func:`solve_rational` and in the Gram-Schmidt data of
+:func:`lll_reduce`; the polytope layer's vertex search reads its
+common-denominator solutions off :func:`_row_reduce` directly.
 
 An :class:`AffineChart` of a full-dimensional point set is the identity
-with origin 0 and maps points without any arithmetic.
+with origin 0 and maps points without any arithmetic.  Any other chart
+takes its lattice basis from a Smith form, LLL-reduced, so the chart
+coordinates of a flat hull stay about as small as its ambient ones.
 """
 
 from __future__ import annotations
@@ -339,6 +342,54 @@ def smith_normal_form(M) -> tuple:
     )
 
 
+def lll_reduce(rows) -> tuple:
+    """LLL-reduce linearly independent integer rows, exactly.
+
+    Returns ``(B, U)`` with ``U`` unimodular, ``U @ rows == B`` and ``B``
+    LLL-reduced for ``delta = 3/4``: size-reduced (``|mu_kj| <= 1/2``) and
+    satisfying the Lovasz condition (Lenstra-Lenstra-Lovasz 1982; Cohen,
+    *A Course in Computational Algebraic Number Theory*, Alg. 2.6.3).  The
+    Gram-Schmidt data are exact fractions, recomputed after each swap.
+    """
+    b = [list(r) for r in as_matrix(rows)]
+    n = len(b)
+    U = [list(r) for r in identity_matrix(n)]
+
+    def gram_schmidt():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        star, norms = [], []
+        for i in range(n):
+            v = [Fraction(a) for a in b[i]]
+            for j in range(i):
+                mu[i][j] = Fraction(dot(b[i], star[j])) / norms[j]
+                v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
+            if not any(v):
+                raise ValueError("rows are linearly dependent")
+            star.append(v)
+            norms.append(dot(v, v))
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                _axpy(b, k, j, -q)
+                _axpy(U, k, j, -q)
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return tuple(map(tuple, b)), tuple(map(tuple, U))
+
+
 def unimodular_inverse(M) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1."""
     M = as_matrix(M)
@@ -458,11 +509,16 @@ def build_chart(points) -> AffineChart:
         ident = identity_matrix(m)
         chart = AffineChart(m, 0, p0, (), (), ident)
     else:
+        # Vinv's first r rows are a basis of the direction lattice and V's
+        # first r columns its dual; a reduced basis U @ Vinv[:r] keeps the
+        # chart coordinates small, and its dual is V[:, :r] @ U^-1, so the
+        # complement columns and every pulled-back facet stay the same.
         _, _, V = smith_normal_form(diffs)
-        Vinv = unimodular_inverse(V)
-        basis = Vinv[:r]
+        basis, U = lll_reduce(unimodular_inverse(V)[:r])
         cols = transpose(V)
-        chart = AffineChart(m, r, p0, basis, cols[:r], cols[r:])
+        proj = tuple(vec_mat(row, cols[:r])
+                     for row in transpose(unimodular_inverse(U)))
+        chart = AffineChart(m, r, p0, basis, proj, cols[r:])
     if chart.identity:
         return chart
     for p in pts:

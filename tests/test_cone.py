@@ -3,7 +3,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polycanon.cone as cmod
@@ -113,7 +113,14 @@ def hulls_and_points(draw):
     return P, extra
 
 
+# a dim-4 hull lifted into Z^5 whose chart box at dilate 2 held 7.1e10
+# points before the chart basis was reduced
+_LIFTED = [(0, -2, 2, 2, 2), (-2, 2, -1, 2, 7), (0, -1, 1, -1, 2),
+           (2, -2, -2, -1, -6), (2, 1, 0, -1, -1), (2, -2, 2, -2, -2)]
+
+
 @given(hulls_and_points())
+@example((Polytope.from_vertices(_LIFTED), []))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_classify_matches_membership_on_both_routes(case):

@@ -20,6 +20,7 @@ from polycanon.exactmath import (
     gcd_vector,
     generalized_cross,
     identity_matrix,
+    lll_reduce,
     primitive_vector,
     rank,
     smith_normal_form,
@@ -227,6 +228,34 @@ def test_solve_rational_edge_cases():
         solve_rational(((1, 1), (2, 2)), (0, 0))  # rank-deficient
 
 
+def _assert_lll_reduced(B):
+    # exact Gram-Schmidt, computed here independently of lll_reduce
+    star, norms = [], []
+    for i, row in enumerate(B):
+        v = [Fraction(a) for a in row]
+        mu = [Fraction(dot(row, s), n) for s, n in zip(star, norms)]
+        for m_ij, s in zip(mu, star):
+            v = [a - m_ij * c for a, c in zip(v, s)]
+        assert all(abs(m_ij) <= Fraction(1, 2) for m_ij in mu)
+        if i:
+            assert dot(v, v) >= (Fraction(3, 4) - mu[-1] ** 2) * norms[-1]
+        star.append(v)
+        norms.append(dot(v, v))
+
+
+@given(int_matrix(max_rows=4, max_cols=5))
+@example([[1, 0, 0], [100, 1, 0], [7000, 70, 1]])
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(rows):
+    if rank(rows) < len(rows):
+        with pytest.raises(ValueError):
+            lll_reduce(rows)
+        return
+    B, U = lll_reduce(rows)
+    assert mat_mul(U, as_matrix(rows)) == B
+    assert abs(det_bareiss(U)) == 1
+    _assert_lll_reduced(B)
+
+
 # ----------------------------------------------------------------- charts
 
 @given(st.integers(1, 3).flatmap(
@@ -264,6 +293,32 @@ def test_identity_chart_matches_the_dot_product_formulas(data):
         for f in (chart.in_affine_hull, chart.to_chart, chart.from_chart):
             with pytest.raises(ValueError):
                 f(wrong, scale=scale)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(entries, min_size=m, max_size=m),
+             min_size=2, max_size=m + 3),
+    st.lists(st.lists(st.integers(-3, 3), min_size=m + 2, max_size=m + 2),
+             min_size=m, max_size=m))))
+def test_flat_chart_basis_is_reduced_and_dual_to_its_columns(data):
+    # points of Z^m under an integer map into Z^(m+2): a flat hull
+    pts, A = data
+    pts = [vec_mat_rows(p, A) for p in pts]
+    chart = build_chart(pts)
+    r = chart.dim
+    if r in (0, chart.ambient_dim):
+        return
+    _assert_lll_reduced(chart.basis)
+    assert [[dot(b, c) for c in chart.proj_cols] for b in chart.basis] == [
+        list(row) for row in identity_matrix(r)]
+    assert all(dot(b, c) == 0 for b in chart.basis for c in chart.comp_cols)
+    for p in pts:
+        assert chart.from_chart(chart.to_chart(p)) == tuple(p)
+
+
+def vec_mat_rows(v, M):
+    return tuple(sum(a * row[j] for a, row in zip(v, M))
+                 for j in range(len(M[0])))
 
 
 def test_chart_detects_points_off_the_hull():

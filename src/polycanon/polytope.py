@@ -231,7 +231,9 @@ class Polytope:
         Every slice of one polytope lies on these boxes, so the sum of a
         degree-``j`` and a degree-``l`` slice lands exactly on box ``j + l``.
         The 0-th dilate is the origin, which is its own relative interior.
-        The mask is cached and shared, so it is read-only.
+        Each line of the box along the last chart axis meets the slice in
+        one interval (see :meth:`_build_slice`).  The mask is cached and
+        shared, so it is read-only.
         """
         def build():
             lo, mask = self._build_slice(scale, interior)
@@ -240,8 +242,17 @@ class Polytope:
         return self._memo(("slice", scale, interior), build)
 
     def _build_slice(self, scale: int, interior: bool) -> tuple:
+        """The mask of :meth:`_slice` from per-line bounds.
+
+        A convex set meets each line along the last chart axis in an
+        interval, so each facet is evaluated once on the ``(d - 1)``-dim
+        base of the box, not on every cell: it moves the line's upper or
+        lower end, or, parallel to the axis, empties the line.  One
+        box-sized compare then fills the mask.  Past the int64 guard the
+        mask comes from :meth:`_fd_scan_python`, which is also its twin.
+        """
         lo, shape = self._box(scale)
-        if scale == 0:
+        if scale == 0 or self.dim == 0:
             return lo, np.ones(shape, dtype=bool)
         big = max((max(abs(l), abs(l + n - 1)) for l, n in zip(lo, shape)),
                   default=0)
@@ -249,23 +260,31 @@ class Polytope:
                      for f in self._fd_facets), default=0)
         if (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD:
             return lo, self._fd_scan_python(lo, shape, scale, interior)
-        # n . q - o * scale < 0 (<= 0) per facet: the terms of all axes but
-        # the last, summed over broadcast aranges, against minus the last
-        # axis's term, so that only the reused bool buffer is box-shaped.
+        # Per facet, the slack r = o * scale - least - n' . q' of the first
+        # d - 1 axes, taken on the base by broadcasting, bounds the last
+        # coordinate t of each line by c * t <= r, c = n_last: t <= r // c
+        # for c > 0 and -t <= r // -c for c < 0, so both bounds are minima.
         d = self.dim
-        axes = [np.arange(l, l + n, dtype=np.int64)
-                .reshape((n,) + (1,) * (d - 1 - i))
-                for i, (l, n) in enumerate(zip(lo, shape))]
-        below = np.less if interior else np.less_equal
-        mask = np.ones(shape, dtype=bool)
-        buf = np.empty(shape, dtype=bool)
+        base = [np.arange(l, l + n, dtype=np.int64)
+                .reshape((n,) + (1,) * (d - 2 - i))
+                for i, (l, n) in enumerate(zip(lo[:-1], shape[:-1]))]
+        t = np.arange(lo[-1], lo[-1] + shape[-1], dtype=np.int64)
+        least = 1 if interior else 0
+        t_hi = np.full(shape[:-1], t[-1])
+        t_lo_neg = np.full(shape[:-1], -t[0])
         for f in self._fd_facets:
-            part = np.int64(-f.offset * scale)
-            for a, ax in zip(f.normal[:-1], axes[:-1]):
+            r = f.offset * scale - least
+            for a, ax in zip(f.normal, base):
                 if a:
-                    part = part + a * ax
-            below(part, -f.normal[-1] * axes[-1], out=buf)
-            mask &= buf
+                    r = r - a * ax
+            c = f.normal[-1]
+            if c:
+                bound = t_hi if c > 0 else t_lo_neg
+                np.minimum(bound, r // abs(c), out=bound)
+            else:  # the line is empty where r < 0
+                np.copyto(t_hi, t[0] - 1, where=r < 0)
+        mask = np.less_equal(-t, t_lo_neg[..., None])
+        mask &= np.less_equal(t, t_hi[..., None])
         return lo, mask
 
     def _fd_scan_python(self, lo, shape, scale, interior):

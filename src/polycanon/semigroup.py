@@ -9,7 +9,9 @@ own degree exactly when the point is an irreducible generator.
 The generator sets, the reduced-degree search and the splitting check all
 work on dilate slices held as boolean masks (``Polytope._slice``) and ask
 one question: which points of a slice lie in a sumset ``A + B`` of two
-lower slices.  :func:`_sumset` answers it with shifted ORs of one mask.
+lower slices.  :func:`_sumset` answers it with one shifted OR per run of
+one operand along the last axis, of the other mask widened to the run's
+length.
 The per-point predicates :func:`is_irreducible` and
 :func:`is_irreducible_full` and :func:`reduced_degree_oracle` are kept as
 independent twins to test the mask kernel against.
@@ -78,21 +80,50 @@ def _check_work(work: int) -> None:
                           f" cap of {SUMSET_CAP}")
 
 
+def _runs(mask) -> list:
+    """The maximal runs of true cells of a mask along its last axis, as
+    ``(first cell, length)`` in C order; a run ends with its row."""
+    runs = []
+    first, n = None, 0
+    for idx in np.argwhere(mask).tolist():
+        if n and idx[-1] == first[-1] + n and idx[:-1] == first[:-1]:
+            n += 1
+            continue
+        if n:
+            runs.append((first, n))
+        first, n = idx, 1
+    if n:
+        runs.append((first, n))
+    return runs
+
+
 def _sumset(a: tuple, b: tuple) -> tuple:
     """The slice ``(lo, mask)`` of the sumset ``A + B`` of two slices.
 
     Its box corner is the sum of theirs and each side is one shorter than
     the sum of theirs, so slices of degrees ``j`` and ``l`` sum onto the
-    box of degree ``j + l``.  The larger mask is ORed in once, shifted, per
-    point of the smaller one.
+    box of degree ``j + l``.  The operand with fewer points is walked by
+    its runs along the last axis (:func:`_runs`), shortest first.  The
+    other mask is widened along that axis to the length of each run, so
+    that ``w_n`` holds its shifts by ``0 .. n - 1``, and ORed in once per
+    run at the run's first cell.  With the widenings that makes at most
+    ``runs + longest - 1`` shifted ORs, never more than one per point.
     """
     if np.count_nonzero(a[1]) > np.count_nonzero(b[1]):
         a, b = b, a
     (lo_a, small), (lo_b, big) = a, b
     out = np.zeros(tuple(s + t - 1 for s, t in zip(small.shape, big.shape)),
                    dtype=bool)
-    for idx in np.argwhere(small).tolist():
-        out[tuple(slice(i, i + n) for i, n in zip(idx, big.shape))] |= big
+    wide, n = big, 1
+    for first, length in sorted(_runs(small), key=operator.itemgetter(1)):
+        while n < length:
+            # w_{n + s} = w_n | (w_n shifted by s), for any s <= n
+            s = min(length - n, n)
+            w = np.zeros(wide.shape[:-1] + (wide.shape[-1] + s,), dtype=bool)
+            w[..., :-s] = wide
+            w[..., s:] |= wide
+            wide, n = w, n + s
+        out[tuple(slice(i, i + m) for i, m in zip(first, wide.shape))] |= wide
     return tuple(map(operator.add, lo_a, lo_b)), out
 
 

@@ -165,6 +165,13 @@ _CUBE = list(itertools.product((0, 1), repeat=3))
 @example([tuple(2**40 + a for a in p) for p in _CUBE])
 @example([tuple(2**60 + 2 * a for a in p) for p in _CUBE]
          + [(2**60 + 1,) * 3])  # tight masks on Python ints
+@example([(-2,), (3,)])  # a segment in Z^1: the lines' base has shape ()
+@example([(4, -7), (4, -7)])  # a point: dim 0
+@example([(a, 2 * b, 3 * c) for a, b, c in _CUBE])  # facets with n_last = 0
+@example([(-5, -1), (-1, -6), (-2, -2), (-7, -4)])  # r // c floors r < 0
+@example([(x, y, z, 2 * x - y + 3 * z - 1)  # flat: the chart is no identity
+          for x, y, z in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+                          (1, 1, 1)]])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_slice_masks_and_vertices_match_their_twins(pts):

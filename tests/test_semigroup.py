@@ -2,6 +2,9 @@
 action and under the full graded semigroup), degree bounds, and the
 degree-one splitting check."""
 
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,9 @@ from polycanon.cone import GradedPoint, ReductionWitness
 from polycanon.exactmath import vsub
 from polycanon.polytope import Polytope
 from polycanon.semigroup import (
+    _runs,
+    _sumset,
+    _sumset_work,
     degree_bound,
     degree_one_points,
     full_generators,
@@ -349,6 +355,86 @@ def test_mask_kernel_matches_its_twins(P):
         assert value == reduced_degree_oracle(P, y)
         assert wit.total() == y
         assert (value, wit) == _rdeg_loop(P, y)
+
+
+def _sumset_by_points(a, b):
+    """The sumset kernel's twin: the mask with more points ORed in once,
+    shifted, per point of the other."""
+    if np.count_nonzero(a[1]) > np.count_nonzero(b[1]):
+        a, b = b, a
+    (lo_a, small), (lo_b, big) = a, b
+    out = np.zeros(tuple(s + t - 1 for s, t in zip(small.shape, big.shape)),
+                   dtype=bool)
+    for idx in np.argwhere(small).tolist():
+        out[tuple(slice(i, i + n) for i, n in zip(idx, big.shape))] |= big
+    return tuple(map(operator.add, lo_a, lo_b)), out
+
+
+def _check_sumset(a, b):
+    lo, mask = _sumset(a, b)
+    ref_lo, ref = _sumset_by_points(a, b)
+    assert lo == ref_lo and mask.shape == ref.shape and (mask == ref).all()
+    # the kernel's shifted ORs (one per run, one per widening) stay within
+    # one per point of the walked operand, so the work budget still holds
+    points = min(np.count_nonzero(a[1]), np.count_nonzero(b[1]))
+    runs = _runs(a[1] if np.count_nonzero(a[1]) == points else b[1])
+    assert sum(n for _, n in runs) == points
+    longest = max((n for _, n in runs), default=1)
+    assert len(runs) + longest - 1 <= points
+    assert len(runs) + longest - 1 <= _sumset_work(a, b)
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two slices of one rank from 0 to 4, each mask random, all true or
+    all false."""
+    r = draw(st.integers(0, 4))
+
+    def one():
+        shape = draw(st.tuples(*[st.integers(1, 4)] * r))
+        size = int(np.prod(shape))
+        kind = draw(st.sampled_from(["random", "all", "none"]))
+        cells = (draw(st.lists(st.booleans(), min_size=size, max_size=size))
+                 if kind == "random" else [kind == "all"] * size)
+        lo = draw(st.tuples(*[st.integers(-3, 3)] * r))
+        return lo, np.array(cells, dtype=bool).reshape(shape)
+    return one(), one()
+
+
+_ROW_END = np.array([[0, 0, 1], [1, 1, 0]], dtype=bool)  # flat run, 2 rows
+
+
+@given(mask_pairs())
+@example((((0, 0), _ROW_END), ((1, -1), np.ones((2, 2), dtype=bool))))
+@example((((0, 0), np.ones((3, 3), dtype=bool)), ((0, 0), _ROW_END)))
+@example((((), np.array(True)), ((), np.array(True))))
+@example((((), np.array(False)), ((), np.array(True))))
+@example((((2,), np.array([1, 1, 0, 1, 1, 1], dtype=bool)),
+          ((0,), np.array([1, 0, 1, 1, 1, 1, 1, 1], dtype=bool))))
+@example((((0, 0, 0), np.zeros((2, 1, 3), dtype=bool)),
+          ((0, 0, 0), np.ones((1, 2, 2), dtype=bool))))
+@example((((0, 0), np.ones((1, 4), dtype=bool)),  # a single row
+          ((0, 0), np.array([[1, 1, 1, 0, 1, 1, 1]], dtype=bool))))
+@settings(max_examples=200, deadline=None)
+def test_sumset_matches_the_point_loop_on_masks(pair):
+    _check_sumset(*pair)
+
+
+@given(small_hulls(), st.integers(0, 2**32 - 1))
+@example(families.reeve_simplex(2), 0)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_sumset_matches_the_point_loop_on_slices(P, seed):
+    for k in range(2, 4):
+        for low in range(1, k):
+            _check_sumset(P._slice(low, True), P._slice(k - low, False))
+    # a reduced_degree level: sparse interior points of dilate 3 minus P
+    lo1, ones = P._slice(1, False)
+    minus_ones = (tuple(-(l + n - 1) for l, n in zip(lo1, ones.shape)),
+                  np.flip(ones))
+    lo, inner = P._slice(3, True)
+    sparse = inner & (np.random.default_rng(seed).random(inner.shape) < 0.2)
+    _check_sumset((lo, sparse), minus_ones)
 
 
 def test_idp_check_refuses_an_oversized_top_degree():

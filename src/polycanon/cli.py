@@ -9,6 +9,7 @@ input or usage, 2 checks ran and found violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -217,10 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process: parsing leaves it unchanged,
+# and building it costs about a millisecond per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; exit 2 is reserved for failed
         # mathematical checks, so usage problems report as 1.

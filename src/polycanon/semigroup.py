@@ -12,6 +12,14 @@ one question: which points of a slice lie in a sumset ``A + B`` of two
 lower slices.  :func:`_sumset` answers it with one shifted OR per run of
 one operand along the last axis, of the other mask widened to the run's
 length.
+
+Both generator reports run one stage: at degree ``k`` a point is reducible
+when it lies in some ``interior_{k-j} + basis_j``.  Under the degree-one
+action the basis is the degree-one slice alone.  Under the full action it
+is the Hilbert basis of the graded semigroup, its points that are no sum
+of two of positive degree; it lies in degrees ``<= max(dim - 1, 1)`` and
+is built degree by degree with the same sumsets (:func:`full_generators`).
+
 The per-point predicates :func:`is_irreducible` and
 :func:`is_irreducible_full` and :func:`reduced_degree_oracle` are kept as
 independent twins to test the mask kernel against.
@@ -23,7 +31,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +41,8 @@ from .polytope import BudgetError, Polytope
 
 # Work budget of the shifted ORs, in mask cells ORed, checked before the
 # first sumset.  example2(6) reads 1.5e10 for its degree-one generators and
-# 3.3e11 under the full action; conv{0, 60e1, 60e2, 60e3} reads 3.1e11.
+# 2.9e10 under the full action, 1.35e10 of it a bound on building the
+# Hilbert basis; conv{0, 60e1, 60e2, 60e3} reads 3.1e11 and 3.2e11.
 SUMSET_CAP = 10**11
 
 
@@ -125,6 +134,18 @@ def _sumset(a: tuple, b: tuple) -> tuple:
             wide, n = w, n + s
         out[tuple(slice(i, i + m) for i, m in zip(first, wide.shape))] |= wide
     return tuple(map(operator.add, lo_a, lo_b)), out
+
+
+def _outside(mask, pairs) -> np.ndarray:
+    """The cells of ``mask`` in no sumset ``A + B`` of the slice pairs
+    ``pairs``, all of them on the box of ``mask``.  Each sumset's mask is
+    overwritten with the running result, so at most the result and one
+    sumset of the box's size are held at a time."""
+    for a, b in pairs:
+        s = _sumset(a, b)[1]
+        np.logical_not(s, out=s)
+        mask = np.logical_and(mask, s, out=s)
+    return mask
 
 
 def degree_one_points(P: Polytope) -> tuple:
@@ -266,25 +287,30 @@ def irreducible_generators(P: Polytope) -> GeneratorReport:
     reducible points are the interior ones in ``interior_{k-1} + P``.
     """
     return P._memo("generator_report", lambda: _generator_report(
-        P, lambda k: range(max(k - 1, 1), k)))
+        P, {1: P._slice(1, False)}))
 
 
-def _generator_report(P: Polytope, lows: Callable[[int], range]
+def _generation_work(P: Polytope, basis: Dict[int, tuple]) -> int:
+    """Mask cells the sumsets of :func:`_generator_report` OR."""
+    return sum(_sumset_work(P._slice(k - j, True), b)
+               for j, b in basis.items() if b[1].any()
+               for k in range(j + 1, P.dim + 2))
+
+
+def _generator_report(P: Polytope, basis: Dict[int, tuple], spent: int = 0
                       ) -> GeneratorReport:
     """Scan degrees ``1 .. dim + 1`` for the interior points outside every
-    sumset ``interior_low + lattice_{k-low}`` with ``low`` in ``lows(k)``."""
-    pairs = {k: [(P._slice(low, True), P._slice(k - low, False))
-                 for low in lows(k)] for k in range(1, P.dim + 2)}
-    _check_work(sum(_sumset_work(a, b)
-                    for ps in pairs.values() for a, b in ps))
+    sumset ``interior_{k-j} + basis_j`` with ``j < k``, where ``basis``
+    maps a degree ``j`` to the slice of subtracted points; an empty one is
+    skipped.  ``spent`` is the sumset work already admitted."""
+    _check_work(spent + _generation_work(P, basis))
     gens = []
     for k in range(1, P.dim + 2):
         lo, inner = P._slice(k, True)
-        reducible = np.zeros_like(inner)
-        for a, b in pairs[k]:
-            reducible |= _sumset(a, b)[1]
-        gens.extend(GradedPoint(p, k)
-                    for p in P._points(k, lo, inner & ~reducible))
+        free = _outside(inner, ((P._slice(k - j, True), b)
+                                for j, b in basis.items()
+                                if j < k and b[1].any()))
+        gens.extend(GradedPoint(p, k) for p in P._points(k, lo, free))
     hist: Dict[int, int] = {}
     for g in gens:
         hist[g.degree] = hist.get(g.degree, 0) + 1
@@ -335,12 +361,46 @@ def full_generators(P: Polytope) -> GeneratorReport:
     subset of :func:`irreducible_generators`, so their degrees are also
     capped by ``dim + 1`` and the scan over degrees ``1 .. dim + 1`` is
     exhaustive.  The two reports coincide exactly when every graded lattice
-    point splits into degree-one summands (see :func:`idp_check`).  At
-    degree ``k`` the reducible points are the interior ones in some
-    ``interior_low + lattice_{k-low}``, ``1 <= low < k``.
+    point splits into degree-one summands (see :func:`idp_check`).
+
+    The subtracted point can be taken from the Hilbert basis of the graded
+    semigroup, its points that are no sum of two of positive degree: if
+    ``y = z + w`` with ``z`` interior and ``w = w1 + w2``, then ``z + w2``
+    is still interior and ``y = (z + w2) + w1``.  That basis lies in
+    degrees ``<= max(dim - 1, 1)``, because ``(c + 1)P`` and ``cP + P``
+    hold the same lattice points for every ``c >= dim - 1`` (Bruns,
+    Gubeladze and Trung, 1997).  So the basis slices are built degree by
+    degree up to there with the same sumsets, and at degree ``k`` the
+    reducible points are the interior ones in some
+    ``interior_{k-j} + basis_j``.  Most ``basis_j`` with ``j >= 2`` are
+    empty or a few points.
     """
     return P._memo("full_generator_report",
-                   lambda: _generator_report(P, lambda k: range(1, k)))
+                   lambda: _full_generator_report(P))
+
+
+def _full_generator_report(P: Polytope) -> GeneratorReport:
+    """The generator scan over the Hilbert basis slices: ``basis_1`` is the
+    degree-one slice, and ``basis_j`` for ``2 <= j <= max(dim - 1, 1)``
+    holds the points of ``lattice_j`` outside every
+    ``basis_i + lattice_{j-i}``, ``i < j``."""
+    top = max(P.dim - 1, 1)
+    lattice = {j: P._slice(j, False) for j in range(1, top + 1)}
+    # basis_i lies in lattice_i, and basis_i + lattice_{j-i} walks the
+    # sparser operand and ORs the other: at most the fewer points of the
+    # two lattice slices times the larger box
+    spent = sum(min(np.count_nonzero(a[1]), np.count_nonzero(b[1]))
+                * max(a[1].size, b[1].size)
+                for j in range(2, top + 1) for i in range(1, j)
+                for a, b in [(lattice[i], lattice[j - i])])
+    _check_work(spent + _generation_work(P, {1: lattice[1]}))
+    basis = {1: lattice[1]}
+    for j in range(2, top + 1):
+        lo, lat = lattice[j]
+        basis[j] = lo, _outside(lat, ((b, lattice[j - i])
+                                      for i, b in basis.items()
+                                      if b[1].any()))
+    return _generator_report(P, basis, spent)
 
 
 def idp_check(P: Polytope, kmax: Optional[int] = None

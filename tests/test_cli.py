@@ -285,7 +285,9 @@ def test_hull_of_every_cube_point_matches_the_vertex_cube(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--full"]],
+                         ids=["degree-one", "full"])
+def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch, flags):
     def never(*args):
         raise AssertionError("a sumset started")
 
@@ -293,7 +295,7 @@ def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch):
     path = tmp_path / "simplex.json"
     path.write_text(json.dumps({"ambient_dim": 3, "vertices": [
         [0, 0, 0], [60, 0, 0], [0, 60, 0], [0, 0, 60]]}))
-    rc, out, err = run_cli(capsys, "generators", str(path))
+    rc, out, err = run_cli(capsys, "generators", str(path), *flags)
     assert rc == 1 and out == "" and "cap of 100000000000" in err
 
 
@@ -342,6 +344,16 @@ def test_usage_error_exits_one(capsys):
     assert rc == 1 and out == ""
     rc, out, _ = run_cli(capsys, "generators")
     assert rc == 1 and out == ""
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    path = write_family(tmp_path, capsys, "reeve", q=2)
+    first = run_cli(capsys, "generators", path, "--full")
+    assert first[0] == 0
+    rc, out, _ = run_cli(capsys, "generators", "--no-such-flag", path)
+    assert rc == 1 and out == ""
+    again = run_cli(capsys, "generators", path, "--full")
+    assert again[0] == 0 and again[1] == first[1]
 
 
 def test_help_exits_zero(capsys):

@@ -3,17 +3,19 @@ action and under the full graded semigroup), degree bounds, and the
 degree-one splitting check."""
 
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from polycanon import families
+from polycanon import families, semigroup
 from polycanon.cone import GradedPoint, ReductionWitness
 from polycanon.exactmath import vsub
 from polycanon.polytope import Polytope
 from polycanon.semigroup import (
+    _check_work,
     _runs,
     _sumset,
     _sumset_work,
@@ -330,6 +332,22 @@ def _rdeg_loop(P, y):
         tuple(sorted(parts, key=lambda p: p.position)))
 
 
+def _full_generators_by_pairs(P):
+    """The full-action generators by the pairwise route: at degree ``k``
+    the interior points outside every ``interior_low + lattice_{k-low}``,
+    ``1 <= low < k``."""
+    gens = []
+    for k in range(1, P.dim + 2):
+        lo, inner = P._slice(k, True)
+        reducible = np.zeros_like(inner)
+        for low in range(1, k):
+            reducible |= _sumset(P._slice(low, True),
+                                 P._slice(k - low, False))[1]
+        gens.extend(GradedPoint(p, k)
+                    for p in P._points(k, lo, inner & ~reducible))
+    return tuple(gens)
+
+
 BIG = 2 ** 40
 
 
@@ -355,6 +373,74 @@ def test_mask_kernel_matches_its_twins(P):
         assert value == reduced_degree_oracle(P, y)
         assert wit.total() == y
         assert (value, wit) == _rdeg_loop(P, y)
+
+
+FLAT_CUBE = Polytope.from_vertices(  # {0,2}^3 under x -> (x, x1 + 2 x2 - x3)
+    [(a, b, c, a + 2 * b - c) for a in (0, 2) for b in (0, 2) for c in (0, 2)])
+
+REEVE_4D = Polytope.from_vertices(  # an empty simplex, not IDP
+    [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 7)])
+
+
+@given(small_hulls())
+@example(families.reeve_simplex(2))
+@example(families.reeve_simplex(5))
+@example(families.reeve_simplex(13))
+@example(REEVE_4D)
+@example(FLAT_CUBE)
+@example(Polytope.from_vertices([(0,), (3,)]))
+@example(Polytope.from_vertices([(2, -1)]))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_full_generators_match_the_pairwise_route(P):
+    assert full_generators(P).generators == _full_generators_by_pairs(P)
+
+
+@given(small_hulls())
+@example(families.reeve_simplex(13))
+@example(families.reeve_simplex(50))
+@example(REEVE_4D)
+@example(FLAT_CUBE)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_lattice_points_of_degree_dim_split_off_a_degree_one_point(P):
+    # (c + 1)P = cP + P on lattice points for c = dim - 1, so the Hilbert
+    # basis of the graded semigroup lies in degrees <= dim - 1
+    assume(P.dim >= 2)
+    lo, mask = P._slice(P.dim, False)
+    ref_lo, ref = _sumset_by_points(P._slice(P.dim - 1, False),
+                                    P._slice(1, False))
+    assert ref_lo == lo and (ref == mask).all()
+
+
+@given(small_hulls())
+@example(families.reeve_simplex(5))
+@example(REEVE_4D)
+@example(FLAT_CUBE)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_sumsets_stay_within_the_checked_budget(P):
+    # every sumset run, counted as _sumset_work counts it, fits under the
+    # cumulative total of the last checkpoint before it
+    checked, spent = [], []
+
+    def check(work):
+        assert not checked or work >= checked[-1]
+        checked.append(work)
+        _check_work(work)
+
+    def spy(a, b):
+        spent.append(_sumset_work(a, b))
+        assert checked and sum(spent) <= checked[-1]
+        return _sumset(a, b)
+
+    for report in (irreducible_generators, full_generators):
+        checked.clear()
+        spent.clear()
+        with mock.patch.object(semigroup, "_check_work", check), \
+                mock.patch.object(semigroup, "_sumset", spy):
+            report(Polytope.from_vertices(P.vertices))
+        assert len(checked) == (2 if report is full_generators else 1)
 
 
 def _sumset_by_points(a, b):

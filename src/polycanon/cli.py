@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -33,8 +34,50 @@ from .triangulation import (
 )
 
 
+def _canonical(x, pad: str = "") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte, with the
+    lines of ``x`` after its first indented by ``pad``.
+
+    ``json.dumps`` takes its pure-Python encoder whenever it indents, so a
+    triangulation's long lists of small int lists cost more to print than
+    to check.  Lists and dicts are written here, a list of ints and a list
+    of nonempty int lists each by joins alone (bools are not ints here);
+    keys, strings and every other value go through ``json.dumps``.  A dict
+    with a key that is not a string is written by ``json.dumps`` whole,
+    which converts such keys."""
+    if isinstance(x, str):
+        return json.dumps(x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if _ints(x):
+            items = map(int.__repr__, x)
+        elif (all(x) and set(map(type, x)) <= {list, tuple}
+              and _ints(itertools.chain.from_iterable(x))):
+            sep = ",\n" + inner + "  "
+            items = ("[\n" + inner + "  " + sep.join(map(int.__repr__, v))
+                     + "\n" + inner + "]" for v in x)
+        else:
+            items = (_canonical(v, inner) for v in x)
+        return ("[\n" + inner + (",\n" + inner).join(items)
+                + "\n" + pad + "]")
+    if isinstance(x, dict) and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        items = (json.dumps(k) + ": " + _canonical(x[k], inner)
+                 for k in sorted(x))
+        return ("{\n" + inner + (",\n" + inner).join(items)
+                + "\n" + pad + "}")
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _ints(values) -> bool:
+    return set(map(type, values)) == {int}
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_canonical(doc) + "\n")
 
 
 def _load_polytope(path: str) -> Polytope:
@@ -90,7 +133,7 @@ def cmd_family(args) -> int:
     doc = P.to_json_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            fh.write(_canonical(doc) + "\n")
     else:
         _emit(doc)
     return 0

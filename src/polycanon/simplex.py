@@ -10,10 +10,14 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .cone import GradedPoint, ReductionWitness
 from .exactmath import (
+    _INT64_GUARD,
     as_matrix,
     det_bareiss,
+    det_stack,
     smith_normal_form,
     solve_rational,
     transpose,
@@ -126,11 +130,14 @@ class HalfOpenBox:
     the residues ``r_i`` modulo the invariant factors ``d_i``.  A cell of
     full ambient dimension whose lifted points have determinant +-1 is
     unimodular, so its box is the origin; a Bareiss determinant proves it
-    and no Smith form is taken.  The covering check builds its boxes on
-    chart coordinates (``Polytope._chart``), where every full-dimensional
-    cell of an embedded hull is square too; chart coordinates are a lattice
-    isomorphism of the hull, so the box points are the same up to the
-    chart.
+    and no Smith form is taken.  The covering check takes its boxes from
+    :func:`cyclic_boxes`, one batched adjugate for all cells, and builds
+    this box only for a cell that route declines; the per-face slicers and
+    the cell-emptiness check build it themselves, so it is also the batch
+    route's exact twin.  Both work on chart coordinates
+    (``Polytope._chart``), where every full-dimensional cell of an embedded
+    hull is square too; chart coordinates are a lattice isomorphism of the
+    hull, so the box points are the same up to the chart.
 
     ``coefficients`` holds each point's ``t`` as the integers ``D * t`` in
     ``[0, D)``, where ``D`` is the largest invariant factor (every ``d_i``
@@ -196,6 +203,89 @@ class HalfOpenBox:
             reps.append((y[-1], y))
         reps.sort()
         return reps
+
+
+def cyclic_boxes(M: np.ndarray, dets: Sequence[int]) -> tuple:
+    """The half-open boxes of a stack of lifted simplices, from one batched
+    integer adjugate, for every simplex whose box is a cyclic group.
+
+    ``M`` is an int64 stack of square lifted matrices (one point and a
+    one per row) and ``dets`` their nonzero determinants.  ``Z^n / Z^n M``
+    has order ``D = |det M|``, and ``y -> D * y M^-1 mod D`` embeds it in
+    ``(Z/D)^n``, carrying the unit vectors to the rows of ``sign(det) *
+    adj(M) mod D``.  Those rows generate it, so a row with ``gcd(D, row) ==
+    1``, of order ``D``, generates it alone: the coefficients ``D * t`` of
+    the box are ``c * row mod D`` for ``c = 0..D-1`` and its points are
+    ``(D * t) @ M / D``, each division checked exact.  The adjugate's
+    entries are cofactors, all taken in one :func:`det_stack` call.
+
+    Returns ``(take, owner, coefficients, points)``: ``take`` is false for
+    a matrix with no single generating row and for one whose values could
+    reach ``_INT64_GUARD`` (``n`` times its squared Hadamard bound bounds
+    them all), which keep :class:`HalfOpenBox`; the other arrays hold the
+    box points of the taken matrices, matrix by matrix, with the index of
+    each point's matrix and its ``D * t`` and lattice point as int64 rows,
+    as :class:`HalfOpenBox` gives them up to order.
+    """
+    s, n = len(M), M.shape[-1]
+    take = np.zeros(s, dtype=bool)
+    if s and int(np.abs(M).max()) ** 2 * n < _INT64_GUARD:
+        take[:] = [n * math.prod(r) < _INT64_GUARD
+                   for r in (M * M).sum(axis=2).tolist()]
+    idx = np.flatnonzero(take)
+    A = M[idx]
+    # cofactor (i, j) is (-1)^(i+j) times the minor without row i, column j
+    rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
+                    dtype=np.int64).reshape(n, n - 1)
+    minors = A[:, rest[:, None, :, None], rest[None, :, None, :]]
+    cof = np.array(det_stack(minors.reshape(-1, n - 1, n - 1)),
+                   dtype=np.int64).reshape(len(idx), n, n)
+    taken = np.array([dets[i] for i in idx], dtype=np.int64)
+    sign, D = np.sign(taken), np.abs(taken)
+    checker = 1 - 2 * (np.add.outer(range(n), range(n)) % 2)
+    rows = (cof * checker).transpose(0, 2, 1) * sign[:, None, None]
+    rows %= D[:, None, None]
+    unit = np.gcd(np.gcd.reduce(rows, axis=2), D[:, None]) == 1
+    cyclic = unit.any(axis=1)
+    take[idx[~cyclic]] = False
+    gen = rows[cyclic, unit[cyclic].argmax(axis=1)]
+    idx, A, D = idx[cyclic], A[cyclic], D[cyclic]
+    local = np.repeat(np.arange(len(idx)), D)
+    c = np.arange(len(local)) - np.repeat(np.cumsum(D) - D, D)
+    Dp = D[local, None]
+    coefficients = c[:, None] * gen[local] % Dp
+    Y = np.einsum("pi,pij->pj", coefficients, A[local])
+    if (Y % Dp).any():
+        raise AssertionError("fundamental-domain point not integral")
+    return take, idx[local], coefficients, Y // Dp
+
+
+def face_box_points(lifted: np.ndarray, first: np.ndarray,
+                    support: np.ndarray, points: np.ndarray,
+                    box: np.ndarray, on: np.ndarray) -> tuple:
+    """:meth:`HalfOpenBox.face_reps` for many faces at once.
+
+    Box ``b`` has the lifted generator rows ``lifted[b]`` (one per
+    simplex vertex) and the box points ``points[first[b]:first[b + 1]]``,
+    with ``support`` their nonzero coefficients as booleans.  Face ``f``
+    lies in box ``box[f]`` at the vertex positions where ``on[f]`` is
+    true.  Its ``(0, 1]`` box is the box points with no support off the
+    face, each raised by the generators on the face where its
+    coefficient is zero.  Every face meets every point of its box in one
+    ragged expansion.
+
+    Returns ``(face, reps)``: the faces' box points as int64 rows, degree
+    last, face by face in face order, and the index of each one's face.
+    """
+    count = first[box + 1] - first[box]
+    face = np.repeat(np.arange(len(box)), count)
+    p = np.arange(len(face)) + np.repeat(first[box] - np.cumsum(count)
+                                         + count, count)
+    keep = ~(support[p] & ~on[face]).any(axis=1)
+    face, p = face[keep], p[keep]
+    raised = (on[face] & ~support[p]).astype(np.int64)
+    return face, points[p] + np.einsum("pi,pij->pj", raised,
+                                       lifted[box[face]])
 
 
 class SimplexConeSlicer:

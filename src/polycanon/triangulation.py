@@ -15,17 +15,20 @@ integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
-face one owning cell.  Its set-up works on index arrays: every point is
-lifted into chart coordinates in one product, and every owning cell's
-determinant is taken in one batched call.  A face of a unimodular cell has
-one box point, the sum of its lifted vertices; the faces of every other
-cell are read off that cell's half-open box (one Smith form) on chart
-coordinates.  It counts each degree on the chart box of the dilate: the
-points of all faces of one size from box points of one degree are one
-integer product, and their ``bincount`` must equal the dilate's interior
-mask, which the facet-form scan builds, so the two routes stay
-independent.  A degree that does not match is walked point by point by
-per-face slicers, built only then, which names the failing point.
+face one owning cell, the first cell containing it.  Its set-up works on
+index arrays: the faces of one size come from one sort of every cell's
+index combinations, every point is lifted into chart coordinates in one
+product, and every owning cell's determinant is taken in one batched call.
+A face of a unimodular cell has one box point, the sum of its lifted
+vertices; the faces of every other cell are read off that cell's
+half-open box on chart coordinates, all boxes from one batched adjugate
+and a Smith form only for a cell that route declines.  It counts each
+degree on the chart box of the dilate: the points of all faces of one size
+from box points of one degree are one integer product, and their
+``bincount`` must equal the dilate's interior mask, which the facet-form
+scan builds, so the two routes stay independent.  A degree that does not
+match is walked point by point by per-face slicers, built only then, which
+names the failing point.
 """
 
 from __future__ import annotations
@@ -49,7 +52,13 @@ from .polytope import (
     _placing,
     _tight_form_masks,
 )
-from .simplex import HalfOpenBox, SimplexConeSlicer, _compositions
+from .simplex import (
+    HalfOpenBox,
+    SimplexConeSlicer,
+    _compositions,
+    cyclic_boxes,
+    face_box_points,
+)
 
 
 @dataclass(frozen=True)
@@ -115,9 +124,12 @@ def _boundary_count(cells) -> Counter:
     return cnt
 
 
-def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
+def _stellar_insert(coords, cells, xs: Sequence[int],
+                    planes: Optional[Dict[tuple, tuple]] = None) -> list:
     """Stellar-insert the points ``xs`` (indices into ``coords``), one after
     another, into every cell containing them; returns the sorted cells.
+    ``planes`` may hold the forms of some facets already (see
+    :func:`_cell_forms`); it is filled in.
 
     One integer table holds the forms ``(n, o)`` of every cell
     (:func:`_cell_forms`) as rows ``(n, -o)``: ``A`` is cells x (d+1) x
@@ -134,7 +146,7 @@ def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
     where it does not.
     """
     d = len(coords[0])
-    planes: Dict[tuple, tuple] = {}
+    planes = {} if planes is None else planes
     rows = [[(*n, -o) for n, o in _cell_forms(coords, c, planes)]
             for c in cells]
     X = max((abs(a) for i in xs for a in coords[i]), default=0)
@@ -209,8 +221,17 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary_cells)
     if len(interior) > 1:
         index = {p: i for i, p in enumerate(pts)}
-        cells = _stellar_insert(_chart_coords(P._chart, pts), cells,
-                                [index[x] for x in interior[1:]])
+        coords = _chart_coords(P._chart, pts)
+        # a coned cell's facet opposite the apex is its boundary face, which
+        # spans the one facet of P tight on all of its points
+        masks = _tight_form_masks(coords, P._fd_facets)
+        planes = {}
+        for f in boundary_cells:
+            j = functools.reduce(operator.and_, (masks[i] for i in f))
+            form = P._fd_facets[j.bit_length() - 1]
+            planes[f] = form.normal, form.offset
+        cells = _stellar_insert(coords, cells,
+                                [index[x] for x in interior[1:]], planes)
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
@@ -246,20 +267,46 @@ def interior_faces(T: Triangulation, P: Polytope) -> tuple:
 
 
 def _interior_faces(T: Triangulation, P: Polytope) -> tuple:
-    """``(faces, owner)``: :func:`interior_faces` and, for each of them, the
-    first cell of ``T`` containing it.  Cached on ``P`` per triangulation."""
-    def build():
-        masks = _tight_masks(T, P)
-        owner: Dict[tuple, Optional[tuple]] = {}
-        for cell in T.cells:
-            for r in range(1, len(cell) + 1):
-                for f in itertools.combinations(cell, r):
-                    if f not in owner:
-                        owner[f] = None if _face_in_boundary(masks, f) \
-                            else cell
-        owner = {f: c for f, c in owner.items() if c is not None}
-        return tuple(sorted(owner, key=lambda f: (len(f), f))), owner
-    return P._memo(("interior_faces", T), build)
+    """``(faces, groups)``: :func:`interior_faces` and, per face size in
+    increasing order, ``(F, owner)``: those faces as the rows of an int64
+    array, in the same order, and for each the index in ``T.cells`` of the
+    first cell containing it.  Cached on ``P`` per triangulation."""
+    return P._memo(("interior_faces", T),
+                   lambda: _face_groups(T, _tight_masks(T, P)))
+
+
+def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
+    """:func:`_interior_faces` from the points' tight-facet bitmasks.
+
+    The faces of one size are every cell's index combinations, in cell
+    order, as the rows of one array.  A stable sort on one packed int64
+    key per row (the row's digits in base ``len(T.points)``, or the rows
+    themselves when that key could reach ``_INT64_GUARD``) sorts them and
+    puts each face's first cell first.  A face is interior iff the AND of
+    its points' masks, held as 64-bit words, is zero."""
+    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
+    n = C.shape[1]
+    words = max(1, -(-max(masks, default=0).bit_length() // 64))
+    M = np.array([[(a >> (64 * w)) & (2**64 - 1) for w in range(words)]
+                  for a in masks], dtype=np.uint64).reshape(-1, words)
+    faces, groups = [], []
+    for r in range(1, n + 1):
+        combos = list(itertools.combinations(range(n), r))
+        F = C[:, combos].reshape(-1, r)
+        if len(T.points) ** r < _INT64_GUARD:
+            order = np.argsort(F @ len(T.points) ** np.arange(r)[::-1],
+                               kind="stable")
+        else:
+            order = np.lexsort(F.T[::-1])
+        F = F[order]
+        first = np.ones(len(F), dtype=bool)
+        first[1:] = (F[1:] != F[:-1]).any(axis=1)
+        F, order = F[first], order[first]
+        inside = ~np.bitwise_and.reduce(M[F], axis=1).any(axis=1)
+        F = F[inside]
+        groups.append((F, order[inside] // len(combos)))
+        faces += map(tuple, F.tolist())
+    return tuple(faces), groups
 
 
 def total_normalized_volume(T: Triangulation) -> int:
@@ -308,19 +355,18 @@ def _face_slicers(T: Triangulation, P: Polytope) -> Optional[list]:
     """One slicer per interior face, in face order, or ``None`` when an
     owning cell is degenerate.  One box per owning cell; each face's box is
     read off its owner's."""
-    faces = interior_faces(T, P)
-    owner = _interior_faces(T, P)[1]  # cached by the call above
-    boxes: Dict[tuple, HalfOpenBox] = {}
+    boxes: Dict[int, HalfOpenBox] = {}
     slicers = []
-    for f in faces:
-        cell = owner[f]
-        if cell not in boxes:
-            try:
-                boxes[cell] = HalfOpenBox(T.cell_points(cell))
-            except ValueError:
-                return None
-        slicers.append(SimplexConeSlicer.from_box(
-            boxes[cell], [cell.index(i) for i in f]))
+    for F, owner in _interior_faces(T, P)[1]:
+        for f, o in zip(F.tolist(), owner.tolist()):
+            cell = T.cells[o]
+            if o not in boxes:
+                try:
+                    boxes[o] = HalfOpenBox(T.cell_points(cell))
+                except ValueError:
+                    return None
+            slicers.append(SimplexConeSlicer.from_box(
+                boxes[o], [cell.index(i) for i in f]))
     return slicers
 
 
@@ -338,10 +384,14 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
 
     Every triangulation point is lifted in one product, and every owning
     cell's ``|det|`` over its chart coordinates and a column of ones is
-    taken in one :func:`det_stack` call.  A face owned by a unimodular cell
-    has one box point, the sum of its lifted vertices, at degree ``n``;
-    the faces of each other owning cell are read off its
-    :class:`HalfOpenBox` on chart coordinates.
+    taken in one :func:`det_stack` call.  A unimodular cell's box is the
+    origin alone, so each of its faces has one box point, the sum of its
+    lifted vertices.  The boxes of all other owning cells come from one
+    batched adjugate (:func:`cyclic_boxes`); a cell it declines (no single
+    generating row, or values past ``_INT64_GUARD``) builds its
+    :class:`HalfOpenBox`.  Every face is read off its owner's box in one
+    ragged expansion per face size (:func:`face_box_points`), with no loop
+    over faces.
 
     ``None`` when a point has another ambient dimension or lies off the
     hull, an owning cell is not a full-dimensional simplex, or an entry
@@ -349,11 +399,9 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
     """
     chart = P._chart
     d, m = chart.dim, chart.ambient_dim
-    faces = interior_faces(T, P)
-    owner = _interior_faces(T, P)[1]  # cached by the call above
-    cells = list(set(owner.values()))
+    face_groups = _interior_faces(T, P)[1]
     if (any(len(p) != m for p in T.points)
-            or any(len(c) != d + 1 for c in cells)):
+            or any(len(c) != d + 1 for c in T.cells)):
         return None
     cols = [(*c, -dot(chart.origin, c))
             for c in (*chart.proj_cols, *chart.comp_cols)]
@@ -368,35 +416,43 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
         return None
     charted = np.ones((len(W), d + 1), dtype=np.int64)
     charted[:, :d] = W[:, :d]  # chart coordinates and a column of ones
-    dets = det_stack(charted[np.array(cells, dtype=np.int64)
-                             .reshape(len(cells), d + 1)])
+    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), d + 1)
+    owned = np.unique(np.concatenate([o for _, o in face_groups]))
+    lifted = charted[C[owned]]
+    dets = det_stack(lifted)
     if 0 in dets:
         return None
-    boxes = {c: HalfOpenBox(W[list(c), :d].tolist())
-             for c, v in zip(cells, dets) if abs(v) != 1}
+    # box points per owning cell: a unimodular cell's box is the origin
+    boxed = np.array([i for i, v in enumerate(dets) if abs(v) != 1],
+                     dtype=np.int64)
+    plain = np.setdiff1d(np.arange(len(owned)), boxed)
+    take, at, coeffs, points = cyclic_boxes(lifted[boxed],
+                                            [dets[i] for i in boxed])
+    at, support = [boxed[at], plain], [coeffs != 0, np.zeros(
+        (len(plain), d + 1), dtype=bool)]
+    points = [points, np.zeros((len(plain), d + 1), dtype=np.int64)]
+    for b in boxed[~take]:
+        box = HalfOpenBox(lifted[b, :, :d].tolist())
+        at.append(np.full(len(box.points), b))
+        support.append(np.array(box.coefficients, dtype=object) != 0)
+        points.append(np.array(box.points, dtype=np.int64))
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")
+    first = np.searchsorted(at[order], np.arange(len(owned) + 1))
+    support = np.concatenate(support)[order]
+    points = np.concatenate(points)[order]
+    box_of = np.zeros(len(C), dtype=np.int64)
+    box_of[owned] = np.arange(len(owned))
     groups: Dict[tuple, tuple] = {}
-    boxed: Dict[tuple, tuple] = {}  # (n, h) -> box points, faces
-    for n, group in itertools.groupby(faces, len):
-        plain = []
-        for f in group:
-            cell = owner[f]
-            if cell not in boxes:
-                plain.append(f)
-                continue
-            for h, y in boxes[cell].face_reps([cell.index(i) for i in f]):
-                ys, fs = boxed.setdefault((n, h), ([], []))
-                ys.append(y[:d] + (0,) * (m - d))
-                fs.append(f)
-        if plain:
-            G = W[np.array(plain, dtype=np.int64)]
-            groups[(n, n)] = (G.sum(axis=1), G)
-    for (n, h), (ys, fs) in boxed.items():
-        R = np.array(ys, dtype=np.int64)
-        G = W[np.array(fs, dtype=np.int64)]
-        if (n, h) in groups:
-            R0, G0 = groups[(n, h)]
-            R, G = np.concatenate([R0, R]), np.concatenate([G0, G])
-        groups[(n, h)] = (R, G)
+    for F, owner in face_groups:
+        on = (C[owner][:, :, None] == F[:, None, :]).any(axis=2)
+        face, reps = face_box_points(lifted, first, support, points,
+                                     box_of[owner], on)
+        R = np.zeros((len(reps), m), dtype=np.int64)
+        R[:, :d] = reps[:, :d]
+        h = reps[:, d]
+        for k in np.unique(h).tolist():
+            groups[(F.shape[1], k)] = R[h == k], W[F[face[h == k]]]
     bound = max([int(np.abs(W).max(initial=0))]
                 + [int(np.abs(R).max(initial=0)) for R, _ in groups.values()])
     return bound, groups

@@ -9,9 +9,11 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycanon.checks as checks_mod
-from polycanon.cli import main
+from polycanon.cli import _canonical, main
 from polycanon.polytope import BudgetError, Polytope
 
 
@@ -371,3 +373,25 @@ def test_stdin_input(capsys, monkeypatch):
     # the open unit segment first meets the lattice at dilation two
     assert json.loads(out)["generators"] == [
         {"degree": 2, "position": [1]}]
+
+
+# ------------------------------------------------------- the canonical writer
+
+_scalars = (st.none() | st.booleans()
+            | st.integers() | st.integers(-2**200, 2**200)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(st.characters(), max_size=6))
+_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(st.lists(st.integers(), max_size=3), max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=12)
+
+
+@given(_values)
+@settings(max_examples=100, deadline=None)
+def test_canonical_writer_matches_json_dumps(value):
+    assert _canonical(value) == json.dumps(value, sort_keys=True, indent=2)

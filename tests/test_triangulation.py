@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import polycanon.simplex as smod
 import polycanon.triangulation as tmod
 from polycanon import families
 from polycanon.checks import _is_empty_cell, default_corpus
@@ -289,6 +290,28 @@ def _interior_faces_by_slack(T, P):
         key=lambda f: (len(f), f)))
 
 
+def _interior_faces_by_dict(T, P):
+    """``(faces, owner)`` built face by face: every cell's index
+    combinations in cell order, each face owned by the first cell that
+    contains it, faces on the boundary dropped."""
+    masks = tmod._tight_masks(T, P)
+    owner = {}
+    for cell in T.cells:
+        for r in range(1, len(cell) + 1):
+            for f in itertools.combinations(cell, r):
+                if f not in owner:
+                    owner[f] = None if tmod._face_in_boundary(masks, f) \
+                        else cell
+    owner = {f: c for f, c in owner.items() if c is not None}
+    return tuple(sorted(owner, key=lambda f: (len(f), f))), owner
+
+
+def _owners(T, groups):
+    """The owning cell of every face of :func:`_interior_faces` groups."""
+    return {tuple(f): T.cells[o] for F, owner in groups
+            for f, o in zip(F.tolist(), owner.tolist())}
+
+
 def _empty_by_scan(points):
     return is_empty_simplex(Polytope.from_vertices(points))
 
@@ -324,7 +347,14 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
     for T in tris:
         faces = interior_faces(T, P)
         assert faces == _interior_faces_by_slack(T, P)
-        assert set(_interior_faces(T, P)[1]) == set(faces)
+        want = _interior_faces_by_dict(T, P)
+        groups = _interior_faces(T, P)[1]
+        assert (faces, _owners(T, groups)) == want
+        # the rows themselves past the packed key's guard
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmod, "_INT64_GUARD", 0)
+            got, groups = tmod._face_groups(T, tmod._tight_masks(T, P))
+        assert (got, _owners(T, groups)) == want
         reps = {f: SimplexConeSlicer(T.cell_points(f))._reps for f in faces}
         for cell in T.cells:
             cp = T.cell_points(cell)
@@ -397,7 +427,7 @@ def test_count_mask_covering_matches_the_point_loop(P):
     if P.dim >= 2 and P.interior_lattice_points(1):
         tris.append(interior_respecting_triangulation(P))
     for T in tris:
-        faces, owner = _interior_faces(T, P)
+        faces, owner = _interior_faces_by_dict(T, P)
         slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
         cover = _cover_arrays(T, P)
         for k in range(1, kmax + 1):
@@ -458,6 +488,43 @@ def test_cover_arrays_match_the_per_face_groups(P):
             assert verify_decomposition(tris[0], P, kmax) == want
 
 
+def test_cover_arrays_build_a_box_only_for_declined_cells(monkeypatch):
+    K = 2**20
+    polys = [
+        # Z/2 x Z/2, and Z/6 with no single generating row
+        Polytope.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]),
+        Polytope.from_vertices([(0, 0), (2, 0), (0, 3)]),
+        # Z/2 x Z/2 sheared past the batch's int64 guard
+        Polytope.from_vertices([(x, y + K * x, z + K * y) for x, y, z in
+                                [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]]),
+    ]
+    built = []
+
+    class Spy(HalfOpenBox):
+        def __init__(self, points):
+            built.append(points)
+            super().__init__(points)
+
+    monkeypatch.setattr(tmod, "HalfOpenBox", Spy)
+    for P in polys:
+        T = placing_triangulation(P)
+        built.clear()
+        cover = _cover_arrays(T, P)
+        assert len(built) == 1
+        assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_slicers(T, P))
+        assert not _box_fits(P, P.dim + 2) or verify_decomposition(
+            T, P, P.dim + 2)
+    # cyclic boxes take no Smith form at all
+    P = families.reeve_simplex(13)
+    T = placing_triangulation(P)
+    built.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(smod, "smith_normal_form", _no_slicer)
+        cover = _cover_arrays(T, P)
+    assert not built
+    assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_slicers(T, P))
+
+
 def test_cover_arrays_decline_points_off_the_hull():
     # one cell of normalized volume 6 in Z^3, moved along a direction the
     # chart does not see: same chart coordinates, every point off the hull
@@ -470,7 +537,7 @@ def test_cover_arrays_decline_points_off_the_hull():
                             for p in T.points), T.cells)
     assert _cover_arrays(T, P) is not None
     assert _cover_arrays(M, P) is None
-    faces, owner = _interior_faces(M, P)
+    faces, owner = _interior_faces_by_dict(M, P)
     res = verify_decomposition(M, P, 3)
     assert not res and res == _cover_loop(M, P, 3, faces, owner)
 
@@ -537,19 +604,22 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
     reasons = set()
     for P, M in cases:
         kmax = P.dim + 2
-        faces, owner = _interior_faces(M, P)
+        faces, owner = _interior_faces_by_dict(M, P)
         res = verify_decomposition(M, P, kmax)
         assert res == _cover_loop(M, P, kmax, faces, owner)
         reasons.add(res.reason)
     for P in polys:
         # each interior face removed in turn leaves its open cone uncovered
         T = full_lattice_triangulation(P)
-        faces, owner = _interior_faces(T, P)
+        faces, groups = _interior_faces(T, P)
+        owner = _owners(T, groups)
         for f in faces[::max(1, len(faces) // 4)]:
             kept = tuple(g for g in faces if g != f)
             own = {g: c for g, c in owner.items() if g != f}
+            cut = [(F[keep], o[keep]) for F, o in groups
+                   for keep in [[tuple(g) != f for g in F.tolist()]]]
             with monkeypatch.context() as mp:
-                mp.setattr(tmod, "_interior_faces", lambda T, P: (kept, own))
+                mp.setattr(tmod, "_interior_faces", lambda T, P: (kept, cut))
                 res = verify_decomposition(T, P, P.dim + 2)
             assert not res
             assert res == _cover_loop(T, P, P.dim + 2, kept, own)
@@ -641,6 +711,20 @@ def test_stellar_table_matches_the_cell_loop(P):
             assert tmod._stellar_insert(coords, cells, xs) == want
     assert interior_respecting_triangulation(P).cells == \
         tuple(_insert_by_cells(*_stellar_cases(P)[0]))
+    # the planes opposite the apex are the facets of P: only planes through
+    # the apex take a determinant
+    inside = P.interior_lattice_points(1)
+    apex = full_lattice_triangulation(P).points.index(inside[0])
+    faces = []
+
+    def spy(coords, f, v):
+        faces.append(f)
+        return form(coords, f, v)
+    form = tmod._facet_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmod, "_facet_form", spy)
+        tmod._interior_respecting(P, inside)
+    assert all(apex in f for f in faces)
 
 
 def _subdivide_by_cells(T, x):

@@ -40,21 +40,26 @@ def _canonical(x, pad: str = "") -> str:
 
     ``json.dumps`` takes its pure-Python encoder whenever it indents, so a
     triangulation's long lists of small int lists cost more to print than
-    to check.  Lists and dicts are written here, a list of ints and a list
-    of nonempty int lists each by joins alone (bools are not ints here);
-    keys, strings and every other value go through ``json.dumps``.  A dict
-    with a key that is not a string is written by ``json.dumps`` whole,
-    which converts such keys."""
-    if isinstance(x, str):
-        return json.dumps(x)
+    to check.  Lists, dicts with string keys, strings, ints (bools are not
+    ints here), ``None`` and bools are written here, a list of ints and a
+    list of nonempty int lists each by joins alone; every other value goes
+    through ``json.dumps``, and so does a dict with a key that is not a
+    string, whole, since ``json.dumps`` converts such keys."""
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return _string(x)
+    if x is None or t is bool:
+        return _ATOMS[x]
     inner = pad + "  "
-    if isinstance(x, (list, tuple)):
+    if t is list or t is tuple:
         if not x:
             return "[]"
-        if _ints(x):
+        if _only(x, int):
             items = map(int.__repr__, x)
         elif (all(x) and set(map(type, x)) <= {list, tuple}
-              and _ints(itertools.chain.from_iterable(x))):
+              and _only(itertools.chain.from_iterable(x), int)):
             sep = ",\n" + inner + "  "
             items = ("[\n" + inner + "  " + sep.join(map(int.__repr__, v))
                      + "\n" + inner + "]" for v in x)
@@ -62,18 +67,22 @@ def _canonical(x, pad: str = "") -> str:
             items = (_canonical(v, inner) for v in x)
         return ("[\n" + inner + (",\n" + inner).join(items)
                 + "\n" + pad + "]")
-    if isinstance(x, dict) and all(type(k) is str for k in x):
-        if not x:
-            return "{}"
-        items = (json.dumps(k) + ": " + _canonical(x[k], inner)
+    if t is dict and _only(x, str):
+        items = (_string(k) + ": " + _canonical(x[k], inner)
                  for k in sorted(x))
         return ("{\n" + inner + (",\n" + inner).join(items)
                 + "\n" + pad + "}")
+    if t is dict and not x:
+        return "{}"
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _ints(values) -> bool:
-    return set(map(type, values)) == {int}
+_ATOMS = {None: "null", True: "true", False: "false"}
+_string = json.encoder.encode_basestring_ascii  # json.dumps on a str
+
+
+def _only(values, kind: type) -> bool:
+    return set(map(type, values)) == {kind}
 
 
 def _emit(doc: dict) -> None:

@@ -384,14 +384,14 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
 
     Every triangulation point is lifted in one product, and every owning
     cell's ``|det|`` over its chart coordinates and a column of ones is
-    taken in one :func:`det_stack` call.  A unimodular cell's box is the
-    origin alone, so each of its faces has one box point, the sum of its
-    lifted vertices.  The boxes of all other owning cells come from one
-    batched adjugate (:func:`cyclic_boxes`); a cell it declines (no single
-    generating row, or values past ``_INT64_GUARD``) builds its
-    :class:`HalfOpenBox`.  Every face is read off its owner's box in one
-    ragged expansion per face size (:func:`face_box_points`), with no loop
-    over faces.
+    taken in one :func:`det_stack` call.  A face owned by a unimodular cell
+    has one box point, the sum of its lifted vertices, at degree ``n``.
+    The boxes of all other owning cells come from one batched adjugate
+    (:func:`cyclic_boxes`); a cell it declines (no single generating row,
+    or values past ``_INT64_GUARD``) builds its :class:`HalfOpenBox`.
+    Every face of those cells is read off its owner's box in one ragged
+    expansion per face size (:func:`face_box_points`), with no loop over
+    faces.
 
     ``None`` when a point has another ambient dimension or lies off the
     hull, an owning cell is not a full-dimensional simplex, or an entry
@@ -417,45 +417,65 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
     charted = np.ones((len(W), d + 1), dtype=np.int64)
     charted[:, :d] = W[:, :d]  # chart coordinates and a column of ones
     C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), d + 1)
-    owned = np.unique(np.concatenate([o for _, o in face_groups]))
-    lifted = charted[C[owned]]
-    dets = det_stack(lifted)
+    owned = np.zeros(len(C), dtype=bool)
+    for _, owner in face_groups:
+        owned[owner] = True
+    owned = np.flatnonzero(owned)
+    dets = det_stack(charted[C[owned]])
     if 0 in dets:
         return None
-    # box points per owning cell: a unimodular cell's box is the origin
-    boxed = np.array([i for i, v in enumerate(dets) if abs(v) != 1],
-                     dtype=np.int64)
-    plain = np.setdiff1d(np.arange(len(owned)), boxed)
-    take, at, coeffs, points = cyclic_boxes(lifted[boxed],
-                                            [dets[i] for i in boxed])
-    at, support = [boxed[at], plain], [coeffs != 0, np.zeros(
-        (len(plain), d + 1), dtype=bool)]
-    points = [points, np.zeros((len(plain), d + 1), dtype=np.int64)]
-    for b in boxed[~take]:
+    boxed = owned[[abs(v) != 1 for v in dets]]
+    box_of = np.full(len(C), -1)
+    box_of[boxed] = np.arange(len(boxed))
+    if len(boxed):
+        lifted = charted[C[boxed]]
+        first, support, points = _cell_boxes(
+            lifted, [v for v in dets if abs(v) != 1])
+    parts: Dict[tuple, list] = {}
+    for F, owner in face_groups:
+        n, b = F.shape[1], box_of[owner]
+        # a unimodular cell's box is the origin: a face's one box point is
+        # the sum of its lifted vertices
+        G = W[F[b < 0]]
+        if len(G):
+            parts.setdefault((n, n), []).append((G.sum(axis=1), G))
+        F, b = F[b >= 0], b[b >= 0]
+        if not len(F):
+            continue
+        on = (C[boxed[b]][:, :, None] == F[:, None, :]).any(axis=2)
+        face, reps = face_box_points(lifted, first, support, points, b, on)
+        R = np.zeros((len(reps), m), dtype=np.int64)
+        R[:, :d] = reps[:, :d]
+        h = reps[:, d]
+        for k in np.flatnonzero(np.bincount(h)).tolist():
+            G = W[F[face[h == k]]]
+            parts.setdefault((n, k), []).append((R[h == k], G))
+    groups = {key: tuple(map(np.concatenate, zip(*v)))
+              for key, v in parts.items()}
+    bound = max([int(np.abs(W).max(initial=0))]
+                + [int(np.abs(R).max(initial=0)) for R, _ in groups.values()])
+    return bound, groups
+
+
+def _cell_boxes(lifted: np.ndarray, dets: list) -> tuple:
+    """``(first, support, points)``: the half-open boxes of the cells with
+    lifted chart rows ``lifted`` and determinants ``dets``, box ``b``
+    holding rows ``first[b]:first[b + 1]`` of ``support`` (nonzero
+    coefficients) and ``points``.  From :func:`cyclic_boxes`, and from a
+    :class:`HalfOpenBox` for each cell it declines."""
+    d = lifted.shape[-1] - 1
+    take, at, coeffs, points = cyclic_boxes(lifted, dets)
+    at, support, points = [at], [coeffs != 0], [points]
+    for b in np.flatnonzero(~take):
         box = HalfOpenBox(lifted[b, :, :d].tolist())
         at.append(np.full(len(box.points), b))
         support.append(np.array(box.coefficients, dtype=object) != 0)
         points.append(np.array(box.points, dtype=np.int64))
     at = np.concatenate(at)
     order = np.argsort(at, kind="stable")
-    first = np.searchsorted(at[order], np.arange(len(owned) + 1))
-    support = np.concatenate(support)[order]
-    points = np.concatenate(points)[order]
-    box_of = np.zeros(len(C), dtype=np.int64)
-    box_of[owned] = np.arange(len(owned))
-    groups: Dict[tuple, tuple] = {}
-    for F, owner in face_groups:
-        on = (C[owner][:, :, None] == F[:, None, :]).any(axis=2)
-        face, reps = face_box_points(lifted, first, support, points,
-                                     box_of[owner], on)
-        R = np.zeros((len(reps), m), dtype=np.int64)
-        R[:, :d] = reps[:, :d]
-        h = reps[:, d]
-        for k in np.unique(h).tolist():
-            groups[(F.shape[1], k)] = R[h == k], W[F[face[h == k]]]
-    bound = max([int(np.abs(W).max(initial=0))]
-                + [int(np.abs(R).max(initial=0)) for R, _ in groups.values()])
-    return bound, groups
+    first = np.searchsorted(at[order], np.arange(len(lifted) + 1))
+    return (first, np.concatenate(support)[order],
+            np.concatenate(points)[order])
 
 
 @functools.lru_cache(maxsize=128)

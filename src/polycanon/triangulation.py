@@ -417,10 +417,8 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
     charted = np.ones((len(W), d + 1), dtype=np.int64)
     charted[:, :d] = W[:, :d]  # chart coordinates and a column of ones
     C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), d + 1)
-    owned = np.zeros(len(C), dtype=bool)
-    for _, owner in face_groups:
-        owned[owner] = True
-    owned = np.flatnonzero(owned)
+    owned = np.flatnonzero(np.bincount(
+        np.concatenate([o for _, o in face_groups]), minlength=len(C)))
     dets = det_stack(charted[C[owned]])
     if 0 in dets:
         return None

@@ -8,6 +8,7 @@ reports no matter the thread count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -442,12 +443,15 @@ def _boundary_face_property(P: Polytope) -> Optional[str]:
     if P.dim < 1:
         return None
     T = full_lattice_triangulation(P)
+    # per point, the set of facets tight on it as a bitmask: a face lies
+    # in a facet iff the sets of its points intersect
+    tight = [sum(1 << j for j, f in enumerate(P.facets) if f.slack(p) == 0)
+             for p in T.points]
     for face, cnt in sorted(_boundary_count(T.cells).items()):
         if cnt not in (1, 2):
             return f"cell facet {face} lies in {cnt} cells"
-        pts = T.cell_points(face)
-        on_boundary = any(
-            all(f.slack(p) == 0 for p in pts) for f in P.facets)
+        on_boundary = functools.reduce(
+            operator.and_, (tight[i] for i in face)) != 0
         if cnt == 1 and not on_boundary:
             return f"free cell facet {face} not on the boundary"
         if cnt == 2 and on_boundary:

@@ -21,6 +21,7 @@ coordinates of a flat hull stay about as small as its ambient ones.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
@@ -55,16 +56,24 @@ def as_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return M
 
 
+# The length check is written out in each helper: a shared helper's call
+# would cost about as much as the arithmetic on short vectors.
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(operator.mul, u, v))
 
 
 def vadd(u: Sequence[Number], v: Sequence[Number]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(operator.add, u, v))
 
 
 def vsub(u: Sequence[Number], v: Sequence[Number]) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(operator.sub, u, v))
 
 
 def vscale(u: Sequence[Number], s: Number) -> tuple:
@@ -125,13 +134,17 @@ def det_cofactor(M: Sequence[Sequence[Number]]) -> Number:
 
 
 def det_bareiss(M: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant via the Bareiss fraction-free algorithm."""
+    """Exact integer determinant via the Bareiss fraction-free algorithm.
+
+    Entries are read through ``operator.index``: numpy integers become
+    Python ints, which cannot overflow, and a non-integer raises
+    ``TypeError``."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    A = [list(row) for row in M]
+    A = [list(map(operator.index, row)) for row in M]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -150,19 +163,26 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
 
 
 def det_stack(stack) -> list:
-    """Determinants of a stack of square int64 matrices, as Python ints.
+    """Determinants of a stack of square integer matrices, as Python ints.
 
-    Fraction-free Bareiss with row pivoting, one step for the whole stack
-    at a time; a matrix with no pivot left in a column is singular and its
-    rows are set to the identity so that the steps go on.  Every value the
-    steps form is a product of two minors, so it is at most twice the
-    square of the Hadamard bound (product of the row norms).  A stack for
-    which that could reach ``_INT64_GUARD`` goes through
-    :func:`det_bareiss` one matrix at a time.
+    Fraction-free Bareiss with row pivoting on int64, one step for the
+    whole stack at a time; a matrix with no pivot left in a column is
+    singular and its rows are set to the identity so that the steps go on.
+    Every value the steps form is a product of two minors, so it is at most
+    twice the square of the Hadamard bound (product of the row norms).  A
+    stack with an entry past int64, or for which that bound could reach
+    ``_INT64_GUARD``, goes through :func:`det_bareiss` one matrix at a time.
     """
-    A = np.array(stack, dtype=np.int64)
-    s, n = A.shape[0], A.shape[-1]
-    if n == 0 or s == 0:
+    try:
+        A = np.array(stack, dtype=np.int64)
+    except OverflowError:
+        return [det_bareiss(M) for M in stack]
+    if not len(A):
+        return []
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("determinant needs a square matrix")
+    s, n = A.shape[:2]
+    if n == 0:
         return [1] * s
     if (int(np.abs(A).max()) ** 2 * n >= _INT64_GUARD
             or 2 * math.prod(max(1, int(r)) for r in

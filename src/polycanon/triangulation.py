@@ -43,7 +43,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .exactmath import build_chart, det_bareiss, det_stack, dot, vsub
+from .exactmath import build_chart, det_stack, dot
 from .polytope import (
     _INT64_GUARD,
     Polytope,
@@ -310,15 +310,16 @@ def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
 
 
 def total_normalized_volume(T: Triangulation) -> int:
-    """Sum of normalized cell volumes in the lattice of the hull."""
+    """Sum of normalized cell volumes in the lattice of the hull.
+
+    A cell's normalized volume is ``|det|`` of its points' chart
+    coordinates and a column of ones; every cell's is taken in one
+    :func:`det_stack` call."""
     chart = build_chart(list(T.points))
-    coords = _chart_coords(chart, T.points)
-    total = 0
-    for c in T.cells:
-        base = coords[c[0]]
-        edges = [vsub(coords[i], base) for i in c[1:]]
-        total += abs(det_bareiss(edges))
-    return total
+    rows = np.array([c + (1,) for c in _chart_coords(chart, T.points)],
+                    dtype=object)  # Python ints: any size reaches det_stack
+    cells = np.array(T.cells, dtype=np.intp).reshape(len(T.cells), T.dim + 1)
+    return sum(map(abs, det_stack(rows[cells])))
 
 
 def verify_decomposition(T: Triangulation, P: Polytope,

@@ -67,6 +67,11 @@ def test_vector_helpers():
     assert vsub((1, 2), (3, -1)) == (-2, 3)
     assert vscale((1, -2), 3) == (3, -6)
     assert dot((1, 2, 3), (4, 5, 6)) == 32
+    u, v = (Fraction(1, 3), Fraction(-2, 7), 5), (Fraction(3, 4), 1,
+                                                  Fraction(1, 6))
+    assert dot(u, v) == Fraction(67, 84)
+    assert vadd(u, v) == (Fraction(13, 12), Fraction(5, 7), Fraction(31, 6))
+    assert vsub(u, v) == (Fraction(-5, 12), Fraction(-9, 7), Fraction(29, 6))
     assert gcd_vector((4, -6, 0)) == 2
     assert primitive_vector((4, -6, 0)) == (2, -3, 0)
     assert primitive_vector((0, -5)) == (0, -1)
@@ -81,8 +86,24 @@ def test_vector_validation():
         as_vector((1, Fraction(1, 2)))
     with pytest.raises(ValueError):
         as_matrix([(1, 2), (3,)])
-    with pytest.raises(ValueError):
-        dot((1, 2), (1, 2, 3))
+    for f in (dot, vadd, vsub):
+        for u, v in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))):
+            with pytest.raises(ValueError, match="lengths"):
+                f(u, v)
+
+
+fraction_pairs = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    *[st.lists(st.fractions(max_denominator=50), min_size=n, max_size=n)] * 2))
+
+
+@given(fraction_pairs)
+def test_vector_helpers_are_exact_on_fractions(case):
+    # the Gram-Schmidt data of lll_reduce is Fractions
+    u, v = case
+    assert dot(u, v) == sum((Fraction(a) * b for a, b in zip(u, v)),
+                            Fraction(0))
+    assert vadd(u, v) == tuple(Fraction(a) + b for a, b in zip(u, v))
+    assert vsub(u, v) == tuple(Fraction(a) - b for a, b in zip(u, v))
 
 
 # ----------------------------------------------------------- determinants
@@ -96,6 +117,14 @@ def test_determinant_routes_agree(rows):
 def test_determinant_known_values():
     assert det_bareiss(((2, 0), (0, 3))) == 6
     assert det_bareiss(((0, 1), (1, 0))) == -1
+    # numpy entries are read as Python ints: no int64 overflow
+    big = np.array([[2**40, 1, 0], [3, 2**40, 1], [0, 5, 2**40]],
+                   dtype=np.int64)
+    assert det_bareiss(big) == det_cofactor(big.tolist())
+    assert det_bareiss(big) == 2**120 - 8 * 2**40
+    for bad in (((Fraction(1, 2),),), ((1.0, 0), (0, 1))):
+        with pytest.raises(TypeError):
+            det_bareiss(bad)
     assert det_cofactor(((Fraction(1, 2),),)) == Fraction(1, 2)
 
 
@@ -123,6 +152,17 @@ def test_det_stack_matches_both_routes(case):
     assert got == want and all(type(v) is int for v in got)
     with mock.patch.object(emod, "_INT64_GUARD", 0):
         assert det_stack(A) == want
+
+
+def test_det_stack_takes_python_ints_and_refuses_non_square_stacks():
+    # an entry past int64 sends the stack through det_bareiss as given
+    big = [[[2**70, 1], [1, 2**70]], [[3, 0], [0, 2]]]
+    assert det_stack(big) == [2**140 - 1, 6]
+    assert det_stack(np.array(big, dtype=object)) == [2**140 - 1, 6]
+    assert det_stack([]) == []
+    for bad in (np.zeros((2, 2, 3), dtype=np.int64), [[1, 2], [3, 4]]):
+        with pytest.raises(ValueError, match="square"):
+            det_stack(bad)
 
 
 @given(st.integers(2, 4).flatmap(square_matrix))

@@ -196,7 +196,8 @@ def _batch_matches_the_boxes(cells) -> list:
     every taken box has the same coefficients and points, and every face
     of it the same ``(0, 1]`` box.  Returns the ``take`` flags."""
     M = np.array([[p + (1,) for p in c] for c in cells], dtype=np.int64)
-    take, at, coeffs, points = cyclic_boxes(M, [det_bareiss(m) for m in M])
+    take, at, coeffs, points = cyclic_boxes(
+        M, [det_bareiss(m.tolist()) for m in M])
     n = M.shape[1]
     subsets = [s for r in range(1, n + 1)
                for s in itertools.combinations(range(n), r)]

@@ -4,17 +4,26 @@ subdivision, and the disjoint interior-cone covering checker."""
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import polycanon.checks as checks_mod
+import polycanon.exactmath as emod
 import polycanon.simplex as smod
 import polycanon.triangulation as tmod
 from polycanon import families
 from polycanon.checks import _is_empty_cell, default_corpus
-from polycanon.exactmath import build_chart, dot, generalized_cross, vsub
+from polycanon.exactmath import (
+    build_chart,
+    det_bareiss,
+    dot,
+    generalized_cross,
+    vsub,
+)
 from polycanon.polytope import Polytope
 from polycanon.simplex import HalfOpenBox, SimplexConeSlicer, is_empty_simplex
 from polycanon.triangulation import (
@@ -778,3 +787,97 @@ def test_stellar_subdivide_matches_the_cell_loop(case):
 def test_dependent_cell_is_not_empty():
     assert not _is_empty_cell([(0, 0), (1, 1), (2, 2)])
     assert not _is_empty_cell([(0, 0), (0, 0)])
+
+
+# ------------------------------- volumes and boundary faces against loops
+
+def _volume_by_cells(T):
+    """Per-cell twin of :func:`total_normalized_volume`: one
+    ``det_bareiss`` of each cell's edge vectors in chart coordinates."""
+    chart = build_chart(list(T.points))
+    coords = [chart.to_chart(p) for p in T.points]
+    total = 0
+    for c in T.cells:
+        base = coords[c[0]]
+        total += abs(det_bareiss([vsub(coords[i], base) for i in c[1:]]))
+    return total
+
+
+@given(hulls(), st.just(1))
+@example(families.example2(3), 2**40)  # det_stack goes matrix by matrix
+@example(Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)]),
+         2**70)  # entries past int64
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_volumes_match_the_cell_loop(P, scale):
+    assume(P.dim >= 1)
+    tris = [placing_triangulation(P), full_lattice_triangulation(P)]
+    if P.dim >= 2 and P.interior_lattice_points(1):
+        tris.append(interior_respecting_triangulation(P))
+    for T in tris:
+        # scaling keeps the lex order: the cells triangulate the new points
+        T = Triangulation(tuple(tuple(scale * a for a in p) for p in T.points),
+                          T.cells)
+        with mock.patch.object(emod, "det_bareiss",
+                               side_effect=det_bareiss) as per_matrix:
+            got = total_normalized_volume(T)
+        assert got == _volume_by_cells(T)
+        assert per_matrix.called == (scale > 1)
+
+
+def _boundary_face_property_by_faces(P):
+    """Per-face twin of ``checks._boundary_face_property``: every facet of
+    ``P`` is tested at every point of each cell facet."""
+    if P.dim < 1:
+        return None
+    T = checks_mod.full_lattice_triangulation(P)
+    for face, cnt in sorted(tmod._boundary_count(T.cells).items()):
+        if cnt not in (1, 2):
+            return f"cell facet {face} lies in {cnt} cells"
+        pts = T.cell_points(face)
+        on_boundary = any(
+            all(f.slack(p) == 0 for p in pts) for f in P.facets)
+        if cnt == 1 and not on_boundary:
+            return f"free cell facet {face} not on the boundary"
+        if cnt == 2 and on_boundary:
+            return f"shared cell facet {face} lies on the boundary"
+    return None
+
+
+def _boundary_face_messages(P):
+    """The check's message on the fine triangulation of ``P`` and on each
+    of its :func:`_mutants`, served through
+    ``checks.full_lattice_triangulation``, after asserting that the twin
+    gives the same one."""
+    T = full_lattice_triangulation(P)
+    out = []
+    for M in (T, *_mutants(T)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks_mod, "full_lattice_triangulation",
+                       lambda P: M)
+            want = _boundary_face_property_by_faces(P)
+            # the check keeps its own route: no shared masks, no memo
+            mp.setattr(tmod, "_tight_form_masks", _never)
+            mp.delattr(P, "_cache")
+            got = checks_mod._boundary_face_property(P)
+        assert got == want, M
+        out.append(got)
+    return out
+
+
+@given(hulls())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_boundary_face_property_matches_the_face_loop(P):
+    assume(P.dim >= 1)
+    assert _boundary_face_messages(P)[0] is None
+
+
+def test_boundary_face_mutants_give_every_message():
+    polys = [families.unit_cube(2), families.unit_simplex(2),
+             families.example2(2), families.example2(3),
+             families.reeve_simplex(2),
+             *default_corpus(seed=3, count=12, dims=(2, 3))]
+    kinds = {msg and msg.split()[0] for P in polys
+             for msg in _boundary_face_messages(P)}
+    assert kinds == {None, "cell", "free", "shared"}

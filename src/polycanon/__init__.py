@@ -27,19 +27,14 @@ from .semigroup import (
     ideal_contains,
     idp_check,
     irreducible_generators,
-    is_irreducible,
-    is_irreducible_full,
-    max_reduced_degree,
     reduced_degree,
     reduced_degree_oracle,
-    reduced_degree_values,
     semigroup_contains,
 )
 from .simplex import (
     BarycentricCoords,
     SimplexConeSlicer,
     barycentric,
-    cone_interior_slice,
     is_empty_simplex,
     is_unimodular,
     normalized_volume,
@@ -52,7 +47,6 @@ from .triangulation import (
     interior_faces,
     interior_respecting_triangulation,
     placing_triangulation,
-    stellar_subdivide,
     total_normalized_volume,
     verify_decomposition,
 )
@@ -74,7 +68,6 @@ __all__ = [
     "Triangulation",
     "barycentric",
     "check_polytope",
-    "cone_interior_slice",
     "cone_over",
     "cone_slice",
     "default_corpus",
@@ -91,19 +84,14 @@ __all__ = [
     "interior_respecting_triangulation",
     "irreducible_generators",
     "is_empty_simplex",
-    "is_irreducible",
-    "is_irreducible_full",
     "is_unimodular",
-    "max_reduced_degree",
     "normalized_volume",
     "placing_triangulation",
     "reduced_degree",
     "reduced_degree_oracle",
-    "reduced_degree_values",
     "reeve_simplex",
     "run_suite",
     "semigroup_contains",
-    "stellar_subdivide",
     "total_normalized_volume",
     "unit_box_decomposition",
     "unit_cube",

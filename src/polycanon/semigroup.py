@@ -20,9 +20,8 @@ is the Hilbert basis of the graded semigroup, its points that are no sum
 of two of positive degree; it lies in degrees ``<= max(dim - 1, 1)`` and
 is built degree by degree with the same sumsets (:func:`full_generators`).
 
-The per-point predicates :func:`is_irreducible` and
-:func:`is_irreducible_full` and :func:`reduced_degree_oracle` are kept as
-independent twins to test the mask kernel against.
+:func:`reduced_degree_oracle` is kept as an independent exhaustive route
+to test the reduced-degree search against.
 """
 
 from __future__ import annotations
@@ -175,23 +174,6 @@ def _require_ideal(P: Polytope, y: GradedPoint) -> None:
             " the cone over the polytope")
 
 
-def is_irreducible(P: Polytope, y: GradedPoint) -> bool:
-    """No way to split off a degree-one point and stay in the ideal.
-
-    Peeling a single degree-one point is exact: in a splitting
-    ``y = z + u_1 + ... + u_j`` every partial sum over ``z`` is still
-    interior (adding cone points to an interior point stays interior), so
-    some single ``u`` already witnesses reducibility.
-    """
-    _require_ideal(P, y)
-    k = y.degree
-    if k == 1:
-        return True
-    interior = _interior_set(P, k - 1)
-    return not any(vsub(y.position, u) in interior
-                   for u in P.lattice_points(1))
-
-
 def reduced_degree(P: Polytope, y: GradedPoint
                    ) -> Tuple[int, ReductionWitness]:
     """Least degree of an interior part when ``y`` splits into an interior
@@ -320,36 +302,6 @@ def _generator_report(P: Polytope, basis: Dict[int, tuple], spent: int = 0
         max_degree=max(g.degree for g in gens),
         bound=degree_bound(P),
     )
-
-
-def reduced_degree_values(P: Polytope) -> tuple:
-    """The set of reduced degrees attained over the whole ideal: exactly
-    the degrees of the irreducible generators."""
-    return irreducible_generators(P).degrees()
-
-
-def max_reduced_degree(P: Polytope) -> int:
-    return irreducible_generators(P).max_degree
-
-
-def is_irreducible_full(P: Polytope, y: GradedPoint) -> bool:
-    """Irreducibility of an interior point under the full graded semigroup.
-
-    Here the subtracted element may be *any* lattice point of the cone with
-    degree between 1 and ``y.degree - 1`` — not merely a sum of degree-one
-    points.  ``y`` is irreducible in this stronger sense when no such
-    subtraction leaves an interior remainder.  The scan walks the interior
-    slices (small) for the remainder and tests the complement against the
-    full lattice slice (large) by set membership.
-    """
-    _require_ideal(P, y)
-    k = y.degree
-    for low in range(1, k):
-        lattice = _lattice_set(P, k - low)
-        for z in P.interior_lattice_points(low):
-            if vsub(y.position, z) in lattice:
-                return False
-    return True
 
 
 def full_generators(P: Polytope) -> GeneratorReport:

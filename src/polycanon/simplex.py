@@ -1,6 +1,6 @@
 """Simplex-specific machinery: barycentric coordinates, emptiness and
-unimodularity tests, normalized volume, and fast enumeration of interior
-cone slices via a half-open fundamental domain."""
+unimodularity tests, normalized volume, and half-open fundamental domains
+with the interior cone slices read off them."""
 
 from __future__ import annotations
 
@@ -132,9 +132,9 @@ class HalfOpenBox:
     unimodular, so its box is the origin; a Bareiss determinant proves it
     and no Smith form is taken.  The covering check takes its boxes from
     :func:`cyclic_boxes`, one batched adjugate for all cells, and builds
-    this box only for a cell that route declines; the per-face slicers and
-    the cell-emptiness check build it themselves, so it is also the batch
-    route's exact twin.  Both work on chart coordinates
+    this box for a cell that route declines or that is not square; the
+    cell-emptiness check builds it itself, so it is also the batch route's
+    exact twin.  Both work on chart coordinates
     (``Polytope._chart``), where every full-dimensional cell of an embedded
     hull is square too; chart coordinates are a lattice isomorphism of the
     hull, so the box points are the same up to the chart.
@@ -294,25 +294,16 @@ class SimplexConeSlicer:
     Every lattice point of the open cone over the lifted points is uniquely
     a point of the half-open box ``{sum t_i * w_i : 0 < t_i <= 1}`` plus a
     nonnegative integer combination of the generators, so each degree
-    slice is enumerated in time proportional to its size.  The constructor
-    takes the box from a Smith form of its own; :meth:`from_box` reads a
-    face's box off the box of a simplex containing it.
+    slice is enumerated in time proportional to its size.  The box comes
+    from a Smith form of its own (:class:`HalfOpenBox`).  The covering
+    check does not use it: it is the point-by-point route that the tests
+    hold the covering's counts against.
     """
 
     def __init__(self, points: Sequence) -> None:
         box = HalfOpenBox(points)
         self.lifted = box.lifted
         self._reps = box.face_reps(range(len(box.lifted)))
-
-    @classmethod
-    def from_box(cls, box: HalfOpenBox,
-                 positions: Sequence[int]) -> "SimplexConeSlicer":
-        """The slicer of the face of ``box``'s simplex spanned by its points
-        at ``positions`` (increasing), with no Smith form of its own."""
-        self = cls.__new__(cls)
-        self.lifted = tuple(box.lifted[i] for i in positions)
-        self._reps = box.face_reps(positions)
-        return self
 
     def interior_points(self, degree: int) -> list:
         """Lifted interior cone points of the given degree, sorted."""
@@ -333,8 +324,3 @@ class SimplexConeSlicer:
                 out.append(tuple(y))
         out.sort()
         return out
-
-
-def cone_interior_slice(points: Sequence, degree: int) -> list:
-    """One-shot interior slice of the cone over a point set at height one."""
-    return SimplexConeSlicer(points).interior_points(degree)

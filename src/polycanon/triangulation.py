@@ -21,14 +21,13 @@ index combinations, every point is lifted into chart coordinates in one
 product, and every owning cell's determinant is taken in one batched call.
 A face of a unimodular cell has one box point, the sum of its lifted
 vertices; the faces of every other cell are read off that cell's
-half-open box on chart coordinates, all boxes from one batched adjugate
-and a Smith form only for a cell that route declines.  It counts each
-degree on the chart box of the dilate: the points of all faces of one size
-from box points of one degree are one integer product, and their
-``bincount`` must equal the dilate's interior mask, which the facet-form
-scan builds, so the two routes stay independent.  A degree that does not
-match is walked point by point by per-face slicers, built only then, which
-names the failing point.
+half-open box, all boxes from one batched adjugate and a Smith form only
+for a cell that route declines.  It counts each degree on the chart box of
+the dilate: the points of all faces of one size from box points of one
+degree are one integer product, and their ``bincount`` must equal the
+dilate's interior mask, which the facet-form scan builds, so the two
+routes stay independent.  A degree that does not match is named from the
+same points, face by face.
 """
 
 from __future__ import annotations
@@ -39,11 +38,17 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exactmath import build_chart, det_stack, dot
+from .exactmath import (
+    build_chart,
+    det_stack,
+    dot,
+    transpose,
+    unimodular_inverse,
+)
 from .polytope import (
     _INT64_GUARD,
     Polytope,
@@ -54,7 +59,6 @@ from .polytope import (
 )
 from .simplex import (
     HalfOpenBox,
-    SimplexConeSlicer,
     _compositions,
     cyclic_boxes,
     face_box_points,
@@ -270,9 +274,18 @@ def _interior_faces(T: Triangulation, P: Polytope) -> tuple:
     """``(faces, groups)``: :func:`interior_faces` and, per face size in
     increasing order, ``(F, owner)``: those faces as the rows of an int64
     array, in the same order, and for each the index in ``T.cells`` of the
-    first cell containing it.  Cached on ``P`` per triangulation."""
-    return P._memo(("interior_faces", T),
-                   lambda: _face_groups(T, _tight_masks(T, P)))
+    first cell containing it.  Cached on ``P`` per triangulation.
+
+    Raises ``ValueError`` when a point of ``T`` has another length than
+    the ambient dimension of ``P``."""
+    def build():
+        for p in T.points:
+            if len(p) != P.ambient_dim:
+                raise ValueError(
+                    f"triangulation point {p} has length {len(p)}, but the"
+                    f" polytope's ambient dimension is {P.ambient_dim}")
+        return _face_groups(T, _tight_masks(T, P))
+    return P._memo(("interior_faces", T), build)
 
 
 def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
@@ -327,51 +340,27 @@ def verify_decomposition(T: Triangulation, P: Polytope,
     """Check degree by degree that the interior cone points of ``P`` are
     covered exactly once by the open cones over the interior faces.
 
-    Each degree is counted on its chart box (:func:`_covered_by_counts`);
-    a degree whose counts do not match, or that the count route cannot
-    hold in int64, is walked point by point (:func:`_cover_by_points`),
-    which names the first bad point.  The slicers of that walk are built
-    only then, or up front when :func:`_cover_arrays` declines the input,
-    which also finds degenerate faces."""
+    The faces' box points and generators (:func:`_cover_arrays`) are
+    counted on the chart box of each degree (:func:`_cover_degree`), which
+    names the first bad point of a degree that does not match.  An owning
+    cell whose points are affinely dependent gives ``"degenerate face"``
+    before any degree is counted."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     P._box(kmax)  # refuse an oversized top degree before any scan
-    cover = _cover_arrays(T, P)
-    slicers = None
-    if cover is None:
-        slicers = _face_slicers(T, P)
-        if slicers is None:
-            return DecompositionResult(ok=False, reason="degenerate face")
+    _interior_faces(T, P)  # refuse points of another length
+    try:
+        cover = _cover_arrays(T, P)
+    except ValueError:  # only an affinely dependent owning cell raises
+        return DecompositionResult(ok=False, reason="degenerate face")
     for k in range(1, kmax + 1):
-        if not _covered_by_counts(cover, P, k):
-            if slicers is None:
-                slicers = _face_slicers(T, P)
-            res = _cover_by_points(slicers, P, k)
-            if not res:
-                return res
+        res = _cover_degree(cover, P, k)
+        if not res:
+            return res
     return DecompositionResult(ok=True)
 
 
-def _face_slicers(T: Triangulation, P: Polytope) -> Optional[list]:
-    """One slicer per interior face, in face order, or ``None`` when an
-    owning cell is degenerate.  One box per owning cell; each face's box is
-    read off its owner's."""
-    boxes: Dict[int, HalfOpenBox] = {}
-    slicers = []
-    for F, owner in _interior_faces(T, P)[1]:
-        for f, o in zip(F.tolist(), owner.tolist()):
-            cell = T.cells[o]
-            if o not in boxes:
-                try:
-                    boxes[o] = HalfOpenBox(T.cell_points(cell))
-                except ValueError:
-                    return None
-            slicers.append(SimplexConeSlicer.from_box(
-                boxes[o], [cell.index(i) for i in f]))
-    return slicers
-
-
-def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
+def _cover_arrays(T: Triangulation, P: Polytope) -> tuple:
     """``(bound, groups)``: the box points of all interior faces in lifted
     chart coordinates, grouped by ``(n, h)`` (face size, point degree), and
     a bound on the absolute entries of them and of their generators.
@@ -380,96 +369,103 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> Optional[tuple]:
     ``x`` at scale ``h`` followed by its coordinates across the affine hull,
     which are zero iff ``x`` lies on the hull of the ``h``-th dilate.  The
     map is linear, so it carries sums of lifted points to sums.  Each group
-    is ``(R, G)`` with ``R[p]`` its ``p``-th point and ``G[p]`` that point's
-    face's ``n`` lifted generators, as int64 arrays.
+    is ``(R, G, I)`` with ``R[p]`` its ``p``-th point, ``G[p]`` that point's
+    face's ``n`` lifted generators and ``I[p]`` that face's index in
+    :func:`interior_faces`.  The arrays are int64 while a bound from the
+    points and the chart keeps every entry under ``_INT64_GUARD``, and
+    Python ints (``object``) past it, with the same statements.
 
-    Every triangulation point is lifted in one product, and every owning
-    cell's ``|det|`` over its chart coordinates and a column of ones is
-    taken in one :func:`det_stack` call.  A face owned by a unimodular cell
-    has one box point, the sum of its lifted vertices, at degree ``n``.
-    The boxes of all other owning cells come from one batched adjugate
-    (:func:`cyclic_boxes`); a cell it declines (no single generating row,
-    or values past ``_INT64_GUARD``) builds its :class:`HalfOpenBox`.
-    Every face of those cells is read off its owner's box in one ragged
-    expansion per face size (:func:`face_box_points`), with no loop over
-    faces.
+    Every triangulation point is lifted in one product.  A cell's rows are
+    its points' chart coordinates and a one, with the coordinates across
+    the hull too when a point lies off it, so that its box is the box of
+    its ambient points.  When the cells are square, every owning cell's
+    determinant is taken in one :func:`det_stack` call.  A face owned by a
+    unimodular cell has one box point, the sum of its lifted vertices, at
+    degree ``n``.  The boxes of all other owning cells come from
+    :func:`_cell_boxes`, and every face of those cells is read off its
+    owner's box in one ragged expansion per face size
+    (:func:`face_box_points`), with no loop over faces.
 
-    ``None`` when a point has another ambient dimension or lies off the
-    hull, an owning cell is not a full-dimensional simplex, or an entry
-    could overflow int64; :func:`_face_slicers` takes those inputs.
+    Raises ``ValueError`` when the points of an owning cell are affinely
+    dependent.
     """
     chart = P._chart
     d, m = chart.dim, chart.ambient_dim
     face_groups = _interior_faces(T, P)[1]
-    if (any(len(p) != m for p in T.points)
-            or any(len(c) != d + 1 for c in T.cells)):
-        return None
     cols = [(*c, -dot(chart.origin, c))
             for c in (*chart.proj_cols, *chart.comp_cols)]
     gain = max((abs(a) for c in cols for a in c), default=0) * (m + 1)
     big = max((abs(a) for p in T.points for a in p), default=0) + 1
-    if big * gain * (d + 1) >= _INT64_GUARD:
-        return None
-    lift = np.array(cols, dtype=np.int64).T
+    dtype = object if big * gain * (d + 1) >= _INT64_GUARD else np.int64
+    lift = np.array(cols, dtype=dtype).T
     W = np.array([p + (1,) for p in T.points],
-                 dtype=np.int64).reshape(len(T.points), m + 1) @ lift
-    if W[:, d:].any():
-        return None
-    charted = np.ones((len(W), d + 1), dtype=np.int64)
-    charted[:, :d] = W[:, :d]  # chart coordinates and a column of ones
-    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), d + 1)
+                 dtype=dtype).reshape(len(T.points), m + 1) @ lift
+    w = m if (W[:, d:] != 0).any() else d
+    rows = np.ones((len(W), w + 1), dtype=dtype)
+    rows[:, :w] = W[:, :w]
+    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
     owned = np.flatnonzero(np.bincount(
         np.concatenate([o for _, o in face_groups]), minlength=len(C)))
-    dets = det_stack(charted[C[owned]])
-    if 0 in dets:
-        return None
-    boxed = owned[[abs(v) != 1 for v in dets]]
+    boxed, dets = owned, None
+    if C.shape[1] == w + 1:
+        dets = det_stack(rows[C[owned]])
+        if 0 in dets:
+            raise ValueError("degenerate face")
+        boxed = owned[[abs(v) != 1 for v in dets]]
+        dets = [v for v in dets if abs(v) != 1]
     box_of = np.full(len(C), -1)
     box_of[boxed] = np.arange(len(boxed))
     if len(boxed):
-        lifted = charted[C[boxed]]
-        first, support, points = _cell_boxes(
-            lifted, [v for v in dets if abs(v) != 1])
+        lifted = rows[C[boxed]]
+        first, support, points = _cell_boxes(lifted, dets)
     parts: Dict[tuple, list] = {}
+    base = 0
     for F, owner in face_groups:
         n, b = F.shape[1], box_of[owner]
+        I = base + np.arange(len(F))
+        base += len(F)
         # a unimodular cell's box is the origin: a face's one box point is
         # the sum of its lifted vertices
         G = W[F[b < 0]]
         if len(G):
-            parts.setdefault((n, n), []).append((G.sum(axis=1), G))
-        F, b = F[b >= 0], b[b >= 0]
+            parts.setdefault((n, n), []).append((G.sum(axis=1), G, I[b < 0]))
+        F, I, b = F[b >= 0], I[b >= 0], b[b >= 0]
         if not len(F):
             continue
         on = (C[boxed[b]][:, :, None] == F[:, None, :]).any(axis=2)
         face, reps = face_box_points(lifted, first, support, points, b, on)
-        R = np.zeros((len(reps), m), dtype=np.int64)
-        R[:, :d] = reps[:, :d]
-        h = reps[:, d]
+        R = np.zeros((len(reps), m), dtype=dtype)
+        R[:, :w] = reps[:, :w]
+        h = reps[:, w].astype(np.int64)
         for k in np.flatnonzero(np.bincount(h)).tolist():
-            G = W[F[face[h == k]]]
-            parts.setdefault((n, k), []).append((R[h == k], G))
+            f = face[h == k]
+            parts.setdefault((n, k), []).append((R[h == k], W[F[f]], I[f]))
     groups = {key: tuple(map(np.concatenate, zip(*v)))
               for key, v in parts.items()}
     bound = max([int(np.abs(W).max(initial=0))]
-                + [int(np.abs(R).max(initial=0)) for R, _ in groups.values()])
+                + [int(np.abs(R).max(initial=0))
+                   for R, _, _ in groups.values()])
     return bound, groups
 
 
-def _cell_boxes(lifted: np.ndarray, dets: list) -> tuple:
+def _cell_boxes(lifted: np.ndarray, dets: Optional[list]) -> tuple:
     """``(first, support, points)``: the half-open boxes of the cells with
-    lifted chart rows ``lifted`` and determinants ``dets``, box ``b``
-    holding rows ``first[b]:first[b + 1]`` of ``support`` (nonzero
-    coefficients) and ``points``.  From :func:`cyclic_boxes`, and from a
-    :class:`HalfOpenBox` for each cell it declines."""
-    d = lifted.shape[-1] - 1
-    take, at, coeffs, points = cyclic_boxes(lifted, dets)
-    at, support, points = [at], [coeffs != 0], [points]
-    for b in np.flatnonzero(~take):
-        box = HalfOpenBox(lifted[b, :, :d].tolist())
+    lifted rows ``lifted`` (coordinates, then a one) and determinants
+    ``dets``, box ``b`` holding rows ``first[b]:first[b + 1]`` of
+    ``support`` (nonzero coefficients) and ``points``.  From
+    :func:`cyclic_boxes` when the rows are square (``dets`` given), and
+    from a :class:`HalfOpenBox` for each cell it declines and for every
+    cell when they are not."""
+    at, support, points, declined = [], [], [], range(len(lifted))
+    if dets is not None:
+        take, at, coeffs, points = cyclic_boxes(lifted, dets)
+        at, support, points = [at], [coeffs != 0], [points]
+        declined = np.flatnonzero(~take)
+    for b in declined:
+        box = HalfOpenBox(lifted[b, :, :-1].tolist())
         at.append(np.full(len(box.points), b))
         support.append(np.array(box.coefficients, dtype=object) != 0)
-        points.append(np.array(box.points, dtype=np.int64))
+        points.append(np.array(box.points, dtype=lifted.dtype))
     at = np.concatenate(at)
     order = np.argsort(at, kind="stable")
     first = np.searchsorted(at[order], np.arange(len(lifted) + 1))
@@ -486,78 +482,73 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return a
 
 
-def _covered_by_counts(cover: Optional[tuple], P: Polytope,
-                       k: int) -> bool:
+def _degree_points(groups: dict, k: int, dtype) -> Iterator[tuple]:
+    """Per group of :func:`_cover_arrays` with ``h <= k``, ``(pts, I)``:
+    its faces' degree-``k`` points as one integer product (box points plus
+    compositions of ``k - h`` times the generators), shaped faces x
+    compositions x coordinates, and the faces' indices."""
+    for (n, h), (R, G, I) in groups.items():
+        if h <= k:
+            pts = _composition_array(k - h, n) @ G.astype(dtype, copy=False)
+            pts += R[:, None, :].astype(dtype, copy=False)
+            yield pts, I
+
+
+def _cover_degree(cover: tuple, P: Polytope, k: int) -> DecompositionResult:
     """Whether the degree-``k`` points of the faces' open cones, given as
     their :func:`_cover_arrays`, hit every interior point of the ``k``-th
-    dilate exactly once.  Each group's points are one integer product (box
-    points plus compositions of ``k - h`` times the generators), shifted
-    into the chart box of ``k * P``; one ``bincount`` counts them all, and
-    the counts must equal the interior mask.
-
-    False on any mismatch, and when the points could overflow int64."""
-    if cover is None:
-        return False
+    dilate exactly once.  Every point is shifted into the chart box of
+    ``k * P``; one ``bincount`` counts them all, and the counts must equal
+    the interior mask.  Int64 while the points stay under
+    ``_INT64_GUARD``, Python ints past it.  A degree that does not match
+    is named by :func:`_first_bad_point`."""
     bound, groups = cover
     lo, mask = P._slice(k, True)
     shape = mask.shape
-    if bound * (k + 1) + max(map(abs, lo), default=0) >= _INT64_GUARD:
-        return False
+    wide = bound * (k + 1) + max(map(abs, lo), default=0) >= _INT64_GUARD
+    dtype = object if wide else np.int64
     d = len(shape)
-    lo_ = np.array(lo, dtype=np.int64)
+    lo_ = np.array(lo, dtype=dtype)
     dims = np.array(shape, dtype=np.int64)
     strides = np.array([math.prod(shape[i + 1:]) for i in range(d)],
                        dtype=np.int64)
     flat = [np.zeros(0, dtype=np.int64)]
-    for (n, h), (R, G) in groups.items():
-        if h > k:
-            continue
-        pts = _composition_array(k - h, n) @ G  # (faces, compositions, w)
-        pts += R[:, None, :]
+    for pts, _ in _degree_points(groups, k, dtype):
         pts = pts.reshape(-1, pts.shape[-1])
         q = pts[:, :d] - lo_
-        if pts[:, d:].any() or (q < 0).any() or (q >= dims).any():
-            return False
+        if (pts[:, d:] != 0).any() or (q < 0).any() or (q >= dims).any():
+            return _first_bad_point(groups, P, k)
         flat.append(q @ strides)
-    counts = np.bincount(np.concatenate(flat), minlength=mask.size)
-    return np.array_equal(counts, mask.reshape(-1))
+    counts = np.bincount(np.concatenate(flat).astype(np.int64, copy=False),
+                         minlength=mask.size)
+    if np.array_equal(counts, mask.reshape(-1)):
+        return DecompositionResult(ok=True)
+    return _first_bad_point(groups, P, k)
 
 
-def _cover_by_points(slicers, P: Polytope, k: int) -> DecompositionResult:
-    """The degree-``k`` covering walked point by point, in face order, so
-    that a failure names the first point covered twice, the first point
-    outside the interior, or the least point not covered."""
-    target = {p + (k,) for p in P.interior_lattice_points(k)}
-    seen = set()
-    for sl in slicers:
-        for y in sl.interior_points(k):
-            if y in seen:
-                return DecompositionResult(
-                    ok=False, degree=k, point=y, reason="covered twice")
-            if y not in target:
-                return DecompositionResult(
-                    ok=False, degree=k, point=y,
-                    reason="point outside the interior")
-            seen.add(y)
-    if len(seen) != len(target):
-        missing = min(target - seen)
-        return DecompositionResult(
-            ok=False, degree=k, point=missing, reason="point not covered")
-    return DecompositionResult(ok=True)
-
-
-def stellar_subdivide(T: Triangulation, x) -> Triangulation:
-    """Insert ``x`` as a new vertex, splitting every cell containing it."""
-    x = tuple(x)
-    if x in T.points:
-        raise ValueError(f"{x} is already a vertex")
-    chart = build_chart(list(T.points))
-    if not chart.in_affine_hull(x):
-        raise ValueError("point to insert is outside the triangulated region")
-    new_points = tuple(sorted(T.points + (x,)))
-    remap = {p: i for i, p in enumerate(new_points)}
-    old_to_new = [remap[p] for p in T.points]
-    cells = sorted(tuple(sorted(old_to_new[i] for i in c)) for c in T.cells)
-    cells = _stellar_insert(_chart_coords(chart, new_points), cells,
-                            [remap[x]])
-    return Triangulation(points=new_points, cells=tuple(sorted(cells)))
+def _first_bad_point(groups: dict, P: Polytope,
+                     k: int) -> DecompositionResult:
+    """The failure of degree ``k``, named as a walk over the faces in
+    order, each face's points in lex order, names it: the first point
+    outside the interior or already hit, else the least interior point
+    that no face hits.  The points are Python ints, taken back to ambient
+    coordinates through one exact inverse of the lift."""
+    chart = P._chart
+    back = np.array(unimodular_inverse(transpose(
+        (*chart.proj_cols, *chart.comp_cols))), dtype=object)
+    walk = []
+    for pts, I in _degree_points(groups, k, object):
+        x = pts.reshape(-1, len(back)) @ back
+        x += np.array(chart.origin, dtype=object) * k
+        walk += zip(np.repeat(I, pts.shape[1]).tolist(),
+                    map(tuple, x.tolist()))
+    target, seen = set(P.interior_lattice_points(k)), set()
+    for _, x in sorted(walk):
+        if x not in target:
+            return DecompositionResult(False, k, x + (k,),
+                                       "point outside the interior")
+        if x in seen:
+            return DecompositionResult(False, k, x + (k,), "covered twice")
+        seen.add(x)
+    return DecompositionResult(False, k, min(target - seen) + (k,),
+                               "point not covered")

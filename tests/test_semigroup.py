@@ -25,18 +25,43 @@ from polycanon.semigroup import (
     ideal_contains,
     idp_check,
     irreducible_generators,
-    is_irreducible,
-    is_irreducible_full,
-    max_reduced_degree,
     reduced_degree,
     reduced_degree_oracle,
-    reduced_degree_values,
     semigroup_contains,
 )
 
 
 def G(P):
     return irreducible_generators(P).generators
+
+
+def is_irreducible(P, y):
+    """Per-point twin of the degree-one generators: no degree-one point
+    splits off ``y`` and leaves it in the ideal.  Peeling a single point is
+    exact: in a splitting ``y = z + u_1 + ... + u_j`` every partial sum over
+    ``z`` is still interior, so some single ``u`` already witnesses
+    reducibility."""
+    semigroup._require_ideal(P, y)
+    k = y.degree
+    if k == 1:
+        return True
+    interior = semigroup._interior_set(P, k - 1)
+    return not any(vsub(y.position, u) in interior
+                   for u in P.lattice_points(1))
+
+
+def is_irreducible_full(P, y):
+    """Per-point twin of the full-action generators: no lattice point of
+    the cone of degree ``1 .. y.degree - 1`` splits off ``y`` and leaves an
+    interior remainder."""
+    semigroup._require_ideal(P, y)
+    k = y.degree
+    for low in range(1, k):
+        lattice = semigroup._lattice_set(P, k - low)
+        for z in P.interior_lattice_points(low):
+            if vsub(y.position, z) in lattice:
+                return False
+    return True
 
 
 # ------------------------------------------------------------- membership
@@ -126,8 +151,8 @@ def test_long_edge_family_generators():
     for d in (2, 3, 4):
         P = families.example1(d)
         assert G(P) == (GradedPoint((1,) * d, d),)
-        assert max_reduced_degree(P) == d
-        assert reduced_degree_values(P) == (d,)
+        assert irreducible_generators(P).max_degree == d
+        assert irreducible_generators(P).degrees() == (d,)
 
 
 def test_capped_box_family_generators():
@@ -139,7 +164,7 @@ def test_capped_box_family_generators():
         P = families.example2(d)
         assert tuple(g.position for g in G(P)) == want
         assert tuple(g.degree for g in G(P)) == tuple(range(1, d))
-        assert reduced_degree_values(P) == tuple(range(1, d))
+        assert irreducible_generators(P).degrees() == tuple(range(1, d))
 
 
 def test_unit_simplex_generators():

@@ -18,7 +18,6 @@ from polycanon.simplex import (
     HalfOpenBox,
     SimplexConeSlicer,
     barycentric,
-    cone_interior_slice,
     cyclic_boxes,
     face_box_points,
     is_empty_simplex,
@@ -144,7 +143,7 @@ def test_slicer_on_lower_dimensional_faces():
     pts = [(0, 0, 0), (1, 0, 1)]
     slicer = SimplexConeSlicer(pts)
     assert slicer.interior_points(2) == [(1, 0, 1, 2)]
-    assert cone_interior_slice(pts, 3) == [(1, 0, 1, 3), (2, 0, 2, 3)]
+    assert slicer.interior_points(3) == [(1, 0, 1, 3), (2, 0, 2, 3)]
 
 
 def test_slicer_rejects_dependent_points():

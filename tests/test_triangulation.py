@@ -30,15 +30,13 @@ from polycanon.triangulation import (
     DecompositionResult,
     Triangulation,
     _cover_arrays,
-    _covered_by_counts,
-    _face_slicers,
+    _cover_degree,
     _interior_faces,
     _placing,
     full_lattice_triangulation,
     interior_faces,
     interior_respecting_triangulation,
     placing_triangulation,
-    stellar_subdivide,
     total_normalized_volume,
     verify_decomposition,
 )
@@ -158,6 +156,24 @@ def test_interior_respecting_requires_interior_point(unit_square,
 
 # --------------------------------------------------------- stellar insertion
 
+def stellar_subdivide(T, x):
+    """Insert ``x`` as a new vertex of ``T`` through the one-table
+    ``_stellar_insert``, splitting every cell containing it."""
+    x = tuple(x)
+    if x in T.points:
+        raise ValueError(f"{x} is already a vertex")
+    chart = build_chart(list(T.points))
+    if not chart.in_affine_hull(x):
+        raise ValueError("point to insert is outside the triangulated region")
+    points = tuple(sorted(T.points + (x,)))
+    index = {p: i for i, p in enumerate(points)}
+    cells = sorted(tuple(sorted(index[T.points[i]] for i in c))
+                   for c in T.cells)
+    cells = tmod._stellar_insert([chart.to_chart(p) for p in points], cells,
+                                 [index[x]])
+    return Triangulation(points=points, cells=tuple(sorted(cells)))
+
+
 def test_stellar_rejects_existing_vertex(unit_square):
     T = placing_triangulation(unit_square)
     with pytest.raises(ValueError, match="already a vertex"):
@@ -227,6 +243,18 @@ def test_verify_decomposition_validates_kmax(unit_square):
     T = full_lattice_triangulation(unit_square)
     with pytest.raises(ValueError):
         verify_decomposition(T, unit_square, 0)
+
+
+def test_interior_faces_name_points_of_another_length(unit_cube):
+    T = full_lattice_triangulation(families.unit_cube(2))
+    with pytest.raises(ValueError, match="length 2, .* dimension is 3"):
+        interior_faces(T, unit_cube)
+
+
+def test_verify_decomposition_names_points_of_another_length(unit_square):
+    T = full_lattice_triangulation(families.unit_cube(3))
+    with pytest.raises(ValueError, match="length 3, .* dimension is 2"):
+        verify_decomposition(T, unit_square, 2)
 
 
 def _never(*args, **kwargs):
@@ -364,7 +392,8 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
             mp.setattr(tmod, "_INT64_GUARD", 0)
             got, groups = tmod._face_groups(T, tmod._tight_masks(T, P))
         assert (got, _owners(T, groups)) == want
-        reps = {f: SimplexConeSlicer(T.cell_points(f))._reps for f in faces}
+        reps = {f: HalfOpenBox(T.cell_points(f)).face_reps(range(len(f)))
+                for f in faces}
         for cell in T.cells:
             cp = T.cell_points(cell)
             assert _is_empty_cell(cp) == _empty_by_scan(cp)
@@ -372,9 +401,8 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
             for r in range(1, len(cell) + 1):
                 for f in itertools.combinations(cell, r):
                     if f in reps:
-                        got = SimplexConeSlicer.from_box(
-                            box, [cell.index(i) for i in f])
-                        assert got._reps == reps[f], (cell, f)
+                        got = box.face_reps([cell.index(i) for i in f])
+                        assert got == reps[f], (cell, f)
 
 
 def _box_fits(P, scale):
@@ -440,36 +468,45 @@ def test_count_mask_covering_matches_the_point_loop(P):
         slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
         cover = _cover_arrays(T, P)
         for k in range(1, kmax + 1):
-            assert _covered_by_counts(cover, P, k) == bool(
-                _degree_by_points(slicers, P, k))
+            assert _cover_degree(cover, P, k) == \
+                _degree_by_points(slicers, P, k)
         assert verify_decomposition(T, P, kmax) == _cover_loop(
             T, P, kmax, faces, owner)
 
 
-def _groups_by_slicers(T, P):
-    """The count groups built face by face: every interior face's slicer,
-    its box points and generators stacked by ``(n, h)``, then lifted into
-    chart coordinates in one product."""
+def _groups_by_boxes(T, P):
+    """The count groups built face by face: every interior face's box read
+    off its owning cell's :class:`HalfOpenBox` on ambient points, its points
+    and generators stacked by ``(n, h)`` with the face's index, then lifted
+    into chart coordinates in one product."""
     chart = P._chart
-    pairs = {}
-    for sl in _face_slicers(T, P):
-        for h, y in sl._reps:
-            reps, gens = pairs.setdefault((len(sl.lifted), h), ([], []))
+    faces, owner = _interior_faces_by_dict(T, P)
+    boxes, pairs = {}, {}
+    for i, f in enumerate(faces):
+        cell = owner[f]
+        if cell not in boxes:
+            boxes[cell] = HalfOpenBox(T.cell_points(cell))
+        box = boxes[cell]
+        at = [cell.index(v) for v in f]
+        for h, y in box.face_reps(at):
+            reps, gens, index = pairs.setdefault((len(f), h), ([], [], []))
             reps.append(y)
-            gens.append(sl.lifted)
+            gens.append([box.lifted[j] for j in at])
+            index.append(i)
     lift = np.array([(*c, -dot(chart.origin, c))
                      for c in (*chart.proj_cols, *chart.comp_cols)],
-                    dtype=np.int64).T
-    return {key: (np.array(reps, dtype=np.int64) @ lift,
-                  np.array(gens, dtype=np.int64) @ lift)
-            for key, (reps, gens) in pairs.items()}
+                    dtype=object).T
+    return {key: (np.array(reps, dtype=object) @ lift,
+                  np.array(gens, dtype=object) @ lift, np.array(index))
+            for key, (reps, gens, index) in pairs.items()}
 
 
 def _sorted_rows(groups):
-    """Per ``(n, h)``, each point with its generators as one sorted row."""
-    return {key: sorted(r + g for r, g in zip(
-                R.tolist(), G.reshape(len(G), -1).tolist()))
-            for key, (R, G) in groups.items()}
+    """Per ``(n, h)``, each point with its generators and its face's index
+    as one sorted row."""
+    return {key: sorted(r + g + [i] for r, g, i in zip(
+                R.tolist(), G.reshape(len(G), -1).tolist(), I.tolist()))
+            for key, (R, G, I) in groups.items()}
 
 
 @given(hulls())
@@ -484,16 +521,19 @@ def test_cover_arrays_match_the_per_face_groups(P):
         tris.append(interior_respecting_triangulation(P))
     for T in tris:
         bound, groups = _cover_arrays(T, P)
-        assert _sorted_rows(groups) == _sorted_rows(_groups_by_slicers(T, P))
+        assert _sorted_rows(groups) == _sorted_rows(_groups_by_boxes(T, P))
         assert all(bound >= int(np.abs(A).max(initial=0))
-                   for pair in groups.values() for A in pair)
-    # past the int64 guard the covering takes the per-face route
+                   for R, G, _ in groups.values() for A in (R, G))
+    # past the int64 guard the same statements run on Python ints
     kmax = P.dim + 1
     if _box_fits(P, kmax):
         want = verify_decomposition(tris[0], P, kmax)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tmod, "_INT64_GUARD", 0)
-            assert _cover_arrays(tris[0], P) is None
+            bound, groups = _cover_arrays(tris[0], P)
+            assert all(R.dtype == object for R, _, _ in groups.values())
+            assert _sorted_rows(groups) == \
+                _sorted_rows(_groups_by_boxes(tris[0], P))
             assert verify_decomposition(tris[0], P, kmax) == want
 
 
@@ -520,7 +560,7 @@ def test_cover_arrays_build_a_box_only_for_declined_cells(monkeypatch):
         built.clear()
         cover = _cover_arrays(T, P)
         assert len(built) == 1
-        assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_slicers(T, P))
+        assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_boxes(T, P))
         assert not _box_fits(P, P.dim + 2) or verify_decomposition(
             T, P, P.dim + 2)
     # cyclic boxes take no Smith form at all
@@ -531,10 +571,10 @@ def test_cover_arrays_build_a_box_only_for_declined_cells(monkeypatch):
         mp.setattr(smod, "smith_normal_form", _no_slicer)
         cover = _cover_arrays(T, P)
     assert not built
-    assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_slicers(T, P))
+    assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_boxes(T, P))
 
 
-def test_cover_arrays_decline_points_off_the_hull():
+def test_cover_arrays_keep_points_off_the_hull():
     # one cell of normalized volume 6 in Z^3, moved along a direction the
     # chart does not see: same chart coordinates, every point off the hull
     P = Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)])
@@ -544,11 +584,14 @@ def test_cover_arrays_decline_points_off_the_hull():
     T = placing_triangulation(P)
     M = Triangulation(tuple(tuple(a + b for a, b in zip(p, v))
                             for p in T.points), T.cells)
-    assert _cover_arrays(T, P) is not None
-    assert _cover_arrays(M, P) is None
+    _, groups = _cover_arrays(M, P)
+    assert _sorted_rows(groups) == _sorted_rows(_groups_by_boxes(M, P))
+    # every box point keeps its coordinate across the hull
+    assert all(R[:, P.dim:].all() for R, _, _ in groups.values())
     faces, owner = _interior_faces_by_dict(M, P)
     res = verify_decomposition(M, P, 3)
-    assert not res and res == _cover_loop(M, P, 3, faces, owner)
+    assert res.reason == "point outside the interior"
+    assert res == _cover_loop(M, P, 3, faces, owner)
 
 
 def _no_slicer(*args, **kwargs):
@@ -556,6 +599,8 @@ def _no_slicer(*args, **kwargs):
 
 
 def test_passing_covering_builds_no_slicer(monkeypatch):
+    """A covering that holds is counted alone: no slicer is built and no
+    degree is walked for a bad point."""
     polys = [families.example2(3), families.reeve_simplex(3),
              families.unit_cube(3),
              Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)])]
@@ -567,7 +612,7 @@ def test_passing_covering_builds_no_slicer(monkeypatch):
         [[P._chart.to_chart(T.points[i]) + (1,) for i in c]
          for c in T.cells]))
     monkeypatch.setattr(SimplexConeSlicer, "__init__", _no_slicer)
-    monkeypatch.setattr(SimplexConeSlicer, "from_box", _no_slicer)
+    monkeypatch.setattr(tmod, "_first_bad_point", _no_slicer)
     for P, T in tris:
         assert verify_decomposition(T, P, P.dim + 2)
 
@@ -608,7 +653,16 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
     trusted.append((flat, Triangulation(
         tuple(tuple(a + b for a, b in zip(p, v)) for p in T.points),
         T.cells)))
-    cases = trusted + [(P, M) for P in polys
+    # four points of the square in one cell are affinely dependent
+    trusted.append((polys[0], Triangulation(square, ((0, 1, 2, 3),))))
+    # every cell without its last vertex: cells of d points
+    trusted += [(P, Triangulation(T.points, tuple(sorted(
+                    c[:-1] for c in T.cells))))
+                for P in polys for T in [full_lattice_triangulation(P)]]
+    # a hull shifted by 2^70: the failing degrees run on Python ints
+    shifted = Polytope.from_vertices(
+        [(x + 2**70, y - 2**70) for x, y in families.example2(2).vertices])
+    cases = trusted + [(P, M) for P in polys + [shifted]
                        for M in _mutants(full_lattice_triangulation(P))]
     reasons = set()
     for P, M in cases:
@@ -634,7 +688,7 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
             assert res == _cover_loop(T, P, P.dim + 2, kept, own)
             reasons.add(res.reason)
     assert reasons == {"", "covered twice", "point outside the interior",
-                       "point not covered"}
+                       "point not covered", "degenerate face"}
 
 
 # ------------------------------------------- stellar insertion on one table

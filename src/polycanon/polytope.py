@@ -236,13 +236,17 @@ class Polytope:
         shared, so it is read-only.
         """
         def build():
-            lo, mask = self._build_slice(scale, interior)
+            lo, shape = self._box(scale)
+            mask = self._build_slice(scale, interior, lo, shape)
             mask.setflags(write=False)
             return lo, mask
         return self._memo(("slice", scale, interior), build)
 
-    def _build_slice(self, scale: int, interior: bool) -> tuple:
-        """The mask of :meth:`_slice` from per-line bounds.
+    def _build_slice(self, scale: int, interior: bool, lo: tuple,
+                     shape: tuple) -> np.ndarray:
+        """The lattice points of the ``scale``-th dilate, or of its relative
+        interior, as a mask over the chart box ``(lo, shape)``: the
+        dilate's box (:meth:`_slice`) or any window of it.
 
         A convex set meets each line along the last chart axis in an
         interval, so each facet is evaluated once on the ``(d - 1)``-dim
@@ -251,15 +255,14 @@ class Polytope:
         box-sized compare then fills the mask.  Past the int64 guard the
         mask comes from :meth:`_fd_scan_python`, which is also its twin.
         """
-        lo, shape = self._box(scale)
         if scale == 0 or self.dim == 0:
-            return lo, np.ones(shape, dtype=bool)
+            return np.ones(shape, dtype=bool)
         big = max((max(abs(l), abs(l + n - 1)) for l, n in zip(lo, shape)),
                   default=0)
         coeff = max((max(abs(a) for a in f.normal) + abs(f.offset)
                      for f in self._fd_facets), default=0)
         if (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD:
-            return lo, self._fd_scan_python(lo, shape, scale, interior)
+            return self._fd_scan_python(lo, shape, scale, interior)
         # Per facet, the slack r = o * scale - least - n' . q' of the first
         # d - 1 axes, taken on the base by broadcasting, bounds the last
         # coordinate t of each line by c * t <= r, c = n_last: t <= r // c
@@ -285,7 +288,7 @@ class Polytope:
                 np.copyto(t_hi, t[0] - 1, where=r < 0)
         mask = np.less_equal(-t, t_lo_neg[..., None])
         mask &= np.less_equal(t, t_hi[..., None])
-        return lo, mask
+        return mask
 
     def _fd_scan_python(self, lo, shape, scale, interior):
         """The slice mask in exact integers (the bignum route)."""
@@ -313,19 +316,6 @@ class Polytope:
             return tuple(pts)
         return tuple(sorted(self._chart.from_chart(c, scale=scale)
                             for c in pts))
-
-    def _locate(self, x, scale: int) -> Optional[tuple]:
-        """Index of the ambient point ``x`` in the box of the ``scale``-th
-        dilate, or ``None`` when ``x`` is off the affine hull or the box."""
-        if (len(x) != self.ambient_dim
-                or not self._chart.in_affine_hull(x, scale=scale)):
-            return None
-        lo, shape = self._box(scale)
-        c = self._chart.to_chart(x, scale=scale)
-        idx = tuple(map(operator.sub, c, lo))
-        if all(0 <= i < n for i, n in zip(idx, shape)):
-            return idx
-        return None
 
     # -- queries -----------------------------------------------------------
 

@@ -7,11 +7,15 @@ ideal; the least degree reachable that way (its reduced degree) equals its
 own degree exactly when the point is an irreducible generator.
 
 The generator sets, the reduced-degree search and the splitting check all
-work on dilate slices held as boolean masks (``Polytope._slice``) and ask
-one question: which points of a slice lie in a sumset ``A + B`` of two
-lower slices.  :func:`_sumset` answers it with one shifted OR per run of
-one operand along the last axis, of the other mask widened to the run's
-length.
+work on boolean masks over chart boxes and ask one question: which points
+of a mask lie in a sumset ``A + B`` of two others.  :func:`_sumset`
+answers it with one shifted OR per run of one operand along the last
+axis, of the other mask widened to the run's length.  The generator scans
+and the splitting check take whole dilate slices (``Polytope._slice``).
+The reduced-degree search of one point ``y`` of degree ``k`` holds its
+level ``j``, which lies in ``y - jP``, on a window of the dilate of degree
+``k - j`` (:func:`reduced_degree`), and builds or caches no interior
+slice.
 
 Both generator reports run one stage: at degree ``k`` a point is reducible
 when it lies in some ``interior_{k-j} + basis_j``.  Under the degree-one
@@ -182,10 +186,18 @@ def reduced_degree(P: Polytope, y: GradedPoint
     Breadth-first peeling of degree-one points, level by level; every
     intermediate remainder of a valid splitting is itself interior, so
     searching only interior states is exhaustive.  Level ``j`` is the mask
-    of interior points of degree ``k - j`` reached from ``y``.  Returns the
-    value and a witness whose interior part is the lexicographically least
-    at that value and whose path takes, step by step back up, the least
-    point of the level above, so the result is deterministic.
+    of interior points of degree ``k - j`` reached from ``y``.  It lies in
+    ``y - jP``, so it is held on a window, not on the whole dilate box: the
+    box its sumset reaches, the level above's window minus the box of
+    ``P``, cut down to the box of degree ``k - j``; its interior cells come
+    from the per-line facet bounds on that window alone, so no interior
+    slice is built or cached.  Before the first sumset the search is
+    refused when ``|P|`` times the larger operand box of each sumset,
+    summed over the levels, is over the work budget.  Returns the value
+    and a witness whose interior part is the lexicographically least at
+    that value and whose path takes, step by step back up, the least point
+    of the level above (read off its window), so the result is
+    deterministic.
     """
     _require_ideal(P, y)
     k = y.degree
@@ -193,19 +205,33 @@ def reduced_degree(P: Polytope, y: GradedPoint
     # -P as a slice: t = s - u for s in a level and u in P
     minus_ones = (tuple(-(l + n - 1) for l, n in zip(lo1, ones.shape)),
                   np.flip(ones))
-    lo, shape = P._box(k)
-    start = np.zeros(shape, dtype=bool)
-    start[P._locate(y.position, k)] = True
-    levels = [(lo, start)]
-    while len(levels) < k:
-        lo_in, inner = P._slice(k - len(levels), True)
+    P._box(k)  # refuse an oversized query degree before any work
+    # level j lives on the box its sumset reaches, the window of level
+    # j - 1 minus the box of P, cut down to the box of degree k - j; each
+    # window is (lowest corner, shape), and end is one past its top corner
+    windows = [(P._chart.to_chart(y.position, k), (1,) * P.dim)]
+    work = 0
+    for j in range(1, k):
+        lo_w, shape_w = windows[-1]
+        lo_b, shape_b = P._box(k - j)
+        lo = tuple(map(max, map(operator.add, lo_w, minus_ones[0]), lo_b))
+        end = tuple(min(w + n - p, b + m) for w, n, p, b, m
+                    in zip(lo_w, shape_w, lo1, lo_b, shape_b))
+        if any(e <= a for a, e in zip(lo, end)):
+            break
+        windows.append((lo, tuple(map(operator.sub, end, lo))))
+        # the sumset ORs |P| cells per cell of its larger operand, at most
+        work += max(math.prod(shape_w), ones.size)
+    _check_work(int(np.count_nonzero(ones)) * work)
+    levels = [(windows[0][0], np.ones(windows[0][1], dtype=bool))]
+    for j, (lo, shape) in enumerate(windows[1:], 1):
         lo_r, reach = _sumset(levels[-1], minus_ones)
         crop = tuple(slice(a - b, a - b + n)
-                     for a, b, n in zip(lo_in, lo_r, inner.shape))
-        nxt = inner & reach[crop]
+                     for a, b, n in zip(lo, lo_r, shape))
+        nxt = P._build_slice(k - j, True, lo, shape) & reach[crop]
         if not nxt.any():
             break
-        levels.append((lo_in, nxt))
+        levels.append((lo, nxt))
     depth = len(levels) - 1
     value = k - depth
     z_pos = P._points(value, *levels[-1])[0]
@@ -215,10 +241,12 @@ def reduced_degree(P: Polytope, y: GradedPoint
     for j in range(depth, 0, -1):
         # the parent is the lex-least cur + u in the level above; adding
         # cur keeps the lex order of the degree-one points
-        _, above = levels[j - 1]
+        lo, above = levels[j - 1]
         for u in ones_pts:
-            idx = P._locate(vadd(cur, u), k - j + 1)
-            if idx is not None and above[idx]:
+            idx = tuple(map(operator.sub, P._chart.to_chart(
+                vadd(cur, u), k - j + 1), lo))
+            if all(0 <= i < n for i, n in zip(idx, above.shape)) \
+                    and above[idx]:
                 break
         parts.append(GradedPoint(u, 1))
         cur = vadd(cur, u)

@@ -277,13 +277,19 @@ def _interior_faces(T: Triangulation, P: Polytope) -> tuple:
     first cell containing it.  Cached on ``P`` per triangulation.
 
     Raises ``ValueError`` when a point of ``T`` has another length than
-    the ambient dimension of ``P``."""
+    the ambient dimension of ``P``, or a cell another length than the
+    first cell."""
     def build():
         for p in T.points:
             if len(p) != P.ambient_dim:
                 raise ValueError(
                     f"triangulation point {p} has length {len(p)}, but the"
                     f" polytope's ambient dimension is {P.ambient_dim}")
+        for c in T.cells:
+            if len(c) != len(T.cells[0]):
+                raise ValueError(
+                    f"triangulation cell {c} has {len(c)} points, but its"
+                    f" first cell {T.cells[0]} has {len(T.cells[0])}")
         return _face_groups(T, _tight_masks(T, P))
     return P._memo(("interior_faces", T), build)
 
@@ -327,9 +333,13 @@ def total_normalized_volume(T: Triangulation) -> int:
 
     A cell's normalized volume is ``|det|`` of its points' chart
     coordinates and a column of ones; every cell's is taken in one
-    :func:`det_stack` call."""
-    chart = build_chart(list(T.points))
-    rows = np.array([c + (1,) for c in _chart_coords(chart, T.points)],
+    :func:`det_stack` call.  Cells of ``ambient_dim + 1`` points span the
+    whole space, whose chart is the identity, so only cells of fewer
+    points need a chart."""
+    coords = T.points
+    if not T.points or T.dim != len(T.points[0]):
+        coords = _chart_coords(build_chart(list(T.points)), T.points)
+    rows = np.array([c + (1,) for c in coords],
                     dtype=object)  # Python ints: any size reaches det_stack
     cells = np.array(T.cells, dtype=np.intp).reshape(len(T.cells), T.dim + 1)
     return sum(map(abs, det_stack(rows[cells])))

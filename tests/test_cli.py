@@ -301,6 +301,20 @@ def test_oversized_sumsets_exit_one(tmp_path, capsys, monkeypatch, flags):
     assert rc == 1 and out == "" and "cap of 100000000000" in err
 
 
+def test_rdeg_refuses_oversized_queries(tmp_path, capsys, monkeypatch):
+    path = write_family(tmp_path, capsys, "example2", d=3)
+    rc, out, err = run_cli(capsys, "rdeg", path, "1 1 1 1000")
+    assert rc == 1 and out == "" and "box around dilate 1000" in err
+
+    def never(*args):
+        raise AssertionError("a sumset started")
+
+    monkeypatch.setattr("polycanon.semigroup._sumset", never)
+    monkeypatch.setattr("polycanon.semigroup.SUMSET_CAP", 10)
+    rc, out, err = run_cli(capsys, "rdeg", path, "2 2 6 3")
+    assert rc == 1 and out == "" and "over the cap of 10" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["FILE"],
     ["--corpus", "--dims", "2", "--count", "3"],

@@ -182,9 +182,17 @@ def test_slice_masks_and_vertices_match_their_twins(pts):
         if math.prod(P._box(1)[1]) * scale ** P.dim > 20_000:
             break
         for interior in (False, True):
-            lo, mask = P._build_slice(scale, interior)
-            ref = P._fd_scan_python(lo, mask.shape, scale, interior)
+            lo, shape = P._box(scale)
+            mask = P._build_slice(scale, interior, lo, shape)
+            ref = P._fd_scan_python(lo, shape, scale, interior)
             assert (mask == ref).all()
+            # a window of the box reads the same cells as the whole box
+            w_lo = tuple(a + n // 3 for a, n in zip(lo, shape))
+            w_shape = tuple(max(1, n // 2) for n in shape)
+            crop = tuple(slice(n // 3, n // 3 + m)
+                         for n, m in zip(shape, w_shape))
+            window = P._build_slice(scale, interior, w_lo, w_shape)
+            assert (window == mask[crop]).all()
     # a vertex is a point whose tight facet normals span the chart space
     spans = [p for p in sorted(set(pts))
              if P.dim == 0 or rank([f.normal for f in P._fd_facets

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polycanon import families, semigroup
 from polycanon.cone import GradedPoint, ReductionWitness
-from polycanon.exactmath import vsub
+from polycanon.exactmath import vadd, vsub
 from polycanon.polytope import Polytope
 from polycanon.semigroup import (
     _check_work,
@@ -405,6 +405,153 @@ FLAT_CUBE = Polytope.from_vertices(  # {0,2}^3 under x -> (x, x1 + 2 x2 - x3)
 
 REEVE_4D = Polytope.from_vertices(  # an empty simplex, not IDP
     [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 7)])
+
+
+def _rdeg_by_full_slices(P, y):
+    """Reduced degree and witness by the breadth-first search on whole
+    dilates, the twin of the window route: level ``j`` is the interior
+    slice of degree ``k - j`` on its full box, ANDed with the sumset of the
+    level above and ``-P``, and the witness walk finds each ``cur + u`` in
+    the full box of its degree."""
+    semigroup._require_ideal(P, y)
+    k = y.degree
+    lo1, ones = P._slice(1, False)
+    minus_ones = (tuple(-(l + n - 1) for l, n in zip(lo1, ones.shape)),
+                  np.flip(ones))
+
+    def locate(x, scale):
+        lo, shape = P._box(scale)
+        idx = tuple(map(operator.sub, P._chart.to_chart(x, scale), lo))
+        return idx if all(0 <= i < n for i, n in zip(idx, shape)) else None
+
+    lo, shape = P._box(k)
+    start = np.zeros(shape, dtype=bool)
+    start[locate(y.position, k)] = True
+    levels = [(lo, start)]
+    while len(levels) < k:
+        lo_in, inner = P._slice(k - len(levels), True)
+        lo_r, reach = _sumset(levels[-1], minus_ones)
+        crop = tuple(slice(a - b, a - b + n)
+                     for a, b, n in zip(lo_in, lo_r, inner.shape))
+        nxt = inner & reach[crop]
+        if not nxt.any():
+            break
+        levels.append((lo_in, nxt))
+    depth = len(levels) - 1
+    value = k - depth
+    z_pos = P._points(value, *levels[-1])[0]
+    parts = []
+    cur = z_pos
+    for j in range(depth, 0, -1):
+        _, above = levels[j - 1]
+        for u in P.lattice_points(1):
+            idx = locate(vadd(cur, u), k - j + 1)
+            if idx is not None and above[idx]:
+                break
+        parts.append(GradedPoint(u, 1))
+        cur = vadd(cur, u)
+    parts.sort(key=lambda p: p.position)
+    return value, ReductionWitness(GradedPoint(z_pos, value), tuple(parts))
+
+
+@st.composite
+def rdeg_queries(draw):
+    """``(P, y)``: a hull of 2 to 6 points in [-2, 2]^m, m <= 3, taken as
+    it is, lifted onto a lattice hyperplane of Z^(m+1), or put flat into
+    Z^(m+2) by ``x -> (2 x_1 - x_m, x, 1)``; and the interior point of one
+    dilate of degree at most ``dim + 3`` nearest (in chart coordinates) to
+    a corner of its box."""
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                        min_size=2, max_size=6))
+    kind = draw(st.sampled_from(["plain", "lifted", "flat"]))
+    if kind == "lifted":
+        c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        t = draw(st.integers(-3, 3))
+        pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    elif kind == "flat":
+        pts = [(2 * p[0] - p[-1],) + p + (1,) for p in pts]
+    P = Polytope.from_vertices(pts)
+    assume(P.dim >= 1)
+    k = draw(st.integers(1, P.dim + 3))
+    lo, shape = P._box(k)
+    corner = [l + (n - 1) * draw(st.booleans()) for l, n in zip(lo, shape)]
+    inner = P.interior_lattice_points(k)
+    assume(inner)
+    pos = min(inner, key=lambda x: (sum(
+        abs(a - b) for a, b in zip(P._chart.to_chart(x, k), corner)), x))
+    return P, GradedPoint(pos, k)
+
+
+@given(rdeg_queries())
+@example((families.reeve_simplex(5), GradedPoint((1, 1, 3), 4)))
+@example((FLAT_CUBE, GradedPoint((1, 2, 5, 0), 4)))
+@example((Polytope.from_vertices(  # past the int64 guard: the bignum route
+    [(BIG, 0), (BIG + 1, 0), (BIG, 2), (BIG + 1, 2)]),
+    GradedPoint((3 * BIG + 1, 5), 3)))
+@example((families.example2(3), GradedPoint((1, 1, 1), 1)))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_reduced_degree_windows_match_the_full_slice_search(query):
+    P, y = query
+    Q = Polytope.from_vertices(P.vertices)  # cold caches
+    checked, spent = [], []
+
+    def check(work):
+        checked.append(work)
+        _check_work(work)
+
+    def spy(a, b):
+        spent.append(_sumset_work(a, b))
+        return _sumset(a, b)
+
+    with mock.patch.object(semigroup, "_check_work", check), \
+            mock.patch.object(semigroup, "_sumset", spy):
+        got = reduced_degree(Q, y)
+    assert got == _rdeg_by_full_slices(P, y)
+    assert got[0] == reduced_degree_oracle(P, y)
+    # one check before the first sumset bounds every sumset taken
+    assert len(checked) == 1 and sum(spent) <= checked[0]
+    assert not [key for key in Q._cache if key[:1] == ("slice",)
+                and key[2]]
+
+
+def test_reduced_degree_caches_no_interior_slice():
+    P = families.example2(5)
+    value, wit = reduced_degree(P, GradedPoint((1, 1, 1, 1, 19), 4))
+    assert value == 4 and wit.parts == ()
+    value, wit = reduced_degree(P, GradedPoint((1, 1, 1, 1, 24), 5))
+    assert value == 4 and wit.parts == (GradedPoint((0, 0, 0, 0, 5), 1),)
+    slices = [key for key in P._cache if key[0] == "slice"]
+    assert slices == [("slice", 1, False)]
+
+
+def test_reduced_degree_refuses_oversized_sumsets(monkeypatch):
+    def never(*args):
+        raise AssertionError("a sumset started")
+
+    monkeypatch.setattr("polycanon.semigroup._sumset", never)
+    P = Polytope.from_vertices([(0, 0, 0), (60, 0, 0), (0, 60, 0),
+                                (0, 0, 60)])
+    y = GradedPoint((60, 60, 60), 4)
+    checked = []
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(work):
+        checked.append(work)
+        raise Admitted  # the bound is taken, no sumset is run
+
+    with mock.patch.object(semigroup, "_check_work", admitted), \
+            pytest.raises(Admitted):
+        reduced_degree(P, y)
+    assert 0 < checked[0] <= semigroup.SUMSET_CAP
+    monkeypatch.setattr("polycanon.semigroup.SUMSET_CAP", checked[0] - 1)
+    with pytest.raises(ValueError, match=f"the sumsets would OR"
+                       f" {checked[0]} mask cells, over the cap of"):
+        reduced_degree(P, y)
 
 
 @given(small_hulls())

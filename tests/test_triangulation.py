@@ -257,6 +257,23 @@ def test_verify_decomposition_names_points_of_another_length(unit_square):
         verify_decomposition(T, unit_square, 2)
 
 
+# the second cell repeats a point of the first in place of one of its own
+_RAGGED = Triangulation(points=((0, 0), (0, 1), (1, 0), (1, 1)),
+                        cells=((0, 1, 2), (1, 2), (1, 2, 3)))
+
+
+def test_interior_faces_name_cells_of_another_length(unit_square):
+    with pytest.raises(ValueError, match=r"cell \(1, 2\) has 2 points, but"
+                       r" its first cell \(0, 1, 2\) has 3"):
+        interior_faces(_RAGGED, unit_square)
+
+
+def test_verify_decomposition_names_cells_of_another_length(unit_square):
+    with mock.patch.object(tmod, "_face_groups", _never), \
+            pytest.raises(ValueError, match=r"cell \(1, 2\) has 2 points"):
+        verify_decomposition(_RAGGED, unit_square, 2)
+
+
 def _never(*args, **kwargs):
     raise AssertionError("a scan started")
 
@@ -873,10 +890,14 @@ def test_volumes_match_the_cell_loop(P, scale):
         T = Triangulation(tuple(tuple(scale * a for a in p) for p in T.points),
                           T.cells)
         with mock.patch.object(emod, "det_bareiss",
-                               side_effect=det_bareiss) as per_matrix:
+                               side_effect=det_bareiss) as per_matrix, \
+                mock.patch.object(tmod, "build_chart",
+                                  side_effect=build_chart) as chart:
             got = total_normalized_volume(T)
         assert got == _volume_by_cells(T)
         assert per_matrix.called == (scale > 1)
+        # cells that span the ambient space take their points as they are
+        assert chart.called == (P.dim < P.ambient_dim)
 
 
 def _boundary_face_property_by_faces(P):

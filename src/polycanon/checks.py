@@ -17,6 +17,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .cone import GradedPoint, cone_over, cone_slice
 from .polytope import BudgetError, Polytope
 from .semigroup import (
@@ -31,10 +33,11 @@ from .semigroup import (
     semigroup_contains,
 )
 from .simplex import (
-    HalfOpenBox,
+    half_open_boxes,
     is_empty_simplex,
     is_unimodular,
     normalized_volume,
+    square_lift,
     unit_box_decomposition,
 )
 from .triangulation import (
@@ -45,7 +48,7 @@ from .triangulation import (
     total_normalized_volume,
     verify_decomposition,
 )
-from .exactmath import dot, rank, vadd, vsub
+from .exactmath import det_stack, dot, rank, vadd, vsub
 
 SAMPLE_CAP = 8
 ORACLE_POINT_CAP = 12
@@ -389,26 +392,43 @@ def _cell_emptiness(P: Polytope) -> Optional[str]:
         return None
     T = full_lattice_triangulation(P)
     to_chart = P._chart.to_chart  # every full-dimensional cell is square
-    for cell in T.cells[:SAMPLE_CAP * 5]:
-        if not _is_empty_cell([to_chart(p) for p in T.cell_points(cell)]):
+    cells = T.cells[:SAMPLE_CAP * 5]
+    empty = _empty_cells([[to_chart(p) for p in T.cell_points(c)]
+                          for c in cells])
+    for cell, ok in zip(cells, empty):
+        if not ok:
             return f"cell {cell} is not an empty simplex"
     return None
 
 
-def _is_empty_cell(points) -> bool:
-    """Whether ``points`` are the vertices of an empty simplex.
+def _empty_cells(cells) -> list:
+    """Per point set of one size in ``cells``, whether it is the vertex set
+    of an empty simplex.
 
     A lattice point of the simplex other than a vertex is a point of degree
     one in its half-open box, and conversely.  Affinely dependent points
-    are not a simplex.  ``cell_emptiness`` passes chart coordinates, so a
-    unimodular full-dimensional cell takes no Smith form
-    (:class:`HalfOpenBox`).
+    are not a simplex, and a unimodular simplex's box is the origin alone.
+    Every other box comes from one :func:`half_open_boxes` call on the
+    sets' :func:`square_lift`; ``cell_emptiness`` passes chart
+    coordinates, so its cells are square already.
     """
-    try:
-        box = HalfOpenBox(points)
-    except ValueError:
-        return False
-    return all(y[-1] != 1 for y in box.points)
+    lifts = {}
+    for i, c in enumerate(cells):
+        try:
+            lifts[i] = square_lift(c)
+        except ValueError:  # affinely dependent
+            pass
+    dets = dict(zip(lifts, det_stack(list(lifts.values()))))
+    empty = [abs(dets.get(i, 0)) == 1 for i in range(len(cells))]
+    odd = [i for i, v in dets.items() if abs(v) > 1]
+    if odd:
+        owner, _, points = half_open_boxes(
+            np.array([lifts[i] for i in odd], dtype=object),
+            [dets[i] for i in odd])
+        hit = np.bincount(owner[points[:, -1] == 1], minlength=len(odd))
+        for i, h in zip(odd, hit.tolist()):
+            empty[i] = not h
+    return empty
 
 
 def _fineness(P: Polytope) -> Optional[str]:

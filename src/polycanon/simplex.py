@@ -1,14 +1,19 @@
 """Simplex-specific machinery: barycentric coordinates, emptiness and
 unimodularity tests, normalized volume, and half-open fundamental domains
-with the interior cone slices read off them."""
+with the interior cone slices read off them.
+
+Every half-open box comes from one enumerator, :func:`half_open_boxes`,
+which takes a whole stack of lifted simplices at once from one batched
+adjugate; :func:`square_lift` first puts a point set that is not square
+onto a chart of its own points.  The unimodularity test alone takes a
+Smith form."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -16,6 +21,7 @@ from .cone import GradedPoint, ReductionWitness
 from .exactmath import (
     _INT64_GUARD,
     as_matrix,
+    build_chart,
     det_bareiss,
     det_stack,
     smith_normal_form,
@@ -118,161 +124,135 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-class HalfOpenBox:
-    """The half-open fundamental parallelepiped of a simplicial cone.
+def square_lift(points: Sequence) -> list:
+    """The lifted rows ``(x, 1)`` of points, square.
 
-    Given affinely independent lattice points, the cone over them placed at
-    height one has the lifted points ``w_i`` as generators.  The box holds
-    the lattice points ``sum t_i * w_i`` of their span with every ``t_i``
-    in ``[0, 1)``, one per coset of the sublattice the ``w_i`` generate, so
-    it has as many points as the simplex has normalized volume.  They come
-    from one Smith form: ``t = frac(mu U)`` with ``mu_i = r_i / d_i`` over
-    the residues ``r_i`` modulo the invariant factors ``d_i``.  A cell of
-    full ambient dimension whose lifted points have determinant +-1 is
-    unimodular, so its box is the origin; a Bareiss determinant proves it
-    and no Smith form is taken.  The covering check takes its boxes from
-    :func:`cyclic_boxes`, one batched adjugate for all cells, and builds
-    this box for a cell that route declines or that is not square; the
-    cell-emptiness check builds it itself, so it is also the batch route's
-    exact twin.  Both work on chart coordinates
-    (``Polytope._chart``), where every full-dimensional cell of an embedded
-    hull is square too; chart coordinates are a lattice isomorphism of the
-    hull, so the box points are the same up to the chart.
-
-    ``coefficients`` holds each point's ``t`` as the integers ``D * t`` in
-    ``[0, D)``, where ``D`` is the largest invariant factor (every ``d_i``
-    divides it); ``points`` holds the lattice points, in the same order.
-    When ``D`` is 1 the box is the origin alone and nothing is enumerated.
-    The box of any face is read off this one (:meth:`face_reps`), so a
-    cell's box serves all of its faces.
+    Points with one more of them than coordinates are lifted as they are.
+    Any others (off a hull's chart, or a lower-dimensional face) are
+    lifted on a chart of their own affine hull (:func:`build_chart`),
+    which maps the hull's lattice points onto ``Z^dim``; the lattice their
+    lifts span, and every half-open box in it, is the same up to the
+    chart.  Points that are still not square there are affinely dependent
+    and raise ``ValueError``; square points may be too, with determinant
+    zero.
     """
-
-    def __init__(self, points: Sequence) -> None:
-        pts = as_matrix(points)
-        if not pts:
-            raise ValueError("need at least one point")
-        self.lifted = tuple(p + (1,) for p in pts)
-        n, width = len(self.lifted), len(self.lifted[0])
-        if n == width and abs(det_bareiss(self.lifted)) == 1:
-            D = 1  # unimodular: the generators span the whole lattice
-        else:
-            S, U, _ = smith_normal_form(self.lifted)
-            diag = [S[i][i] for i in range(n)] if len(S[0]) >= n else [0]
-            if any(d == 0 for d in diag):
-                raise ValueError("points are not affinely independent")
-            D = diag[-1]
-        if D == 1:
-            self.coefficients = [(0,) * n]
-            self.points = [(0,) * width]
-            return
-        # a row with d == 1 takes residue 0 only
-        steps = [(d, [(D // d) * u for u in row])
-                 for d, row in zip(diag, U) if d > 1]
-        cols = list(zip(*self.lifted))
-        self.coefficients, self.points = [], []
-        for residues in itertools.product(*[range(d) for d, _ in steps]):
-            t = [0] * n
-            for r, (_, row) in zip(residues, steps):
-                t = [a + r * b for a, b in zip(t, row)]
-            t = tuple(a % D for a in t)
-            y = [sum(map(operator.mul, t, c)) for c in cols]
-            if any(c % D for c in y):
-                raise AssertionError("fundamental-domain point not integral")
-            self.coefficients.append(t)
-            self.points.append(tuple(c // D for c in y))
-
-    def face_reps(self, positions: Sequence[int]) -> list:
-        """The box ``{sum t_i * w_i : 0 < t_i <= 1}`` of the face spanned by
-        the lifted points at ``positions`` (increasing), as sorted
-        ``(degree, point)`` pairs.
-
-        The lattice of the face's span is the cell's lattice cut down to
-        that span, so the face's ``[0, 1)`` box is the set of box points
-        supported on the face; raising each zero coefficient on the face to
-        one maps it bijectively onto the ``(0, 1]`` box.
-        """
-        inside = set(positions)
-        off = [i not in inside for i in range(len(self.lifted))]
-        reps = []
-        for t, y in zip(self.coefficients, self.points):
-            if any(c and o for c, o in zip(t, off)):
-                continue
-            for i in positions:
-                if not t[i]:
-                    y = tuple(map(operator.add, y, self.lifted[i]))
-            reps.append((y[-1], y))
-        reps.sort()
-        return reps
+    pts = as_matrix(points)
+    if not pts:
+        raise ValueError("need at least one point")
+    if len(pts) != len(pts[0]) + 1:
+        chart = build_chart(pts)
+        if len(pts) != chart.dim + 1:
+            raise ValueError("points are not affinely independent")
+        pts = [chart.to_chart(p) for p in pts]
+    return [p + (1,) for p in pts]
 
 
-def cyclic_boxes(M: np.ndarray, dets: Sequence[int]) -> tuple:
-    """The half-open boxes of a stack of lifted simplices, from one batched
-    integer adjugate, for every simplex whose box is a cyclic group.
+def half_open_boxes(M: np.ndarray, dets: Sequence[int],
+                    rows: Optional[np.ndarray] = None) -> tuple:
+    """The half-open boxes of a stack of lifted simplices, from one
+    batched integer adjugate.
 
-    ``M`` is an int64 stack of square lifted matrices (one point and a
-    one per row) and ``dets`` their nonzero determinants.  ``Z^n / Z^n M``
-    has order ``D = |det M|``, and ``y -> D * y M^-1 mod D`` embeds it in
-    ``(Z/D)^n``, carrying the unit vectors to the rows of ``sign(det) *
-    adj(M) mod D``.  Those rows generate it, so a row with ``gcd(D, row) ==
-    1``, of order ``D``, generates it alone: the coefficients ``D * t`` of
-    the box are ``c * row mod D`` for ``c = 0..D-1`` and its points are
-    ``(D * t) @ M / D``, each division checked exact.  The adjugate's
-    entries are cofactors, all taken in one :func:`det_stack` call.
+    ``M`` is a stack of square lifted matrices (one point and a one per
+    row, as :func:`square_lift` gives them) and ``dets`` their nonzero
+    determinants.  The box of ``M`` holds the lattice points ``t M`` with
+    every ``t_i`` in ``[0, 1)``, one per coset of ``Z^n / Z^n M``, a group
+    of order ``D = |det M|``, so it has as many points as the simplex has
+    normalized volume.  As ``M``'s last column is ones, that group is
+    ``Z^(n-1)`` modulo the lattice of the edges ``x_j - x_0``, and its
+    cosets are the mixed-radix box ``0 <= y_i < h_i`` (and ``0`` in the
+    last coordinate), the ``h_i`` the diagonal of an upper-triangular
+    Hermite basis of the edge lattice: ``h_1 ... h_k`` is the index of the
+    lattice spanned by the edges' first ``k`` coordinates, the gcd of
+    their ``k x k`` minors.  A coset ``y`` has ``D t = y adj(M) mod D``,
+    as ``adj(M) = det M^-1`` (for a negative ``det`` that is the coset of
+    ``-y``, so the cosets are the same), and the box point ``(D t) M / D``,
+    each division checked exact.  Every minor comes from
+    :func:`det_stack`, and the adjugate's give the gcd for ``k = n - 2``
+    too.  The box points are read off ``rows`` instead of ``M`` when
+    given: the lifted points that :func:`square_lift` put on charts of
+    their own.
 
-    Returns ``(take, owner, coefficients, points)``: ``take`` is false for
-    a matrix with no single generating row and for one whose values could
-    reach ``_INT64_GUARD`` (``n`` times its squared Hadamard bound bounds
-    them all), which keep :class:`HalfOpenBox`; the other arrays hold the
-    box points of the taken matrices, matrix by matrix, with the index of
-    each point's matrix and its ``D * t`` and lattice point as int64 rows,
-    as :class:`HalfOpenBox` gives them up to order.
+    The arrays are int64 while ``n`` times the largest squared Hadamard
+    bound times the largest squared entry, which bounds every value
+    formed, stays under ``_INT64_GUARD``, and Python ints (``object``)
+    past it, with the same statements.  Returns ``(owner, coefficients,
+    points)``: the box points matrix by matrix, with the index of each
+    one's matrix, its ``D t`` and its lattice point.
     """
+    rows = M if rows is None else rows
     s, n = len(M), M.shape[-1]
-    take = np.zeros(s, dtype=bool)
-    if s and int(np.abs(M).max()) ** 2 * n < _INT64_GUARD:
-        take[:] = [n * math.prod(r) < _INT64_GUARD
-                   for r in (M * M).sum(axis=2).tolist()]
-    idx = np.flatnonzero(take)
-    A = M[idx]
-    # cofactor (i, j) is (-1)^(i+j) times the minor without row i, column j
-    rest = np.array([[j for j in range(n) if j != i] for i in range(n)],
-                    dtype=np.int64).reshape(n, n - 1)
-    minors = A[:, rest[:, None, :, None], rest[None, :, None, :]]
-    cof = np.array(det_stack(minors.reshape(-1, n - 1, n - 1)),
-                   dtype=np.int64).reshape(len(idx), n, n)
-    taken = np.array([dets[i] for i in idx], dtype=np.int64)
-    sign, D = np.sign(taken), np.abs(taken)
-    checker = 1 - 2 * (np.add.outer(range(n), range(n)) % 2)
-    rows = (cof * checker).transpose(0, 2, 1) * sign[:, None, None]
-    rows %= D[:, None, None]
-    unit = np.gcd(np.gcd.reduce(rows, axis=2), D[:, None]) == 1
-    cyclic = unit.any(axis=1)
-    take[idx[~cyclic]] = False
-    gen = rows[cyclic, unit[cyclic].argmax(axis=1)]
-    idx, A, D = idx[cyclic], A[cyclic], D[cyclic]
-    local = np.repeat(np.arange(len(idx)), D)
-    c = np.arange(len(local)) - np.repeat(np.cumsum(D) - D, D)
-    Dp = D[local, None]
-    coefficients = c[:, None] * gen[local] % Dp
-    Y = np.einsum("pi,pij->pj", coefficients, A[local])
+    big = max(int(np.abs(M).max(initial=0)),
+              int(np.abs(rows).max(initial=0)), 1)
+    wide = n * big * big >= _INT64_GUARD or n * big * big * max(
+        (math.prod(r) for r in (M * M).sum(axis=2).tolist()),
+        default=1) >= _INT64_GUARD
+    dtype = object if wide else np.int64
+    M, rows = M.astype(dtype), rows.astype(dtype)
+    dets = np.array(dets, dtype=dtype).reshape(s)
+    D = np.abs(dets)
+
+    def minors(X: np.ndarray, r: list, c: list) -> np.ndarray:
+        """Per matrix of ``X``, its minors on rows ``r[k]``, columns
+        ``c[k]``."""
+        if not r:
+            return np.zeros((s, 0), dtype=dtype)
+        sub = X[:, np.array(r, dtype=np.intp)[:, :, None],
+                np.array(c, dtype=np.intp)[:, None, :]]
+        if sub.shape[-1] == 1:  # 1 x 1 minors are entries
+            return sub.reshape(s, len(r))
+        return np.array(det_stack(sub.reshape(s * len(r), *sub.shape[2:])),
+                        dtype=dtype).reshape(s, len(r))
+
+    # row i of adj(M) for each coordinate i: entry j is (-1)^(i+j) times
+    # the minor without column i and row j
+    rest = [[j for j in range(n) if j != i] for i in range(n)]
+    minor = minors(M, rest * (n - 1), [rest[i] for i in range(n - 1)
+                                       for _ in rest]).reshape(s, n - 1, n)
+    checker = 1 - 2 * (np.add.outer(range(n - 1), range(n)) % 2)
+    A = minor * checker % D[:, None, None]
+    # G[:, k] = h_1 ... h_k: 1, the gcd of the edges' k x k minors for
+    # 0 < k < n - 2, that of M's minors without column n - 2 (the same up
+    # to sign) for k = n - 2, and D; its last n columns are kept, as for
+    # n <= 2 the columns before them repeat G_0
+    E = M[:, 1:, :-1] - M[:, :1, :-1]
+    G = [np.ones((s, 1), dtype=dtype)]
+    for k in range(1, n - 2):
+        r = list(itertools.combinations(range(n - 1), k))
+        G.append(np.gcd.reduce(minors(E, r, [range(k)] * len(r)), axis=1,
+                               keepdims=True))
+    G += [np.gcd.reduce(minor[:, n - 2:], axis=2), D[:, None]]
+    G = np.concatenate(G, axis=1)[:, -n:]
+    h = G[:, 1:] // G[:, :-1]
+    counts = D.astype(np.int64)
+    owner = np.repeat(np.arange(s), counts)
+    q = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    coefficients = np.zeros((len(owner), n), dtype=dtype)
+    for i in range(n - 1):  # digit i of each point's index in the radices h
+        coefficients += (q % h[owner, i])[:, None] * A[owner, i]
+        q = q // h[owner, i]
+    Dp = D[owner, None]
+    coefficients %= Dp
+    Y = np.einsum("pi,pij->pj", coefficients, rows[owner])
     if (Y % Dp).any():
         raise AssertionError("fundamental-domain point not integral")
-    return take, idx[local], coefficients, Y // Dp
+    return owner, coefficients, Y // Dp
 
 
 def face_box_points(lifted: np.ndarray, first: np.ndarray,
                     support: np.ndarray, points: np.ndarray,
                     box: np.ndarray, on: np.ndarray) -> tuple:
-    """:meth:`HalfOpenBox.face_reps` for many faces at once.
+    """The ``(0, 1]`` boxes ``{sum t_i * w_i : 0 < t_i <= 1}`` of many
+    faces at once, read off their cells' boxes.
 
     Box ``b`` has the lifted generator rows ``lifted[b]`` (one per
-    simplex vertex) and the box points ``points[first[b]:first[b + 1]]``,
-    with ``support`` their nonzero coefficients as booleans.  Face ``f``
-    lies in box ``box[f]`` at the vertex positions where ``on[f]`` is
-    true.  Its ``(0, 1]`` box is the box points with no support off the
-    face, each raised by the generators on the face where its
-    coefficient is zero.  Every face meets every point of its box in one
-    ragged expansion.
+    simplex vertex) and the box points ``points[first[b]:first[b + 1]]``
+    (:func:`half_open_boxes`), with ``support`` their nonzero coefficients
+    as booleans.  Face ``f`` lies in box ``box[f]`` at the vertex positions
+    where ``on[f]`` is true.  The lattice of the face's span is the cell's
+    lattice cut down to it, so the face's ``[0, 1)`` box is the cell's box
+    points with no support off the face; raising each one's zero
+    coefficients on the face to one maps them onto its ``(0, 1]`` box.
+    Every face meets every point of its box in one ragged expansion.
 
     Returns ``(face, reps)``: the faces' box points as int64 rows, degree
     last, face by face in face order, and the index of each one's face.
@@ -295,15 +275,23 @@ class SimplexConeSlicer:
     a point of the half-open box ``{sum t_i * w_i : 0 < t_i <= 1}`` plus a
     nonnegative integer combination of the generators, so each degree
     slice is enumerated in time proportional to its size.  The box comes
-    from a Smith form of its own (:class:`HalfOpenBox`).  The covering
-    check does not use it: it is the point-by-point route that the tests
-    hold the covering's counts against.
+    from :func:`half_open_boxes` on the points' :func:`square_lift`.  The
+    covering check does not use it: it is the point-by-point route that
+    the tests hold the covering's counts against.
     """
 
     def __init__(self, points: Sequence) -> None:
-        box = HalfOpenBox(points)
-        self.lifted = box.lifted
-        self._reps = box.face_reps(range(len(box.lifted)))
+        pts = as_matrix(points)
+        M = np.array([square_lift(pts)], dtype=object)
+        dets = det_stack(M)
+        if not dets[0]:
+            raise ValueError("points are not affinely independent")
+        self.lifted = tuple(p + (1,) for p in pts)
+        rows = np.array([self.lifted], dtype=object)
+        _, coefficients, box = half_open_boxes(M, dets, rows)
+        # raising each zero coefficient to one maps the box onto (0, 1]
+        reps = box + (coefficients == 0).astype(np.int64) @ rows[0]
+        self._reps = sorted((y[-1], tuple(y)) for y in reps.tolist())
 
     def interior_points(self, degree: int) -> list:
         """Lifted interior cone points of the given degree, sorted."""

@@ -21,12 +21,12 @@ index combinations, every point is lifted into chart coordinates in one
 product, and every owning cell's determinant is taken in one batched call.
 A face of a unimodular cell has one box point, the sum of its lifted
 vertices; the faces of every other cell are read off that cell's
-half-open box, all boxes from one batched adjugate and a Smith form only
-for a cell that route declines.  It counts each degree on the chart box of
-the dilate: the points of all faces of one size from box points of one
-degree are one integer product, and their ``bincount`` must equal the
-dilate's interior mask, which the facet-form scan builds, so the two
-routes stay independent.  A degree that does not match is named from the
+half-open box, all boxes from one call of the batched enumerator
+``simplex.half_open_boxes`` and no Smith form.  It counts each degree on
+the chart box of the dilate: the points of all faces of one size from box
+points of one degree are one integer product, and their ``bincount`` must
+equal the dilate's interior mask, which the facet-form scan builds, so the
+two routes stay independent.  A degree that does not match is named from the
 same points, face by face.
 """
 
@@ -58,10 +58,10 @@ from .polytope import (
     _tight_form_masks,
 )
 from .simplex import (
-    HalfOpenBox,
     _compositions,
-    cyclic_boxes,
     face_box_points,
+    half_open_boxes,
+    square_lift,
 )
 
 
@@ -388,12 +388,14 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> tuple:
     Every triangulation point is lifted in one product.  A cell's rows are
     its points' chart coordinates and a one, with the coordinates across
     the hull too when a point lies off it, so that its box is the box of
-    its ambient points.  When the cells are square, every owning cell's
-    determinant is taken in one :func:`det_stack` call.  A face owned by a
-    unimodular cell has one box point, the sum of its lifted vertices, at
-    degree ``n``.  The boxes of all other owning cells come from
-    :func:`_cell_boxes`, and every face of those cells is read off its
-    owner's box in one ragged expansion per face size
+    its ambient points.  Cells that are then not square (points off the
+    hull, or cells of another size) each go onto a chart of their own
+    points (:func:`square_lift`).  Every owning cell's determinant is
+    taken in one :func:`det_stack` call.  A face owned by a unimodular
+    cell has one box point, the sum of its lifted vertices, at degree
+    ``n``.  The boxes of all other owning cells come from one
+    :func:`half_open_boxes` call, and every face of those cells is read
+    off its owner's box in one ragged expansion per face size
     (:func:`face_box_points`), with no loop over faces.
 
     Raises ``ValueError`` when the points of an owning cell are affinely
@@ -416,18 +418,23 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> tuple:
     C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
     owned = np.flatnonzero(np.bincount(
         np.concatenate([o for _, o in face_groups]), minlength=len(C)))
-    boxed, dets = owned, None
-    if C.shape[1] == w + 1:
-        dets = det_stack(rows[C[owned]])
-        if 0 in dets:
-            raise ValueError("degenerate face")
-        boxed = owned[[abs(v) != 1 for v in dets]]
-        dets = [v for v in dets if abs(v) != 1]
+    cells = square = rows[C[owned]]
+    if C.shape[1] != w + 1:  # each cell on a chart of its own points
+        square = np.array([square_lift(c[:, :w].tolist()) for c in cells],
+                          dtype=object).reshape(len(cells), *C.shape[1:] * 2)
+    dets = det_stack(square)
+    if 0 in dets:
+        raise ValueError("degenerate face")
+    odd = [abs(v) != 1 for v in dets]
+    boxed = owned[odd]
     box_of = np.full(len(C), -1)
     box_of[boxed] = np.arange(len(boxed))
     if len(boxed):
-        lifted = rows[C[boxed]]
-        first, support, points = _cell_boxes(lifted, dets)
+        lifted = cells[odd]
+        at, coefficients, points = half_open_boxes(
+            square[odd], [v for v in dets if abs(v) != 1], lifted)
+        first = np.searchsorted(at, np.arange(len(boxed) + 1))
+        support = coefficients != 0
     parts: Dict[tuple, list] = {}
     base = 0
     for F, owner in face_groups:
@@ -456,31 +463,6 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> tuple:
                 + [int(np.abs(R).max(initial=0))
                    for R, _, _ in groups.values()])
     return bound, groups
-
-
-def _cell_boxes(lifted: np.ndarray, dets: Optional[list]) -> tuple:
-    """``(first, support, points)``: the half-open boxes of the cells with
-    lifted rows ``lifted`` (coordinates, then a one) and determinants
-    ``dets``, box ``b`` holding rows ``first[b]:first[b + 1]`` of
-    ``support`` (nonzero coefficients) and ``points``.  From
-    :func:`cyclic_boxes` when the rows are square (``dets`` given), and
-    from a :class:`HalfOpenBox` for each cell it declines and for every
-    cell when they are not."""
-    at, support, points, declined = [], [], [], range(len(lifted))
-    if dets is not None:
-        take, at, coeffs, points = cyclic_boxes(lifted, dets)
-        at, support, points = [at], [coeffs != 0], [points]
-        declined = np.flatnonzero(~take)
-    for b in declined:
-        box = HalfOpenBox(lifted[b, :, :-1].tolist())
-        at.append(np.full(len(box.points), b))
-        support.append(np.array(box.coefficients, dtype=object) != 0)
-        points.append(np.array(box.points, dtype=lifted.dtype))
-    at = np.concatenate(at)
-    order = np.argsort(at, kind="stable")
-    first = np.searchsorted(at[order], np.arange(len(lifted) + 1))
-    return (first, np.concatenate(support)[order],
-            np.concatenate(points)[order])
 
 
 @functools.lru_cache(maxsize=128)

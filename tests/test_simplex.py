@@ -12,23 +12,19 @@ from hypothesis import strategies as st
 import polycanon.simplex as smod
 from polycanon import families
 from polycanon.cone import GradedPoint
-from polycanon.exactmath import det_bareiss, smith_normal_form
+from polycanon.exactmath import det_bareiss
 from polycanon.polytope import Polytope
 from polycanon.simplex import (
-    HalfOpenBox,
     SimplexConeSlicer,
     barycentric,
-    cyclic_boxes,
     face_box_points,
+    half_open_boxes,
     is_empty_simplex,
     is_unimodular,
     normalized_volume,
     unit_box_decomposition,
 )
-from polycanon.triangulation import (
-    full_lattice_triangulation,
-    placing_triangulation,
-)
+from smith_boxes import HalfOpenBox
 
 
 @pytest.fixture(scope="module")
@@ -159,44 +155,16 @@ def test_slicer_apex_only_cases():
     assert slicer.interior_points(3) == [(6, 3)]
 
 
-def _never(*args):
-    raise AssertionError("a Smith form was taken")
+# ------------------------------------------- batched boxes against the twin
 
-
-def test_unimodular_boxes_match_the_smith_form_route(monkeypatch):
-    cells = []
-    for P in (families.example2(3), families.unit_cube(3),
-              families.reeve_simplex(3), families.example1(3)):
-        for T in (full_lattice_triangulation(P), placing_triangulation(P)):
-            cells += [T.cell_points(c) for c in T.cells]
-    cells.append(((0, 0, 1), (1, 0, 2), (0, 1, 3)))  # flat: not square
-    square = [c for c in cells if len(c) == len(c[0]) + 1]
-    unimodular = [c for c in square
-                  if is_unimodular(Polytope.from_vertices(c))]
-    assert 0 < len(unimodular) < len(square)
-    boxes = [HalfOpenBox(c) for c in cells]
-    with monkeypatch.context() as mp:
-        mp.setattr(smod, "det_bareiss", lambda M: 0)  # force the Smith form
-        for c, box in zip(cells, boxes):
-            ref = HalfOpenBox(c)
-            assert (box.coefficients, box.points) == (
-                ref.coefficients, ref.points), c
-    with monkeypatch.context() as mp:
-        mp.setattr(smod, "smith_normal_form", _never)
-        for c in unimodular:
-            assert HalfOpenBox(c).points == [(0,) * (len(c[0]) + 1)]
-
-
-# -------------------------------------------- batched boxes against the twin
-
-def _batch_matches_the_boxes(cells) -> list:
-    """Check :func:`cyclic_boxes` and :func:`face_box_points` against
-    :class:`HalfOpenBox` on full-dimensional simplices of one dimension:
-    every taken box has the same coefficients and points, and every face
-    of it the same ``(0, 1]`` box.  Returns the ``take`` flags."""
-    M = np.array([[p + (1,) for p in c] for c in cells], dtype=np.int64)
-    take, at, coeffs, points = cyclic_boxes(
-        M, [det_bareiss(m.tolist()) for m in M])
+def _batch_matches_the_boxes(cells):
+    """Check :func:`half_open_boxes` and :func:`face_box_points` against
+    the Smith-form :class:`HalfOpenBox` on full-dimensional simplices of
+    one dimension: every box has the same points, and every face of it
+    the same ``(0, 1]`` box.  Returns the dtype of the batch's points."""
+    M = np.array([[p + (1,) for p in c] for c in cells], dtype=object)
+    at, coeffs, points = half_open_boxes(
+        M, [det_bareiss(m) for m in M.tolist()])
     n = M.shape[1]
     subsets = [s for r in range(1, n + 1)
                for s in itertools.combinations(range(n), r)]
@@ -206,85 +174,49 @@ def _batch_matches_the_boxes(cells) -> list:
                  (len(cells), 1))
     face, reps = face_box_points(M, first, coeffs != 0, points, box, on)
     for b, c in enumerate(cells):
-        if not take[b]:
-            assert not (at == b).any()
-            continue
         ref = HalfOpenBox(c)
-        got = zip(map(tuple, coeffs[at == b].tolist()),
-                  map(tuple, points[at == b].tolist()))
-        assert sorted(got) == sorted(zip(ref.coefficients, ref.points)), c
+        assert sorted(map(tuple, points[at == b].tolist())) == \
+            sorted(ref.points), c
         for k, s in enumerate(subsets):
             ys = reps[face == b * len(subsets) + k].tolist()
             assert sorted((y[-1], tuple(y)) for y in ys) == \
                 ref.face_reps(s), (c, s)
-    return take.tolist()
-
-
-def _invariant_factors(cell) -> list:
-    S, _, _ = smith_normal_form([p + (1,) for p in cell])
-    return [S[i][i] for i in range(len(cell)) if S[i][i] > 1]
+    return points.dtype
 
 
 @st.composite
 def simplex_stacks(draw):
-    """One to four full-dimensional simplices of one dimension in 2..4,
+    """One to four full-dimensional simplices of one dimension in 1..4,
     coordinates in [-3, 3]."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
     point = st.tuples(*[st.integers(-3, 3)] * d)
     cells = draw(st.lists(st.lists(point, min_size=d + 1, max_size=d + 1),
                           min_size=1, max_size=4))
     return [c for c in cells if det_bareiss([p + (1,) for p in c])]
 
 
+K = 2**20
+
+
 @given(simplex_stacks())
+# Z/2 x Z/2: two invariant factors above one
+@example([((0, 0, 0), (0, 0, 1), (0, 2, 0), (2, 0, 0))])
+# Z/6, yet every unit vector maps to an element of order 2 or 3
+@example([((0, 0), (0, 3), (2, 0)), ((0, 0), (0, 3), (1, 0))])
 @example([families.reeve_simplex(13).vertices,
           families.reeve_simplex(50).vertices])
+# Z/2 x Z/2 and a unimodular cell under a shear with entries near 2^20:
+# small boxes whose Hadamard bound is far past the int64 guard
+@example([[(x, y + K * x, z + K * y) for x, y, z in c] for c in (
+    ((0, 0, 0), (0, 0, 1), (0, 2, 0), (2, 0, 0)),
+    ((0, 0, 0), (0, 0, 1), (0, 1, 0), (3, 1, 1)))])
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_cyclic_boxes_match_the_smith_form_boxes(cells):
+def test_half_open_boxes_match_the_smith_form_boxes(cells):
     assume(cells)
-    take = _batch_matches_the_boxes(cells)
-    # declined exactly where no unit vector's image has the group's order
-    for c, t in zip(cells, take):
-        factors = _invariant_factors(c)
-        assert t or len(factors) > 1 or not _has_generating_row(c)
-
-
-def _has_generating_row(cell) -> bool:
-    """Whether some row of ``sign(det) * adj(M) mod D`` has order ``D``,
-    the adjugate taken entry by entry from cofactor determinants."""
-    M = [p + (1,) for p in cell]
-    n, det = len(M), det_bareiss(M)
-    D = abs(det)
-    for i in range(n):  # row i of the adjugate is column i of cofactors
-        row = [(-1) ** (i + j) * det_bareiss(
-                   [r[:i] + r[i + 1:] for k, r in enumerate(M) if k != j])
-               for j in range(n)]
-        if np.gcd.reduce([D] + [a * (det // D) % D for a in row]) == 1:
-            return True
-    return False
-
-
-def test_cyclic_boxes_decline_cells_without_one_generating_row():
-    # Z/2 x Z/2: two invariant factors above one
-    square = [((0, 0, 0), (0, 0, 1), (0, 2, 0), (2, 0, 0))]
-    assert _invariant_factors(square[0]) == [2, 2]
-    # Z/6, yet every unit vector maps to an element of order 2 or 3
-    triangle = [((0, 0), (0, 3), (2, 0)), ((0, 0), (0, 3), (1, 0))]
-    assert _invariant_factors(triangle[0]) == [6]
-    assert not _has_generating_row(triangle[0])
-    assert _batch_matches_the_boxes(square) == [False]
-    assert _batch_matches_the_boxes(triangle) == [False, True]
-
-
-def test_cyclic_boxes_decline_cells_past_the_int64_guard():
-    # Z/2 x Z/2 and a unimodular cell under a shear with entries near
-    # 2^20: small boxes whose Hadamard bound is far past the guard
-    K = 2**20
-    shear = [[(x, y + K * x, z + K * y) for x, y, z in c] for c in (
-        ((0, 0, 0), (0, 0, 1), (0, 2, 0), (2, 0, 0)),
-        ((0, 0, 0), (0, 0, 1), (0, 1, 0), (3, 1, 1)))]
-    assert _batch_matches_the_boxes(shear) == [False, False]
-    assert len(HalfOpenBox(shear[0]).points) == 4
-    # past the guard on the largest entry alone, every cell is declined
-    assert _batch_matches_the_boxes([[(0, 0), (2**31, 1), (0, 2)]]) == [False]
+    big = max(abs(a) for c in cells for p in c for a in p)
+    assert (_batch_matches_the_boxes(cells) == object) == (big >= K)
+    # past the int64 guard the same statements run on Python ints
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smod, "_INT64_GUARD", 0)
+        assert _batch_matches_the_boxes(cells) == object

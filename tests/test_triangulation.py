@@ -3,6 +3,7 @@ subdivision, and the disjoint interior-cone covering checker."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -16,7 +17,7 @@ import polycanon.exactmath as emod
 import polycanon.simplex as smod
 import polycanon.triangulation as tmod
 from polycanon import families
-from polycanon.checks import _is_empty_cell, default_corpus
+from polycanon.checks import _empty_cells, default_corpus
 from polycanon.exactmath import (
     build_chart,
     det_bareiss,
@@ -24,8 +25,8 @@ from polycanon.exactmath import (
     generalized_cross,
     vsub,
 )
-from polycanon.polytope import Polytope
-from polycanon.simplex import HalfOpenBox, SimplexConeSlicer, is_empty_simplex
+from polycanon.polytope import BudgetError, Polytope
+from polycanon.simplex import SimplexConeSlicer, is_empty_simplex
 from polycanon.triangulation import (
     DecompositionResult,
     Triangulation,
@@ -40,6 +41,7 @@ from polycanon.triangulation import (
     total_normalized_volume,
     verify_decomposition,
 )
+from smith_boxes import HalfOpenBox
 
 
 @pytest.fixture(scope="module")
@@ -392,9 +394,8 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
         assert _placing(shuffled)[0] == cells
     # placing cells span only vertices, so some of them are not empty
     placing = placing_triangulation(P)
-    for cell in placing.cells:
-        cp = placing.cell_points(cell)
-        assert _is_empty_cell(cp) == _empty_by_scan(cp)
+    cps = [placing.cell_points(cell) for cell in placing.cells]
+    assert _empty_cells(cps) == [_empty_by_scan(cp) for cp in cps]
     tris = [full_lattice_triangulation(P)]
     if P.dim >= 2 and P.interior_lattice_points(1):
         tris.append(interior_respecting_triangulation(P))
@@ -411,9 +412,9 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
         assert (got, _owners(T, groups)) == want
         reps = {f: HalfOpenBox(T.cell_points(f)).face_reps(range(len(f)))
                 for f in faces}
-        for cell in T.cells:
-            cp = T.cell_points(cell)
-            assert _is_empty_cell(cp) == _empty_by_scan(cp)
+        cps = [T.cell_points(cell) for cell in T.cells]
+        assert _empty_cells(cps) == [_empty_by_scan(cp) for cp in cps]
+        for cell, cp in zip(T.cells, cps):
             box = HalfOpenBox(cp)
             for r in range(1, len(cell) + 1):
                 for f in itertools.combinations(cell, r):
@@ -452,6 +453,15 @@ def _degree_by_points(slicers, P, k):
     return DecompositionResult(ok=True)
 
 
+class SmithSlicer(SimplexConeSlicer):
+    """:class:`SimplexConeSlicer` with its box from the Smith-form twin."""
+
+    def __init__(self, points):
+        box = HalfOpenBox(points)
+        self.lifted = box.lifted
+        self._reps = box.face_reps(range(len(box.lifted)))
+
+
 def _cover_loop(T, P, kmax, faces, owner):
     """The covering over ``faces`` walked point by point, with one Smith
     form per face."""
@@ -460,7 +470,7 @@ def _cover_loop(T, P, kmax, faces, owner):
             HalfOpenBox(T.cell_points(owner[f]))
         except ValueError:
             return DecompositionResult(ok=False, reason="degenerate face")
-    slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
+    slicers = [SmithSlicer(T.cell_points(f)) for f in faces]
     for k in range(1, kmax + 1):
         res = _degree_by_points(slicers, P, k)
         if not res:
@@ -482,7 +492,7 @@ def test_count_mask_covering_matches_the_point_loop(P):
         tris.append(interior_respecting_triangulation(P))
     for T in tris:
         faces, owner = _interior_faces_by_dict(T, P)
-        slicers = [SimplexConeSlicer(T.cell_points(f)) for f in faces]
+        slicers = [SmithSlicer(T.cell_points(f)) for f in faces]
         cover = _cover_arrays(T, P)
         for k in range(1, kmax + 1):
             assert _cover_degree(cover, P, k) == \
@@ -554,41 +564,48 @@ def test_cover_arrays_match_the_per_face_groups(P):
             assert verify_decomposition(tris[0], P, kmax) == want
 
 
-def test_cover_arrays_build_a_box_only_for_declined_cells(monkeypatch):
+def test_coverings_and_checks_take_no_smith_form(monkeypatch):
+    """Every box of the covering check and of the check suite comes from
+    the batched enumerator: on full-dimensional hulls the unimodularity
+    test alone takes a Smith form."""
     K = 2**20
     polys = [
         # Z/2 x Z/2, and Z/6 with no single generating row
         Polytope.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]),
         Polytope.from_vertices([(0, 0), (2, 0), (0, 3)]),
-        # Z/2 x Z/2 sheared past the batch's int64 guard
-        Polytope.from_vertices([(x, y + K * x, z + K * y) for x, y, z in
-                                [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1)]]),
+        Polytope.from_vertices(families.reeve_simplex(13).vertices),
+        # its coverings read boxes of 12 points
+        Polytope.from_vertices([(0, 1, -3, 3), (1, 3, -5, 1), (1, 4, -2, 1),
+                                (4, 2, -1, 1), (1, 4, -4, 4), (4, 2, -1, 4)]),
     ]
-    built = []
+    # Z/2 x Z/2 sheared past the int64 guard: too big to scan
+    shear = Polytope.from_vertices([(x, y + K * x, z + K * y) for x, y, z in
+                                    [(0, 0, 0), (2, 0, 0), (0, 2, 0),
+                                     (0, 0, 1)]])
+    real = emod.smith_normal_form
 
-    class Spy(HalfOpenBox):
-        def __init__(self, points):
-            built.append(points)
-            super().__init__(points)
+    def spy(M):
+        if sys._getframe(1).f_code.co_name != "is_unimodular":
+            raise AssertionError("a Smith form was taken")
+        return real(M)
 
-    monkeypatch.setattr(tmod, "HalfOpenBox", Spy)
-    for P in polys:
-        T = placing_triangulation(P)
-        built.clear()
-        cover = _cover_arrays(T, P)
-        assert len(built) == 1
-        assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_boxes(T, P))
-        assert not _box_fits(P, P.dim + 2) or verify_decomposition(
-            T, P, P.dim + 2)
-    # cyclic boxes take no Smith form at all
-    P = families.reeve_simplex(13)
-    T = placing_triangulation(P)
-    built.clear()
     with monkeypatch.context() as mp:
-        mp.setattr(smod, "smith_normal_form", _no_slicer)
-        cover = _cover_arrays(T, P)
-    assert not built
-    assert _sorted_rows(cover[1]) == _sorted_rows(_groups_by_boxes(T, P))
+        mp.setattr(emod, "smith_normal_form", spy)
+        mp.setattr(smod, "smith_normal_form", spy)
+        for P in polys:
+            tris = [placing_triangulation(P), full_lattice_triangulation(P)]
+            if P.interior_lattice_points(1):
+                tris.append(interior_respecting_triangulation(P))
+            for T in tris:
+                assert verify_decomposition(T, P, P.dim + 2)
+            assert checks_mod.check_polytope(P) == []
+        T = placing_triangulation(shear)
+        _, groups = _cover_arrays(T, shear)
+        with pytest.raises(BudgetError):
+            verify_decomposition(T, shear, shear.dim + 2)
+        with pytest.raises(BudgetError):
+            checks_mod.check_polytope(shear)
+    assert _sorted_rows(groups) == _sorted_rows(_groups_by_boxes(T, shear))
 
 
 def test_cover_arrays_keep_points_off_the_hull():
@@ -856,8 +873,8 @@ def test_stellar_subdivide_matches_the_cell_loop(case):
 
 
 def test_dependent_cell_is_not_empty():
-    assert not _is_empty_cell([(0, 0), (1, 1), (2, 2)])
-    assert not _is_empty_cell([(0, 0), (0, 0)])
+    assert _empty_cells([[(0, 0), (1, 1), (2, 2)]]) == [False]
+    assert _empty_cells([[(0, 0), (0, 0)]]) == [False]
 
 
 # ------------------------------- volumes and boundary faces against loops

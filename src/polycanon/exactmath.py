@@ -10,7 +10,8 @@ stack of int64 matrices at once, and hands a stack whose entries could
 overflow to :func:`det_bareiss`.  ``fractions.Fraction`` appears only in
 the results of :func:`solve_rational` and in the Gram-Schmidt data of
 :func:`lll_reduce`; the polytope layer's vertex search reads its
-common-denominator solutions off :func:`_row_reduce` directly.
+common-denominator solutions off a table of cofactor rays, whose minors
+take one :func:`det_stack` call per chunk of subsets.
 
 An :class:`AffineChart` of a full-dimensional point set is the identity
 with origin 0 and maps points without any arithmetic.  Any other chart

@@ -6,16 +6,21 @@ affine hull, so every enumeration runs in a full-dimensional picture.
 
 Facets are the final boundary of a placing pass (``_placing``, the one
 hull routine, shared with the triangulation layer), whose planes come
-oriented and gcd-reduced; the vertices are the points whose sets of tight
-facets are maximal (``_tight_form_masks``).  ``from_inequalities``
-solves each subset of forms by one integer elimination and tests each
-distinct solution once, in integers; the ``facet_duality`` check rebuilds
+oriented and gcd-reduced: a dimension jump takes one determinant, for the
+base of the pyramid it makes, and every other plane comes from the pencil
+of two known ones.  The vertices are the points whose sets of tight facets
+are maximal (``_tight_form_masks``).  ``from_inequalities`` takes the
+cofactor ray of every ``(m-1)``-subset of forms from one ``det_stack``
+table, tests every ray for recession in one product with the normals, and
+reads each ``m``-subset's point off the rays of its ``(m-1)``-subsets (its
+adjugate), testing it in integers; the ``facet_duality`` check rebuilds
 every polytope through it.  A full-dimensional polytope's chart is the
 identity and costs no arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -28,24 +33,24 @@ import numpy as np
 from .exactmath import (
     _INT64_GUARD,
     AffineChart,
-    _row_reduce,
     as_matrix,
     as_vector,
     build_chart,
+    det_stack,
     dot,
     gcd_vector,
     generalized_cross,
     primitive_vector,
     rank,
     vec_mat,
-    vscale,
     vsub,
 )
 
 BOX_POINT_CAP = 40_000_000
 # Input budgets, checked before any work starts.  SUBSET_CAP bounds the
-# C(#forms, m) inequality subsets of the vertex search; tests and benchmark
-# reach C(11, 5) = 462 (example2 d=5).
+# C(#forms, m) inequality subsets of the vertex search and the
+# C(#forms, m - 1) cofactor rays of the recession search; tests and benchmark
+# reach C(13, 6) = 1716 (example2 d=6).
 SUBSET_CAP = 1_000_000
 # PLACING_CAP bounds n * UBT(n, d): the placing pass scans its boundary once
 # per point, and by the upper bound theorem the boundary of a d-polytope on
@@ -53,6 +58,9 @@ SUBSET_CAP = 1_000_000
 # 216-point cube [0,5]^3 reads 92448 and example2(6) 5193804; a 6^4 grid,
 # 1085871744, is refused.
 PLACING_CAP = 10_000_000
+# The inequality route builds its minors and its per-subset gathers this
+# many subsets at a time, so no array grows with C(#forms, m) past one chunk.
+_CHUNK = 2048
 
 
 class BudgetError(ValueError):
@@ -129,7 +137,12 @@ class Polytope:
         """Build from ``normal . x <= offset`` constraints.
 
         Raises ``ValueError`` for unbounded or empty regions and for regions
-        whose vertices are not all lattice points.
+        whose vertices are not all lattice points, and ``BudgetError``
+        before any work when ``C(#forms, m)`` or ``C(#forms, m - 1)`` is
+        over ``SUBSET_CAP``.  After the rank check, one cofactor table
+        (:func:`_cofactor_table`) serves the recession search
+        (:func:`_recession_ray`) and the vertex search
+        (:func:`_subset_points`).
         """
         pairs = [(f.normal, f.offset) if isinstance(f, FacetForm) else tuple(f)
                  for f in forms]
@@ -138,45 +151,26 @@ class Polytope:
                 raise ValueError(f"offset {o!r} must be an integer")
         forms = tuple(FacetForm(as_vector(n), o) for n, o in pairs)
         m = ambient_dim
-        _check_subsets(len(forms), m,
+        n = len(forms)
+        _check_subsets(n, m,
                        "the vertex search would try {} inequality subsets")
-        normals = [f.normal for f in forms]
-        if rank(normals) < m:
+        _check_subsets(n, m - 1,
+                       "the recession search would take {} cofactor rays")
+        if rank([f.normal for f in forms]) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
-        # m - 1 normals are dependent iff their cross product is zero
-        for rows in itertools.combinations(normals, m - 1):
-            ray = generalized_cross(rows, m) if m > 1 else (1,)
-            if not any(ray):
-                continue
-            for v in (ray, vscale(ray, -1)):
-                if all(dot(n, v) <= 0 for n in normals):
-                    raise ValueError("unbounded polyhedron (recession ray"
-                                     f" {tuple(v)})")
-        # A regular m-subset of forms meets in one point x = num / e, e > 0
-        # and in lowest terms, read off the reduced rows (n | o) of one
-        # integer elimination; each distinct point is tested once, as
-        # o * e - n . num >= 0 per form.
-        points = set()
-        for subset in itertools.combinations(forms, m):
-            rows, pivots = _row_reduce(
-                [f.normal + (f.offset,) for f in subset], m)
-            if len(pivots) < m:
-                continue
-            e = math.lcm(*(row[c] for c, row in enumerate(rows)))
-            num = [row[m] * (e // row[c]) for c, row in enumerate(rows)]
-            g = math.gcd(e, *num)
-            points.add((tuple(a // g for a in num), e // g))
-        candidates = [
-            (num, e) for num, e in points
-            if all(f.offset * e - dot(f.normal, num) >= 0 for f in forms)]
-        if not candidates:
+        N, o, rays = _cofactor_table(forms, m)
+        ray = _recession_ray(N, rays)
+        if ray is not None:
+            raise ValueError(f"unbounded polyhedron (recession ray {ray})")
+        points = _subset_points(N, o, rays)
+        if not points:
             raise ValueError("infeasible system (no vertices)")
-        bad = [tuple(Fraction(a, e) for a in num)
-               for num, e in candidates if e != 1]
+        bad = [tuple(Fraction(a, row[-1]) for a in row[:-1])
+               for row in points if row[-1] != 1]
         if bad:
             raise ValueError(f"vertex {tuple(str(c) for c in min(bad))}"
                              " is not a lattice point")
-        return cls.from_vertices([num for num, _ in candidates], name=name)
+        return cls.from_vertices([row[:-1] for row in points], name=name)
 
     # -- enumeration -------------------------------------------------------
 
@@ -427,18 +421,12 @@ class Polytope:
 def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
     """Facet inequalities of the convex hull of full-dimensional points:
     one primitive form per simplex of the final boundary of a placing pass,
-    so coplanar simplices merge into one facet.  Only a pass that ends on a
-    dimension jump (a simplex, say) leaves no boundary; its free facets then
-    take one determinant each."""
+    so coplanar simplices merge into one facet."""
     if d == 0:
         return []
     _check_placing(len(fd_pts), d)
-    cells, planes = _placing(fd_pts)
-    if planes is None:
-        planes = [_facet_form(fd_pts, f, v)
-                  for f, v in _free_facets(cells).items()]
     facets = set()
-    for n, o in planes:  # n . x >= o on the hull
+    for n, o in _placing(fd_pts)[1]:  # n . x >= o on the hull
         g = gcd_vector(n)
         facets.add(FacetForm(tuple(-a // g for a in n), -o // g))
     return list(facets)
@@ -518,22 +506,24 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     ``F = n . x - o``, it is ``F2(p) * F + (-F(p)) * F2``, which vanishes
     on ``g`` and at ``p``, is positive on the hull placed so far away from
     ``g``, and is divided by the gcd of its entries.  A dimension jump
-    drops the boundary; the next point placed without a jump rebuilds it
-    from the free facets, one determinant per facet.
+    appends the new coordinate last and makes the hull a pyramid over the
+    old one; :func:`_pyramid` carries the boundary across it with one
+    determinant, for the base plane, and one pencil per old facet.  The
+    ridge index is rebuilt at the first point placed after a jump, so a
+    pass that ends on jumps (a simplex) never builds it.
 
     ``planes`` lists the ``(n, o)`` of the final boundary, one per boundary
     simplex, with ``n`` moved from pivot-column order back to the
     coordinates of ``pts`` (zero off the pivot columns), so ``n . x >= o``
-    on the hull.  A plane taken from a pencil is gcd-reduced.  After a pass
-    that ends on a dimension jump there is no boundary and ``planes`` is
-    ``None``.
+    on the hull.  A plane taken from a pencil is gcd-reduced.  A single
+    point has no boundary, and ``planes`` is empty.
     """
     rows: list = []    # echelon rows, each zero at the earlier pivots
     pivots: list = []
     cells = [(0,)]
     coords = [()]      # no pivots yet: point 0 is the origin of Z^0
-    boundary: Optional[Dict[tuple, tuple]] = {}
-    ridges: Dict[tuple, list] = {}
+    boundary: Dict[tuple, tuple] = {}
+    ridges: Optional[Dict[tuple, list]] = {}
     for i in range(1, len(pts)):
         y = vsub(pts[i], pts[0])
         for row, c in zip(rows, pivots):
@@ -544,14 +534,13 @@ def _placing(pts: Sequence[tuple]) -> tuple:
             rows.append(primitive_vector(y))
             pivots.append(next(c for c, u in enumerate(y) if u))
             coords = [tuple(p[c] for c in pivots) for p in pts[: i + 1]]
+            boundary = _pyramid(coords, cells, boundary, i)
             cells = [c + (i,) for c in cells]
-            boundary = None
+            ridges = None
             continue
         coords.append(tuple(pts[i][c] for c in pivots))
         p = coords[i]
-        if boundary is None:
-            boundary = {f: _facet_form(coords, f, v)
-                        for f, v in _free_facets(cells).items()}
+        if ridges is None:  # the first point placed since a jump
             ridges = {}
             for f in boundary:
                 for r in _ridges(f):
@@ -582,15 +571,43 @@ def _placing(pts: Sequence[tuple]) -> tuple:
         for f in seen:
             del boundary[f]
             cells.append(f + (i,))
-    planes = None
-    if boundary is not None:
-        planes = []
-        for n, o in boundary.values():
-            full = [0] * len(pts[0])
-            for c, a in zip(pivots, n):
-                full[c] = a
-            planes.append((tuple(full), o))
+    planes = []
+    for n, o in boundary.values():
+        full = [0] * len(pts[0])
+        for c, a in zip(pivots, n):
+            full[c] = a
+        planes.append((tuple(full), o))
     return tuple(sorted(cells)), planes
+
+
+def _pyramid(coords: Sequence[tuple], cells: Sequence[tuple],
+             boundary: Dict[tuple, tuple], i: int) -> dict:
+    """The boundary, as in :func:`_placing`, of the pyramid with apex ``i``
+    over the hull of ``cells``, whose own boundary is ``boundary`` in
+    ``coords`` without their last entry, the one the apex adds.
+
+    Only the base plane ``B`` takes a determinant; it holds every old
+    point, so each old cell is a base facet.  Each old facet ``f``, with
+    ``F = n . x - o`` extended by a zero, gives ``f + (i,)`` on the pencil
+    plane ``B(p) * F - F(p) * B``, divided by the gcd of its entries: it
+    vanishes on ``f`` and at the apex ``p`` and equals ``B(p) * F >= 0`` on
+    the old hull.  A point has no facets; over it the pyramid is a segment
+    whose ends are the point and the apex."""
+    n, o = _facet_form(coords, cells[0], i)
+    p = coords[i]
+    if not boundary:
+        return {cells[0]: (n, o), (i,): (tuple(-a for a in n), -dot(n, p))}
+    b = dot(n, p) - o
+    out = dict.fromkeys(cells, (n, o))
+    q = p[:-1]
+    for f, (nf, of) in boundary.items():
+        t = dot(nf, q) - of
+        g = [b * a - t * c for a, c in zip(nf, n)]
+        g.append(-t * n[-1])
+        h = b * of - t * o
+        k = math.gcd(*g, h)
+        out[f + (i,)] = (tuple(a // k for a in g), h // k)
+    return out
 
 
 def _ridges(f: tuple) -> list:
@@ -622,6 +639,108 @@ def _check_subsets(n: int, r: int, what: str) -> None:
     if count > SUBSET_CAP:
         raise BudgetError(what.format(f"C({n}, {r}) = {count}")
                           + f", over the cap of {SUBSET_CAP}")
+
+
+def _cofactor_table(forms: Sequence[FacetForm], m: int) -> tuple:
+    """``(N, o, rays)`` for ``forms`` in ``Z^m``: the normals and offsets as
+    arrays, and row ``k`` of ``rays`` the cofactor ray
+    (``generalized_cross``) of the ``k``-th ``(m-1)``-subset of normals in
+    ``itertools.combinations`` order, zero where they are dependent.
+
+    The minors are taken from one normals array by indexing, ``_CHUNK``
+    subsets at a time, and their determinants by ``det_stack``.  The
+    arrays are int64 while every value the inequality route forms from them
+    (at most ``(m + 1) * m * |n| * |o| * |ray|``) stays below
+    ``_INT64_GUARD``, else ``object`` (Python ints)."""
+    big_n = max(abs(a) for f in forms for a in f.normal)
+    big_o = max(max(abs(f.offset) for f in forms), 1)
+    N = np.array([f.normal for f in forms],
+                 dtype=np.int64 if big_n < _INT64_GUARD else object)
+    cols = _leave_one_out(m)
+    flip = np.array([(-1) ** j for j in range(m)])
+    big_r, chunks = 1, []
+    for S in _subset_chunks(len(forms), m - 1):
+        # minors[k, j] = the rows of subset k without column j
+        minors = N[S][:, :, cols].transpose(0, 2, 1, 3)
+        dets = det_stack(minors.reshape(len(S) * m, m - 1, m - 1))
+        top = max(map(abs, dets))
+        big_r = max(big_r, top)
+        chunks.append(np.array(
+            dets, dtype=np.int64 if top < _INT64_GUARD else object
+        ).reshape(len(S), m) * flip)
+    wide = (m + 1) * m * big_n * big_o * big_r >= _INT64_GUARD
+    dtype = object if wide else np.int64
+    o = np.array([f.offset for f in forms], dtype=dtype)
+    return N.astype(dtype), o, np.concatenate(chunks).astype(dtype)
+
+
+def _recession_ray(N: np.ndarray, rays: np.ndarray) -> Optional[tuple]:
+    """The first nonzero row ``c`` of ``rays`` with every ``n . c <= 0``
+    over the rows ``n`` of ``N``, or with every ``n . c >= 0`` (then
+    ``-c``), as a tuple of ints; ``None`` if there is none.  When the
+    normals span, no ray is both."""
+    for lo in range(0, len(rays), _CHUNK):
+        block = rays[lo:lo + _CHUNK]
+        prod = N @ block.T
+        down = (prod <= 0).all(axis=0)
+        hit = np.flatnonzero((down | (prod >= 0).all(axis=0))
+                             & block.any(axis=1))
+        if hit.size:
+            ray = tuple(block[hit[0]].tolist())
+            return ray if down[hit[0]] else tuple(-a for a in ray)
+    return None
+
+
+def _subset_points(N: np.ndarray, o: np.ndarray, rays: np.ndarray) -> set:
+    """The points ``num + (e,)``, in lowest terms with ``e > 0``, where some
+    ``m``-subset of the forms ``N x <= o`` meets in the one point
+    ``num / e`` and that point satisfies every form; ``rays`` is as
+    :func:`_cofactor_table` gives it.
+
+    A subset ``S`` reads its adjugate off the rays ``c_i`` of its
+    ``(m-1)``-subsets, ``c_i`` leaving out form ``S[i]``:
+    ``n_i . c_i = (-1)^i det`` with ``det = n_0 . c_0``, so where
+    ``det != 0`` the point is ``num / e``, ``num = sign(det) sum_i (-1)^i
+    o_i c_i`` and ``e = |det|``.  It is tested as ``o * e - n . num >= 0``
+    per form.  ``c_i`` is found by the rank of its subset in combinations
+    order, ``C(n, m-1) - 1 - sum_j C(n - 1 - t_j, m - 1 - j)``."""
+    n, m = N.shape
+    cols = _leave_one_out(m)
+    flip = np.array([(-1) ** i for i in range(m)])
+    binom = np.array([[math.comb(a, b) for b in range(m)]
+                      for a in range(n)], dtype=np.int64)
+    top = math.comb(n, m - 1) - 1
+    points = set()
+    for S in _subset_chunks(n, m):
+        T = S[:, cols]  # T[:, i] = S without S[:, i], in subset order
+        c = rays[top - binom[n - 1 - T, m - 1 - np.arange(m - 1)].sum(axis=2)]
+        det = (N[S[:, 0]] * c[:, 0]).sum(axis=1)
+        num = ((o[S] * flip)[:, :, None] * c).sum(axis=1)
+        num[det < 0] *= -1
+        e = abs(det)
+        ok = (det != 0) & (o * e[:, None] - num @ N.T >= 0).all(axis=1)
+        for row in np.column_stack([num[ok], e[ok]]).tolist():
+            g = math.gcd(*row)
+            points.add(tuple(a // g for a in row))
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def _leave_one_out(m: int) -> np.ndarray:
+    """``(m, m - 1)`` index table, read-only: row ``j`` lists ``range(m)``
+    without ``j``."""
+    cols = np.array([[c for c in range(m) if c != j] for j in range(m)],
+                    dtype=np.intp).reshape(m, m - 1)
+    cols.setflags(write=False)
+    return cols
+
+
+def _subset_chunks(n: int, r: int):
+    """The ``r``-subsets of ``range(n)`` in ``itertools.combinations``
+    order, as ``(k, r)`` index arrays of at most ``_CHUNK`` rows."""
+    subsets = itertools.combinations(range(n), r)
+    while chunk := list(itertools.islice(subsets, _CHUNK)):
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
 
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:

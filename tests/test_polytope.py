@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import polycanon.exactmath as exactmath
 import polycanon.polytope as pmod
 from polycanon import families
 from polycanon.checks import default_corpus
@@ -246,11 +247,24 @@ def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
 def test_oversized_vertex_search_is_refused_before_enumerating(monkeypatch):
     forms = [FacetForm((a, b, c, 1), 9) for a in range(-2, 3)
              for b in range(-2, 3) for c in range(-1, 3)]  # C(100, 4)
-    # the rank check, the recession search and the per-subset elimination
-    for name in ("rank", "generalized_cross", "_row_reduce"):
+    # the rank check and the cofactor table
+    for name in ("rank", "det_stack"):
         monkeypatch.setattr(pmod, name, _never)
     with pytest.raises(ValueError, match=r"C\(100, 4\) = .* cap of 1000000"):
         Polytope.from_inequalities(forms, 4)
+
+
+def test_oversized_recession_search_is_refused_before_the_rank_check(
+        monkeypatch):
+    # C(23, 14) = 817190 vertex subsets pass the cap, the rays do not
+    forms = [FacetForm(tuple(int(i == j) for j in range(14)), 1)
+             for i in range(23)]
+    for name in ("rank", "det_stack"):
+        monkeypatch.setattr(pmod, name, _never)
+    with pytest.raises(
+            pmod.BudgetError,
+            match=r"recession .* C\(23, 13\) = 1144066 .* cap of 1000000"):
+        Polytope.from_inequalities(forms, 14)
 
 
 def _hull_by_subsets(points):
@@ -356,6 +370,13 @@ def form_lists(draw):
     return draw(st.permutations(forms[:11])), m
 
 
+_BIG_EXAMPLE2 = ([FacetForm(f.normal, f.offset + 2**61 * sum(f.normal))
+                  for f in families.example2(3).facets], 3)
+# unbounded along (0, 1), with the vertex (1/2, 0): the ray is reported
+_RAY_AND_HALF = ([FacetForm((2, -1), 1), FacetForm((-1, 0), 0),
+                  FacetForm((0, -1), 0)], 2)
+
+
 def _vertices_or_message(build):
     try:
         return build().vertices
@@ -373,6 +394,13 @@ def _vertices_or_message(build):
            FacetForm((0, -1), 0)], 2))  # vertex (1/2, 0)
 @example(([FacetForm((1,), 0), FacetForm((-1,), -1)], 1))  # infeasible
 @example(([FacetForm((-1, 0), 0), FacetForm((0, -1), 0)], 2))  # a ray
+@example(_BIG_EXAMPLE2)  # offsets past 2^60: the Python-int route
+@example(([FacetForm((1, 0), 1), FacetForm((-1, 0), 0), FacetForm((0, 1), 1),
+           FacetForm((0, -1), 0), FacetForm((2**62, 1), 2**62 + 1)],
+          2))  # a normal past 2^60
+@example(_RAY_AND_HALF)
+@example(([FacetForm((1, 0), 0), FacetForm((-1, 0), -1),
+           FacetForm((0, 1), 0)], 2))  # infeasible, with the ray (0, -1)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_vertex_search_matches_the_fraction_search(case):
@@ -380,6 +408,38 @@ def test_vertex_search_matches_the_fraction_search(case):
     assert (_vertices_or_message(lambda: Polytope.from_inequalities(forms, m))
             == _vertices_or_message(
                 lambda: _from_inequalities_by_fractions(forms, m)))
+
+
+@pytest.mark.parametrize("case", [
+    (list(families.example2(4).facets), 4),  # C(9, 3) = 84 rays
+    _BIG_EXAMPLE2,
+    _RAY_AND_HALF,
+    # the only ray, (0, 0, -1), is the last of the C(5, 2) = 10
+    ([FacetForm((1, 0, 0), 1), FacetForm((0, 1, 0), 1),
+      FacetForm((-1, 0, 0), 0), FacetForm((0, -1, 0), 0),
+      FacetForm((0, 0, 1), 0)], 3),
+    ([FacetForm((2, 1, 0), 1), FacetForm((-1, 0, 0), 0),
+      FacetForm((0, -1, 0), 0), FacetForm((0, 0, 1), 1),
+      FacetForm((0, 0, -1), 0)], 3),  # vertex (1/2, 0, 0)
+])
+def test_vertex_search_is_the_same_in_any_chunk_size(case, monkeypatch):
+    forms, m = case
+    want = _vertices_or_message(lambda: Polytope.from_inequalities(forms, m))
+    for size in (1, 3):
+        monkeypatch.setattr(pmod, "_CHUNK", size)
+        assert _vertices_or_message(
+            lambda: Polytope.from_inequalities(forms, m)) == want
+
+
+# a plane of 9 points placed before the jump to (1, 0, 0), then (2, 1, 1)
+_JUMP_AFTER_PLACED = ([(0, y, z) for y in range(3) for z in range(3)]
+                      + [(1, 0, 0), (2, 1, 1)])
+# a 4-simplex of normalized volume 12 on a lattice hyperplane of Z^5
+_LIFTED_SIMPLEX = [p + (p[0] - p[1] + 3 * p[2] + 2 * p[3] + 1,)
+                   for p in [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0),
+                             (0, 0, 1, 0), (1, 1, 1, 2)]]
+_FAR_SIMPLEX = [(2**61, 0, 0), (2**61 + 2, 0, 0), (2**61, 1, 0),
+                (2**61 + 1, 1, 3)]
 
 
 @given(point_sets())
@@ -390,12 +450,46 @@ def test_vertex_search_matches_the_fraction_search(case):
           for p in itertools.product(range(3), repeat=3)])
 @example([(2**40 + x, 2**41 - y, 3 * x + y) for x in range(3)
           for y in range(3)] + [(2**40 + 1, 2**41 - 1, 2**40)])
+@example(_JUMP_AFTER_PLACED)
+@example(_LIFTED_SIMPLEX)
+@example(_FAR_SIMPLEX)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hull_matches_the_subset_search(pts):
     # the examples have many coplanar boundary simplices per facet
     P = Polytope.from_vertices(pts)
     assert (P.vertices, P.facets, P._fd_facets) == _hull_by_subsets(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    _JUMP_AFTER_PLACED, _LIFTED_SIMPLEX, _FAR_SIMPLEX,
+    list(families.example2(4).vertices),
+    list(itertools.product(range(3), repeat=3)),
+])
+def test_construction_takes_no_subset_elimination(pts, monkeypatch):
+    """Placing takes one ``_facet_form`` per dimension jump, and the
+    inequality route no ``generalized_cross`` and no elimination but the
+    rank check's."""
+    forms = []
+    facet_form = pmod._facet_form
+    monkeypatch.setattr(pmod, "_facet_form",
+                        lambda *a: forms.append(a) or facet_form(*a))
+    P = Polytope.from_vertices(pts)
+    assert len(forms) == P.dim
+    calls = []
+    row_reduce, rank_ = exactmath._row_reduce, pmod.rank
+    monkeypatch.setattr(exactmath, "_row_reduce",
+                        lambda *a: calls.append("_row_reduce")
+                        or row_reduce(*a))
+    monkeypatch.setattr(pmod, "rank",
+                        lambda M: calls.append("rank") or rank_(M))
+    monkeypatch.setattr(pmod, "generalized_cross", _never)
+    monkeypatch.setattr(Polytope, "from_vertices",
+                        classmethod(lambda cls, points, name=None:
+                                    tuple(sorted(points))))
+    if P.dim == P.ambient_dim:
+        assert Polytope.from_inequalities(P.facets, P.dim) == P.vertices
+        assert calls == ["rank", "_row_reduce"]
 
 
 # ------------------------------------------------------------- point queries

@@ -377,6 +377,16 @@ def _empty_by_scan(points):
 @example(Polytope.from_vertices(  # pencil planes on Python ints past 2^60
     [(x + 2**40, y - 2**40, 2**40 + x + 2 * y)
      for x, y in families.example2(2).vertices]), random.Random(1))
+@example(Polytope.from_vertices(  # jumps after placed points
+    [(0, y, z) for y in range(3) for z in range(3)] + [(1, 0, 0), (2, 1, 1)]),
+    random.Random(2))
+@example(Polytope.from_vertices(  # a lifted 4-simplex
+    [p + (p[0] - p[1] + 3 * p[2] + 2 * p[3] + 1,)
+     for p in [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
+               (1, 1, 1, 2)]]), random.Random(3))
+@example(Polytope.from_vertices(  # a simplex past the int64 guard
+    [(2**61, 0, 0), (2**61 + 2, 0, 0), (2**61, 1, 0), (2**61 + 1, 1, 3)]),
+    random.Random(4))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_triangulation_layer_matches_its_twins(P, rnd):

@@ -6,9 +6,9 @@ lattice points of the ``k``-th dilate of ``P``.  The last coordinate of a
 graded point is called its degree.
 
 ``GradedCone.classify`` sorts a whole list of points of one degree into
-interior, boundary and outside with one int64 product by the cone's ambient
-forms; ``GradedCone.membership`` is its exact per-point twin and the route
-past the int64 guard.
+interior, boundary and outside with one product by the cone's ambient
+forms, on int64 or, past the int64 guard, on Python ints;
+``GradedCone.membership`` is its exact per-point twin.
 """
 
 from __future__ import annotations
@@ -114,57 +114,42 @@ class GradedCone:
 
     def classify(self, positions: Sequence[tuple], degree: int) -> tuple:
         """``membership(GradedPoint(p, degree))`` for each ``p`` in
-        ``positions``, in order, from one int64 product of the lifted points
-        with the span equations and support forms: a nonzero span value or a
+        ``positions``, in order, from one product of the lifted points with
+        the span equations and support forms: a nonzero span value or a
         negative support value means outside, and otherwise a zero support
-        value, or degree zero, means boundary.
-
-        When an entry of the product could reach the int64 guard, and for
-        an empty list, the points go through :meth:`membership` one by one.
+        value, or degree zero, means boundary.  The product is taken on
+        int64 while every entry of it stays below ``_INT64_GUARD``, and on
+        Python ints (``object``) past it.
         """
-        big = max(map(abs, itertools.chain.from_iterable(positions)),
-                  default=0)
-        if (not positions or (max(big, abs(degree)) + 1) * self._coeff
-                * self.ambient_dim >= _INT64_GUARD):
-            return tuple(self.membership(GradedPoint(tuple(p), degree))
-                         for p in positions)
+        if not positions:
+            return ()
         if degree < 0:
             return ("outside",) * len(positions)
+        big = max(map(abs, itertools.chain.from_iterable(positions)),
+                  default=0)
+        wide = ((max(big, degree) + 1) * self._coeff * self.ambient_dim
+                >= _INT64_GUARD)
+        dtype = object if wide else np.int64
         forms = np.array(self.span_equations + self.support_forms,
-                         dtype=np.int64).reshape(-1, self.ambient_dim)
-        pts = np.array(positions, dtype=np.int64)
+                         dtype=dtype).reshape(-1, self.ambient_dim)
+        pts = np.array(positions, dtype=dtype)
         vals = pts @ forms[:, :-1].T + degree * forms[:, -1]
         span = vals[:, :len(self.span_equations)]
         support = vals[:, len(self.span_equations):]
-        outside = span.any(axis=1) | (support < 0).any(axis=1)
+        outside = (span != 0).any(axis=1) | (support < 0).any(axis=1)
         boundary = (support == 0).any(axis=1) | (degree == 0)
         codes = np.where(outside, 2, boundary.astype(np.int64))
         return tuple(map(_LABELS.__getitem__, codes.tolist()))
-
-    def contains(self, point: GradedPoint) -> bool:
-        return self.membership(point) != "outside"
 
 
 def cone_over(P: Polytope) -> GradedCone:
     return P._memo("cone", lambda: GradedCone(P))
 
 
-def cone_slice(C: GradedCone, degree: int,
-               interior_only: bool = False) -> tuple:
-    """Graded cone points of the given degree, sorted by position.
-
-    With ``interior_only`` the points of the relative interior of the cone
-    are returned; at degree zero that is empty, since the apex lies on the
-    boundary of every nontrivial cone.
-    """
+def cone_slice(C: GradedCone, degree: int) -> tuple:
+    """Graded cone points of the given degree, sorted by position."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree == 0:
-        if interior_only:
-            return ()
         return (GradedPoint((0,) * C.base.ambient_dim, 0),)
-    if interior_only:
-        pts = C.base.interior_lattice_points(degree)
-    else:
-        pts = C.base.lattice_points(degree)
-    return tuple(GradedPoint(p, degree) for p in pts)
+    return tuple(GradedPoint(p, degree) for p in C.base.lattice_points(degree))

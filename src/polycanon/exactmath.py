@@ -6,9 +6,10 @@ Rank, exact solving and unimodular inverses share one fraction-free
 Gauss-Jordan elimination over the integers; the Smith normal form and the
 Bareiss determinant are integer-only too, and Laplace expansion stays as
 the independent determinant route.  :func:`det_stack` runs Bareiss on a
-stack of int64 matrices at once, and hands a stack whose entries could
-overflow to :func:`det_bareiss`.  ``fractions.Fraction`` appears only in
-the results of :func:`solve_rational` and in the Gram-Schmidt data of
+whole stack of matrices at once, on int64 or, for a stack whose entries
+could overflow, the same steps on Python ints; :func:`det_bareiss` is its
+per-matrix twin.  Here ``fractions.Fraction`` appears only in the
+results of :func:`solve_rational` and in the Gram-Schmidt data of
 :func:`lll_reduce`; the polytope layer's vertex search reads its
 common-denominator solutions off a table of cofactor rays, whose minors
 take one :func:`det_stack` call per chunk of subsets.
@@ -166,18 +167,19 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
 def det_stack(stack) -> list:
     """Determinants of a stack of square integer matrices, as Python ints.
 
-    Fraction-free Bareiss with row pivoting on int64, one step for the
-    whole stack at a time; a matrix with no pivot left in a column is
-    singular and its rows are set to the identity so that the steps go on.
-    Every value the steps form is a product of two minors, so it is at most
-    twice the square of the Hadamard bound (product of the row norms).  A
-    stack with an entry past int64, or for which that bound could reach
-    ``_INT64_GUARD``, goes through :func:`det_bareiss` one matrix at a time.
+    Fraction-free Bareiss with row pivoting, one step for the whole stack
+    at a time; a matrix with no pivot left in a column is singular and its
+    rows are set to the identity so that the steps go on.  Every value the
+    steps form is a product of two minors, so it is at most twice the
+    square of the Hadamard bound (product of the row norms).  The steps run
+    on int64 while that bound stays below ``_INT64_GUARD``, and on Python
+    ints (``object``) for a stack with an entry past int64 or a bound that
+    could reach the guard.
     """
     try:
         A = np.array(stack, dtype=np.int64)
     except OverflowError:
-        return [det_bareiss(M) for M in stack]
+        A = np.array(stack, dtype=object)
     if not len(A):
         return []
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -185,16 +187,17 @@ def det_stack(stack) -> list:
     s, n = A.shape[:2]
     if n == 0:
         return [1] * s
-    if (int(np.abs(A).max()) ** 2 * n >= _INT64_GUARD
+    if A.dtype != object and (
+            int(np.abs(A).max()) ** 2 * n >= _INT64_GUARD
             or 2 * math.prod(max(1, int(r)) for r in
                              (A * A).sum(axis=2).max(axis=0))
             >= _INT64_GUARD):
-        return [det_bareiss(M) for M in A.tolist()]
-    sign = np.ones(s, dtype=np.int64)
-    prev = np.ones(s, dtype=np.int64)
+        A = A.astype(object)
+    sign = np.ones(s, dtype=A.dtype)
+    prev = np.ones(s, dtype=A.dtype)
     dead = np.zeros(s, dtype=bool)
     every = np.arange(s)
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(n, dtype=A.dtype)
     for k in range(n - 1):
         nonzero = A[:, k:, k] != 0
         dead |= ~nonzero.any(axis=1)

@@ -246,8 +246,9 @@ class Polytope:
         interval, so each facet is evaluated once on the ``(d - 1)``-dim
         base of the box, not on every cell: it moves the line's upper or
         lower end, or, parallel to the axis, empties the line.  One
-        box-sized compare then fills the mask.  Past the int64 guard the
-        mask comes from :meth:`_fd_scan_python`, which is also its twin.
+        box-sized compare then fills the mask.  The statements run on int64
+        while every value they form stays below ``_INT64_GUARD``, and on
+        Python ints (``object``) past it.
         """
         if scale == 0 or self.dim == 0:
             return np.ones(shape, dtype=bool)
@@ -255,20 +256,20 @@ class Polytope:
                   default=0)
         coeff = max((max(abs(a) for a in f.normal) + abs(f.offset)
                      for f in self._fd_facets), default=0)
-        if (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD:
-            return self._fd_scan_python(lo, shape, scale, interior)
+        wide = (big + 1) * coeff * (self.dim + 1) * scale >= _INT64_GUARD
+        dtype = object if wide else np.int64
         # Per facet, the slack r = o * scale - least - n' . q' of the first
         # d - 1 axes, taken on the base by broadcasting, bounds the last
         # coordinate t of each line by c * t <= r, c = n_last: t <= r // c
         # for c > 0 and -t <= r // -c for c < 0, so both bounds are minima.
         d = self.dim
-        base = [np.arange(l, l + n, dtype=np.int64)
+        base = [np.arange(l, l + n, dtype=dtype)
                 .reshape((n,) + (1,) * (d - 2 - i))
                 for i, (l, n) in enumerate(zip(lo[:-1], shape[:-1]))]
-        t = np.arange(lo[-1], lo[-1] + shape[-1], dtype=np.int64)
+        t = np.arange(lo[-1], lo[-1] + shape[-1], dtype=dtype)
         least = 1 if interior else 0
-        t_hi = np.full(shape[:-1], t[-1])
-        t_lo_neg = np.full(shape[:-1], -t[0])
+        t_hi = np.full(shape[:-1], t[-1], dtype=dtype)
+        t_lo_neg = np.full(shape[:-1], -t[0], dtype=dtype)
         for f in self._fd_facets:
             r = f.offset * scale - least
             for a, ax in zip(f.normal, base):
@@ -284,32 +285,25 @@ class Polytope:
         mask &= np.less_equal(t, t_hi[..., None])
         return mask
 
-    def _fd_scan_python(self, lo, shape, scale, interior):
-        """The slice mask in exact integers (the bignum route)."""
-        least = 1 if interior else 0
-        mask = np.zeros(shape, dtype=bool)
-        for idx in itertools.product(*map(range, shape)):
-            q = tuple(map(operator.add, lo, idx))
-            mask[idx] = all(f.offset * scale - dot(f.normal, q) >= least
-                            for f in self._fd_facets)
-        return mask
-
     def _points(self, scale: int, lo: tuple, mask) -> tuple:
         """The ambient lattice points at the true entries of ``mask``, a
         mask over the box of the ``scale``-th dilate with corner ``lo``,
-        lex-sorted."""
+        lex-sorted.  An identity chart adds ``lo`` to the indices in one
+        statement, on int64 while the box stays below ``_INT64_GUARD`` and
+        on Python ints (``object``) past it; C order of the indices is lex
+        order of the points."""
         idx = np.argwhere(mask)
-        identity = self.dim == self.ambient_dim
-        if identity and all(abs(l) + n < _INT64_GUARD
-                            for l, n in zip(lo, mask.shape)):
-            # C order of the indices is lex order of the points.
-            idx += np.array(lo, dtype=np.int64)
+        if self.dim == self.ambient_dim:
+            wide = any(abs(l) + n >= _INT64_GUARD
+                       for l, n in zip(lo, mask.shape))
+            dtype = object if wide else np.int64
+            idx = idx.astype(dtype, copy=False)
+            idx += np.array(lo, dtype=dtype)
             return tuple(map(tuple, idx.tolist()))
-        pts = [tuple(map(operator.add, lo, row)) for row in idx.tolist()]
-        if identity:
-            return tuple(pts)
-        return tuple(sorted(self._chart.from_chart(c, scale=scale)
-                            for c in pts))
+        return tuple(sorted(
+            self._chart.from_chart(tuple(map(operator.add, lo, row)),
+                                   scale=scale)
+            for row in idx.tolist()))
 
     # -- queries -----------------------------------------------------------
 
@@ -335,9 +329,6 @@ class Polytope:
                 return "outside"
             min_slack = s if min_slack is None else min(min_slack, s)
         return "boundary" if min_slack == 0 else "interior"
-
-    def contains(self, x, scale: int = 1) -> bool:
-        return self.classify_point(x, scale=scale) != "outside"
 
     def is_simplex(self) -> bool:
         return len(self.vertices) == self.dim + 1

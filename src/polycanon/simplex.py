@@ -40,9 +40,6 @@ class BarycentricCoords:
 
     coefficients: tuple
 
-    def all_positive(self) -> bool:
-        return all(c > 0 for c in self.coefficients)
-
 
 def _require_simplex(P: Polytope) -> None:
     if not P.is_simplex():

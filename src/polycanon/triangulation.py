@@ -298,9 +298,9 @@ def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
     """:func:`_interior_faces` from the points' tight-facet bitmasks.
 
     The faces of one size are every cell's index combinations, in cell
-    order, as the rows of one array.  A stable sort on one packed int64
-    key per row (the row's digits in base ``len(T.points)``, or the rows
-    themselves when that key could reach ``_INT64_GUARD``) sorts them and
+    order, as the rows of one array.  A stable sort on one packed key per
+    row (the row's digits in base ``len(T.points)``, on int64 while the key
+    stays below ``_INT64_GUARD`` and on Python ints past it) sorts them and
     puts each face's first cell first.  A face is interior iff the AND of
     its points' masks, held as 64-bit words, is zero."""
     C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
@@ -312,11 +312,11 @@ def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
     for r in range(1, n + 1):
         combos = list(itertools.combinations(range(n), r))
         F = C[:, combos].reshape(-1, r)
-        if len(T.points) ** r < _INT64_GUARD:
-            order = np.argsort(F @ len(T.points) ** np.arange(r)[::-1],
-                               kind="stable")
-        else:
-            order = np.lexsort(F.T[::-1])
+        dtype = np.int64 if len(T.points) ** r < _INT64_GUARD else object
+        digits = np.array([len(T.points) ** i for i in range(r)][::-1],
+                          dtype=dtype)
+        order = np.argsort(F.astype(dtype, copy=False) @ digits,
+                           kind="stable")
         F = F[order]
         first = np.ones(len(F), dtype=bool)
         first[1:] = (F[1:] != F[:-1]).any(axis=1)

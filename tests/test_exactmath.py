@@ -142,23 +142,28 @@ def test_det_stack_matches_both_routes(case):
     A = np.array(stack, dtype=np.int64).reshape(len(stack), n, n)
     want = [det_bareiss(M) for M in stack]
     assert want == [det_cofactor(M) for M in stack]
-    if all(abs(a) <= 3 for M in stack for row in M for a in row):
-        # the int64 route calls no det_bareiss
-        with mock.patch.object(emod, "det_bareiss",
-                               side_effect=AssertionError):
-            got = det_stack(A)
-    else:
+    # neither the int64 route nor the Python-int one calls det_bareiss
+    with mock.patch.object(emod, "det_bareiss", side_effect=AssertionError):
         got = det_stack(A)
-    assert got == want and all(type(v) is int for v in got)
-    with mock.patch.object(emod, "_INT64_GUARD", 0):
-        assert det_stack(A) == want
+        assert got == want and all(type(v) is int for v in got)
+        with mock.patch.object(emod, "_INT64_GUARD", 0):
+            got = det_stack(A)
+        assert got == want and all(type(v) is int for v in got)
 
 
 def test_det_stack_takes_python_ints_and_refuses_non_square_stacks():
-    # an entry past int64 sends the stack through det_bareiss as given
-    big = [[[2**70, 1], [1, 2**70]], [[3, 0], [0, 2]]]
-    assert det_stack(big) == [2**140 - 1, 6]
-    assert det_stack(np.array(big, dtype=object)) == [2**140 - 1, 6]
+    # an entry past int64 runs the whole stack on Python ints; the singular
+    # matrix's rows go dead in the second column
+    big = [[[2**70, 1], [1, 2**70]], [[3, 0], [0, 2]],
+           [[2**70, 2**70, 1], [2**71, 2**71, 5], [1, 1, 7]]]
+    want = [2**140 - 1, 6, 0]
+    with mock.patch.object(emod, "det_bareiss", side_effect=AssertionError):
+        for stack in (big[:2], np.array(big[:2], dtype=object)):
+            got = det_stack(stack)
+            assert got == want[:2] and all(type(v) is int for v in got)
+        got = det_stack([big[2]])
+        assert got == [0] and type(got[0]) is int
+    assert [det_bareiss(M) for M in big] == want
     assert det_stack([]) == []
     for bad in (np.zeros((2, 2, 3), dtype=np.int64), [[1, 2], [3, 4]]):
         with pytest.raises(ValueError, match="square"):

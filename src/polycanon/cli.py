@@ -41,10 +41,11 @@ def _canonical(x, pad: str = "") -> str:
     ``json.dumps`` takes its pure-Python encoder whenever it indents, so a
     triangulation's long lists of small int lists cost more to print than
     to check.  Lists, dicts with string keys, strings, ints (bools are not
-    ints here), ``None`` and bools are written here, a list of ints and a
-    list of nonempty int lists each by joins alone; every other value goes
-    through ``json.dumps``, and so does a dict with a key that is not a
-    string, whole, since ``json.dumps`` converts such keys."""
+    ints here), ``None`` and bools are written here: a list of ints by one
+    join, and a list of nonempty int lists row by row, each row through one
+    cached ``%d`` template per row length.  Every other value goes through
+    ``json.dumps``, and so does a dict with a key that is not a string,
+    whole, since ``json.dumps`` converts such keys."""
     t = type(x)
     if t is int:
         return int.__repr__(x)
@@ -60,9 +61,7 @@ def _canonical(x, pad: str = "") -> str:
             items = map(int.__repr__, x)
         elif (all(x) and set(map(type, x)) <= {list, tuple}
               and _only(itertools.chain.from_iterable(x), int)):
-            sep = ",\n" + inner + "  "
-            items = ("[\n" + inner + "  " + sep.join(map(int.__repr__, v))
-                     + "\n" + inner + "]" for v in x)
+            items = [_row_template(inner, len(v)) % tuple(v) for v in x]
         else:
             items = (_canonical(v, inner) for v in x)
         return ("[\n" + inner + (",\n" + inner).join(items)
@@ -75,6 +74,13 @@ def _canonical(x, pad: str = "") -> str:
     if t is dict and not x:
         return "{}"
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(pad: str, n: int) -> str:
+    """The ``%`` template of a list of ``n`` ints at indent ``pad``."""
+    return ("[\n" + pad + "  " + (",\n" + pad + "  ").join(["%d"] * n)
+            + "\n" + pad + "]")
 
 
 _ATOMS = {None: "null", True: "true", False: "false"}
@@ -177,11 +183,10 @@ def cmd_triangulate(args) -> int:
         T = full_lattice_triangulation(P)
     kmax = args.kmax if args.kmax is not None else P.dim + 1
     res = verify_decomposition(T, P, kmax)
-    faces = interior_faces(T, P)
-    _emit({
-        "points": [list(p) for p in T.points],
-        "cells": [list(c) for c in T.cells],
-        "interior_faces": [list(f) for f in faces],
+    _emit({  # tuples of int tuples: the writer formats them as they are
+        "points": T.points,
+        "cells": T.cells,
+        "interior_faces": interior_faces(T, P),
         "interior_respecting": bool(args.interior_respecting),
         "covering": {
             "ok": res.ok,

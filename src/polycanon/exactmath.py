@@ -5,11 +5,13 @@ tuples; Python ints never overflow and nothing here touches floating point.
 Rank, exact solving and unimodular inverses share one fraction-free
 Gauss-Jordan elimination over the integers; the Smith normal form and the
 Bareiss determinant are integer-only too, and Laplace expansion stays as
-the independent determinant route.  :func:`det_stack` runs Bareiss on a
-whole stack of matrices at once, on int64 or, for a stack whose entries
-could overflow, the same steps on Python ints; :func:`det_bareiss` is its
-per-matrix twin.  Here ``fractions.Fraction`` appears only in the
-results of :func:`solve_rational` and in the Gram-Schmidt data of
+the independent determinant route.  :func:`det_stack` takes a whole
+stack of matrices at once, by closed-form cofactor expansion up to 4 x 4
+and by Bareiss steps past that, on int64 or, for a stack whose entries
+could overflow, the same statements on Python ints; :func:`det_bareiss`
+and :func:`det_cofactor` are its per-matrix twins.  Here
+``fractions.Fraction`` appears only in the results of
+:func:`solve_rational` and in the Gram-Schmidt data of
 :func:`lll_reduce`; the polytope layer's vertex search reads its
 common-denominator solutions off a table of cofactor rays, whose minors
 take one :func:`det_stack` call per chunk of subsets.
@@ -164,8 +166,89 @@ def det_bareiss(M: Sequence[Sequence[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def _int_array(rows) -> np.ndarray:
+    """``rows`` as an int64 array, or as Python ints (``object``) when an
+    entry is past int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def det_stack(stack) -> list:
     """Determinants of a stack of square integer matrices, as Python ints.
+
+    Matrices of size ``n <= 4`` take a closed-form cofactor expansion
+    (:func:`_det_small`): every product it forms is at most ``n! * a^n``
+    for the largest absolute entry ``a``, so it runs on int64 while that
+    stays below ``_INT64_GUARD`` and the same statements run on Python
+    ints (``object``) past it.  Larger matrices take fraction-free
+    Bareiss steps (:func:`_bareiss_stack`).
+    """
+    A = _int_array(stack)
+    if not len(A):
+        return []
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("determinant needs a square matrix")
+    s, n = A.shape[:2]
+    if n == 0:
+        return [1] * s
+    if n <= 4:
+        if A.dtype != object and math.factorial(n) * max(
+                int(A.max()), -int(A.min())) ** n >= _INT64_GUARD:
+            A = A.astype(object)
+        return _det_small(A, n).tolist()
+    return _bareiss_stack(A)
+
+
+def _cofactor_stack(stack) -> np.ndarray:
+    """The cofactor matrices of a stack of ``n x n`` integer matrices,
+    ``n >= 1``: entry ``(i, j)`` is ``(-1)^(i+j)`` times the minor without
+    row ``i`` and column ``j``, every minor from one :func:`det_stack`
+    call; int64 where they fit and Python ints (``object``) past that."""
+    A = _int_array(stack)
+    s, n = A.shape[:2]
+    rest = np.array([[k for k in range(n) if k != i] for i in range(n)],
+                    dtype=np.intp).reshape(n, n - 1)
+    minors = A[:, rest[:, None, :, None], rest[None, :, None, :]]
+    checker = 1 - 2 * (np.add.outer(range(n), range(n)) % 2)
+    dets = det_stack(minors.reshape(s * n * n, n - 1, n - 1))
+    return _int_array(dets).reshape(s, n, n) * checker
+
+
+# 2x2 minors of two rows, as (left columns, right columns): the expansion
+# of a 3x3 along its first row and of a 4x4 by its first two rows
+# (generalized Laplace expansion).  A minus sign of the expansion is taken
+# as a swapped column pair of the complementary minor.
+_FIRST_ROW_MINORS = ([1, 2, 0], [2, 0, 1])
+_TOP_MINORS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+_BOTTOM_MINORS = ([2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1])
+
+
+def _minors(A: np.ndarray, r: int, cols: tuple) -> np.ndarray:
+    """Per matrix of the stack ``A``, the 2x2 minors of rows ``r`` and
+    ``r + 1`` on the column pairs ``cols``."""
+    I, J = cols
+    top, bottom = A[:, r], A[:, r + 1]
+    return top[:, I] * bottom[:, J] - top[:, J] * bottom[:, I]
+
+
+def _det_small(A: np.ndarray, n: int) -> np.ndarray:
+    """Determinants of a stack of ``n x n`` matrices, ``1 <= n <= 4``, by
+    closed-form cofactor expansion in the dtype of ``A``."""
+    if n == 1:
+        return A[:, 0, 0]
+    if n == 2:
+        return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    if n == 3:
+        return (A[:, 0] * _minors(A, 1, _FIRST_ROW_MINORS)).sum(axis=1)
+    return (_minors(A, 0, _TOP_MINORS)
+            * _minors(A, 2, _BOTTOM_MINORS)).sum(axis=1)
+
+
+def _bareiss_stack(A: np.ndarray) -> list:
+    """Determinants of a stack of ``n x n`` integer matrices, ``n >= 1``,
+    as Python ints.
 
     Fraction-free Bareiss with row pivoting, one step for the whole stack
     at a time; a matrix with no pivot left in a column is singular and its
@@ -176,17 +259,7 @@ def det_stack(stack) -> list:
     ints (``object``) for a stack with an entry past int64 or a bound that
     could reach the guard.
     """
-    try:
-        A = np.array(stack, dtype=np.int64)
-    except OverflowError:
-        A = np.array(stack, dtype=object)
-    if not len(A):
-        return []
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ValueError("determinant needs a square matrix")
     s, n = A.shape[:2]
-    if n == 0:
-        return [1] * s
     if A.dtype != object and (
             int(np.abs(A).max()) ** 2 * n >= _INT64_GUARD
             or 2 * math.prod(max(1, int(r)) for r in

@@ -290,8 +290,8 @@ class Polytope:
         mask over the box of the ``scale``-th dilate with corner ``lo``,
         lex-sorted.  An identity chart adds ``lo`` to the indices in one
         statement, on int64 while the box stays below ``_INT64_GUARD`` and
-        on Python ints (``object``) past it; C order of the indices is lex
-        order of the points."""
+        on Python ints (``object``) past it, and zips its columns into the
+        points; C order of the indices is lex order of the points."""
         idx = np.argwhere(mask)
         if self.dim == self.ambient_dim:
             wide = any(abs(l) + n >= _INT64_GUARD
@@ -299,7 +299,9 @@ class Polytope:
             dtype = object if wide else np.int64
             idx = idx.astype(dtype, copy=False)
             idx += np.array(lo, dtype=dtype)
-            return tuple(map(tuple, idx.tolist()))
+            if not lo:  # Z^0 has no columns to zip
+                return ((),) * len(idx)
+            return tuple(zip(*idx.T.tolist()))
         return tuple(sorted(
             self._chart.from_chart(tuple(map(operator.add, lo, row)),
                                    scale=scale)
@@ -483,16 +485,19 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     ``AssertionError``.
 
     The directions spanned so far are integer echelon rows; a point whose
-    direction does not reduce to zero is a dimension jump and adds a row.
-    Points are read in their pivot columns, which map the affine hull
-    bijectively onto its image (no lattice chart is needed).
+    direction does not reduce to zero is a dimension jump and adds a row;
+    once the rows span ``Z^m`` no point is reduced.  Points are read in
+    their pivot columns, which map the affine hull bijectively onto its
+    image (no lattice chart is needed).
 
     The boundary of the hull placed so far is kept between insertions as
     ``facet -> (n, o)`` with ``n . x >= o`` on the hull (beneath-beyond),
     next to ``ridge -> its two boundary facets``.  A new point ``p`` is
-    coned over the facets it sees strictly; those leave the boundary, and
-    each horizon ridge ``g`` (in exactly one seen facet ``f``) joined to
-    ``p`` enters it.  The new plane lies in the pencil of the planes of
+    coned over the facets it sees strictly, found by one dot product per
+    boundary facet; those leave the boundary, and each horizon ridge ``g``
+    (in exactly one seen facet ``f``, read off one map from each ridge of
+    the seen facets to the seen facet through it) joined to ``p`` enters
+    it.  The new plane lies in the pencil of the planes of
     ``f`` and of the unseen facet ``f2`` through ``g``: with
     ``F = n . x - o``, it is ``F2(p) * F + (-F(p)) * F2``, which vanishes
     on ``g`` and at ``p``, is positive on the hull placed so far away from
@@ -516,47 +521,57 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     boundary: Dict[tuple, tuple] = {}
     ridges: Optional[Dict[tuple, list]] = {}
     for i in range(1, len(pts)):
-        y = vsub(pts[i], pts[0])
-        for row, c in zip(rows, pivots):
-            a, b = row[c], y[c]
-            if b:
-                y = tuple(a * u - b * v for u, v in zip(y, row))
-        if any(y):
-            rows.append(primitive_vector(y))
-            pivots.append(next(c for c, u in enumerate(y) if u))
-            coords = [tuple(p[c] for c in pivots) for p in pts[: i + 1]]
-            boundary = _pyramid(coords, cells, boundary, i)
-            cells = [c + (i,) for c in cells]
-            ridges = None
-            continue
-        coords.append(tuple(pts[i][c] for c in pivots))
-        p = coords[i]
+        if len(rows) < len(pts[0]):  # rows spanning Z^m leave no jump
+            y = vsub(pts[i], pts[0])
+            for row, c in zip(rows, pivots):
+                a, b = row[c], y[c]
+                if b:
+                    y = tuple(a * u - b * v for u, v in zip(y, row))
+            if any(y):
+                rows.append(primitive_vector(y))
+                pivots.append(next(c for c, u in enumerate(y) if u))
+                coords = [tuple(map(p.__getitem__, pivots))
+                          for p in pts[: i + 1]]
+                boundary = _pyramid(coords, cells, boundary, i)
+                cells = [c + (i,) for c in cells]
+                ridges = None
+                continue
+        p = tuple(map(pts[i].__getitem__, pivots))
+        coords.append(p)
         if ridges is None:  # the first point placed since a jump
             ridges = {}
             for f in boundary:
-                for r in _ridges(f):
-                    ridges.setdefault(r, []).append(f)
+                for j in range(len(f)):
+                    ridges.setdefault(f[:j] + f[j + 1:], []).append(f)
         # facet -> -F(p) > 0 over the facets p sees
         seen = {f: t for f, (n, o) in boundary.items()
-                if (t := o - dot(n, p)) > 0}
+                if (t := o - sum(map(operator.mul, n, p))) > 0}
         if not seen:
             raise AssertionError(f"point {i} sees no facet while placing")
-        for g in _free_facets(seen):  # the horizon
+        # ridge -> the seen facet through it, None for a ridge of two
+        horizon: Dict[tuple, Optional[tuple]] = {}
+        for f in seen:
+            for j in range(len(f)):
+                g = f[:j] + f[j + 1:]
+                horizon[g] = None if g in horizon else f
+        for g, f in horizon.items():
+            if f is None:
+                continue
             pair = ridges.get(g, ())
             if len(pair) != 2:
                 raise AssertionError(
                     f"ridge {g} lies in {len(pair)} boundary facets")
-            f, f2 = pair if pair[0] in seen else pair[::-1]
+            f2 = pair[pair[0] == f]
             (n1, o1), (n2, o2) = boundary[f], boundary[f2]
-            s, t = dot(n2, p) - o2, seen[f]
+            s, t = sum(map(operator.mul, n2, p)) - o2, seen[f]
             n = [s * a + t * b for a, b in zip(n1, n2)]
             o = s * o1 + t * o2
             c = math.gcd(*n, o)
             h = g + (i,)
             boundary[h] = (tuple(a // c for a in n), o // c)
             ridges[g] = [f2, h]
-            for r in _ridges(g):
-                ridges.setdefault(r + (i,), []).append(h)
+            for j in range(len(g)):
+                ridges.setdefault(g[:j] + g[j + 1:] + (i,), []).append(h)
         # a ridge of two seen facets is inside the hull from now on: no
         # later horizon reaches it, so its entry in ridges is left as is
         for f in seen:
@@ -599,12 +614,6 @@ def _pyramid(coords: Sequence[tuple], cells: Sequence[tuple],
         k = math.gcd(*g, h)
         out[f + (i,)] = (tuple(a // k for a in g), h // k)
     return out
-
-
-def _ridges(f: tuple) -> list:
-    """The faces of the simplex ``f`` (a sorted index tuple) one vertex
-    smaller, in the order of the vertex left out."""
-    return [f[:j] + f[j + 1:] for j in range(len(f))]
 
 
 def _check_placing(n: int, d: int) -> None:

@@ -47,6 +47,10 @@ from .polytope import BudgetError, Polytope
 # 2.9e10 under the full action, 1.35e10 of it a bound on building the
 # Hilbert basis; conv{0, 60e1, 60e2, 60e3} reads 3.1e11 and 3.2e11.
 SUMSET_CAP = 10**11
+# Multisets of degree-one points that reduced_degree_oracle may try, checked
+# before the first one; the benchmark's oracle check stays under about
+# 10**5 and the test suite's far under that.
+ORACLE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -262,11 +266,17 @@ def reduced_degree_oracle(P: Polytope, y: GradedPoint) -> int:
 
     Tries every multiset of degree-one points from largest to smallest
     size and tests the remainder with facet-form classification instead of
-    point-set lookups.  Exponential; meant for small cross-checks only.
+    point-set lookups.  Exponential; meant for small cross-checks only:
+    raises ``BudgetError``, before trying any, when the multisets of all
+    sizes ``j < k``, ``C(|P| + j - 1, j)`` each, are over ``ORACLE_CAP``.
     """
     _require_ideal(P, y)
     k = y.degree
     ones = P.lattice_points(1)
+    count = sum(math.comb(len(ones) + j - 1, j) for j in range(1, k))
+    if count > ORACLE_CAP:
+        raise BudgetError(f"the oracle would try {count} multisets of"
+                          f" degree-one points, over the cap of {ORACLE_CAP}")
     for j in range(k - 1, 0, -1):
         for combo in itertools.combinations_with_replacement(ones, j):
             z = y.position

@@ -20,6 +20,7 @@ import numpy as np
 from .cone import GradedPoint, ReductionWitness
 from .exactmath import (
     _INT64_GUARD,
+    _cofactor_stack,
     as_matrix,
     build_chart,
     det_bareiss,
@@ -164,10 +165,10 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
     as ``adj(M) = det M^-1`` (for a negative ``det`` that is the coset of
     ``-y``, so the cosets are the same), and the box point ``(D t) M / D``,
     each division checked exact.  Every minor comes from
-    :func:`det_stack`, and the adjugate's give the gcd for ``k = n - 2``
-    too.  The box points are read off ``rows`` instead of ``M`` when
-    given: the lifted points that :func:`square_lift` put on charts of
-    their own.
+    :func:`det_stack`, the adjugate's through :func:`_cofactor_stack`,
+    and the adjugate's give the gcd for ``k = n - 2`` too.  The box
+    points are read off ``rows`` instead of ``M`` when given: the lifted
+    points that :func:`square_lift` put on charts of their own.
 
     The arrays are int64 while ``n`` times the largest squared Hadamard
     bound times the largest squared entry, which bounds every value
@@ -200,13 +201,9 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
         return np.array(det_stack(sub.reshape(s * len(r), *sub.shape[2:])),
                         dtype=dtype).reshape(s, len(r))
 
-    # row i of adj(M) for each coordinate i: entry j is (-1)^(i+j) times
-    # the minor without column i and row j
-    rest = [[j for j in range(n) if j != i] for i in range(n)]
-    minor = minors(M, rest * (n - 1), [rest[i] for i in range(n - 1)
-                                       for _ in rest]).reshape(s, n - 1, n)
-    checker = 1 - 2 * (np.add.outer(range(n - 1), range(n)) % 2)
-    A = minor * checker % D[:, None, None]
+    # adj(M) = cof(M)^T; its row i belongs to coordinate i
+    adj = _cofactor_stack(M).astype(dtype).transpose(0, 2, 1)
+    A = adj[:, :-1] % D[:, None, None]
     # G[:, k] = h_1 ... h_k: 1, the gcd of the edges' k x k minors for
     # 0 < k < n - 2, that of M's minors without column n - 2 (the same up
     # to sign) for k = n - 2, and D; its last n columns are kept, as for
@@ -217,7 +214,7 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
         r = list(itertools.combinations(range(n - 1), k))
         G.append(np.gcd.reduce(minors(E, r, [range(k)] * len(r)), axis=1,
                                keepdims=True))
-    G += [np.gcd.reduce(minor[:, n - 2:], axis=2), D[:, None]]
+    G += [np.gcd.reduce(adj[:, n - 2:n - 1], axis=2), D[:, None]]
     G = np.concatenate(G, axis=1)[:, -n:]
     h = G[:, 1:] // G[:, :-1]
     counts = D.astype(np.int64)

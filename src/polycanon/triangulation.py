@@ -7,11 +7,11 @@ new point over the boundary facets it sees strictly;
 ``polytope._placing``, the routine the polytope's facets are read off),
 which uses every point.  The interior-respecting triangulation cones the
 boundary over one interior point and stellar-inserts the others
-(``_stellar_insert``): one integer table of every cell's facet forms, one
-product per inserted point to find the cells that contain it, and each
-new piece's forms from the pencil of two forms of its cell, so neither
-pass takes a determinant per new plane.  All arithmetic is exact and in
-integers.
+(``_stellar_insert``): one integer table of every cell's facet forms, read
+off one batched cofactor table, one product per inserted point to find
+the cells that contain it, and each new piece's forms from the pencil of
+two forms of its cell, so neither pass takes a determinant per new plane.
+All arithmetic is exact and in integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
@@ -43,6 +43,8 @@ from typing import Dict, Iterator, Optional, Sequence
 import numpy as np
 
 from .exactmath import (
+    _cofactor_stack,
+    _int_array,
     build_chart,
     det_stack,
     dot,
@@ -52,7 +54,6 @@ from .exactmath import (
 from .polytope import (
     _INT64_GUARD,
     Polytope,
-    _facet_form,
     _free_facets,
     _placing,
     _tight_form_masks,
@@ -97,27 +98,24 @@ def _chart_coords(chart, points) -> list:
     return [chart.to_chart(p) for p in points]
 
 
-def _cell_forms(coords: Sequence[tuple], cell: Sequence[int],
-                planes: Dict[tuple, tuple]) -> tuple:
-    """Inequalities of a full-dimensional simplex cell in chart coordinates.
-
-    Form ``j`` is tight on the facet opposite ``cell[j]`` and positive on
-    the cell's interior; a point is in the cell iff every form is >= 0.
-    ``planes`` maps each facet to one ``(n, o)`` with ``n . x == o`` on it,
-    shared by the cells on both sides; a cell orients it by the sign at its
-    vertex opposite the facet.
-    """
-    out = []
-    for j, v in enumerate(cell):
-        f = cell[:j] + cell[j + 1:]
-        if f not in planes:
-            planes[f] = _facet_form(coords, f, v)
-        n, o = planes[f]
-        s = dot(n, coords[v]) - o
-        if s == 0:
-            raise ValueError("degenerate cell")
-        out.append((n, o) if s > 0 else (tuple(-a for a in n), -o))
-    return tuple(out)
+def _cell_table(coords: Sequence[tuple], cells: Sequence[tuple]
+                ) -> np.ndarray:
+    """The facet forms of full-dimensional simplex cells in chart
+    coordinates, cells x (d+1) x (d+1): row ``j`` of a cell is ``(n, -o)``
+    with ``n . x == o`` on the facet opposite its vertex ``j`` and
+    ``n . x > o`` at that vertex, so a point is in the cell iff every form
+    is >= 0.  With ``L`` the cell's lifted points as rows ``(x, 1)``,
+    ``L cof(L)^T = det(L) I``, so the rows are the cofactor matrix
+    (:func:`_cofactor_stack`) times the sign of ``det(L)``.  Raises
+    ``ValueError`` for an affinely dependent cell."""
+    n = len(coords[0]) + 1
+    L = _int_array([[coords[i] + (1,) for i in c]
+                    for c in cells]).reshape(len(cells), n, n)
+    dets = det_stack(L)
+    if 0 in dets:
+        raise ValueError("degenerate cell")
+    sign = np.array([1 if v > 0 else -1 for v in dets], dtype=np.int64)
+    return _cofactor_stack(L) * sign[:, None, None]
 
 
 def _boundary_count(cells) -> Counter:
@@ -128,46 +126,43 @@ def _boundary_count(cells) -> Counter:
     return cnt
 
 
-def _stellar_insert(coords, cells, xs: Sequence[int],
-                    planes: Optional[Dict[tuple, tuple]] = None) -> list:
+def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
     """Stellar-insert the points ``xs`` (indices into ``coords``), one after
     another, into every cell containing them; returns the sorted cells.
-    ``planes`` may hold the forms of some facets already (see
-    :func:`_cell_forms`); it is filled in.
 
-    One integer table holds the forms ``(n, o)`` of every cell
-    (:func:`_cell_forms`) as rows ``(n, -o)``: ``A`` is cells x (d+1) x
-    (d+1), row ``j`` tight on the facet opposite vertex ``j``.  A point
-    ``x`` takes one product, ``V = A @ (x, 1)``, and hits the cells where
-    every ``V_j >= 0``.  Each hit cell ``c`` and each ``j`` with ``V_j > 0``
-    gives the piece ``c`` with ``c_j`` replaced by ``x``.  Its row opposite
-    ``x`` is row ``j`` of ``c``; its row opposite ``c_t`` is the pencil
-    ``V_j * A_t - V_t * A_j``, which vanishes on the ridge the two rows
-    share and at ``x`` and is positive at ``c_t``, divided by its gcd.  The
-    table is int64 while a bound from the largest coordinate of ``xs`` and
-    the largest table entry keeps ``V`` and the pencil products under
-    ``_INT64_GUARD``, and Python ints (``object``) from the first point
-    where it does not.
+    One integer table holds the forms ``(n, o)`` of every cell as rows
+    ``(n, -o)`` (:func:`_cell_table`): ``A`` is cells x (d+1) x (d+1), row
+    ``j`` tight on the facet opposite vertex ``j``.  A point ``x`` takes
+    one product, ``V = A @ (x, 1)``, and hits the cells where every
+    ``V_j >= 0``.  Each hit cell ``c`` and each ``j`` with ``V_j > 0``
+    gives the piece ``c`` with ``c_j`` replaced by ``x`` in place.  Its row
+    opposite ``x`` is row ``j`` of ``c``; its row opposite ``c_t`` is the
+    pencil ``V_j * A_t - V_t * A_j``, which vanishes on the ridge the two
+    rows share and at ``x`` and is positive at ``c_t``, divided by its gcd.
+    A cell's indices stay in the order of its rows until the end, where
+    each is sorted once.  The table is int64 while a bound from the
+    largest coordinate of the point and the largest table entry keeps
+    ``V`` and the pencil products under ``_INT64_GUARD``, and Python ints
+    (``object``) from the first point where it does not.
     """
     d = len(coords[0])
-    planes = {} if planes is None else planes
-    rows = [[(*n, -o) for n, o in _cell_forms(coords, c, planes)]
-            for c in cells]
-    X = max((abs(a) for i in xs for a in coords[i]), default=0)
-    F = max((abs(a) for r in rows for f in r for a in f), default=0)
+    A = _cell_table(coords, cells)
+    F = int(np.abs(A).max(initial=0))
     C = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
-    A = np.array(rows, dtype=object).reshape(len(cells), d + 1, d + 1)
     for x in xs:
-        # |V| <= F * (d * X + 1), and a pencil entry is at most 2 |V| F
-        wide = 2 * F * F * (d * X + 1) >= _INT64_GUARD
-        dtype = object if wide else np.int64
-        A = A.astype(dtype, copy=False)
-        V = A @ np.array(coords[x] + (1,), dtype=dtype)
-        hit = (V >= 0).all(1)
-        if not hit.any():
+        # |V| <= F * (d * X + 1) for X the largest |coordinate| of x, and a
+        # pencil entry is at most 2 |V| F
+        X = max(map(abs, coords[x]))
+        if 2 * F * F * (d * X + 1) >= _INT64_GUARD:
+            A = A.astype(object, copy=False)
+        V = A @ np.array(coords[x] + (1,), dtype=A.dtype)
+        keep = (V < 0).any(1)
+        hit = np.flatnonzero(~keep)
+        if not len(hit):
             raise ValueError(
                 "point to insert is outside the triangulated region")
-        hc, j = np.nonzero((V > 0) & hit[:, None])
+        hc, j = np.nonzero(V[hit] > 0)
+        hc = hit[hc]
         k = np.arange(len(hc))
         Vc, Ac = V[hc], A[hc]
         Vj, Aj = Vc[k, j], Ac[k, j]
@@ -176,10 +171,10 @@ def _stellar_insert(coords, cells, xs: Sequence[int],
         Ap //= np.gcd.reduce(Ap, axis=2)[:, :, None]
         Cp = C[hc]
         Cp[k, j] = x
-        order = k[:, None], np.argsort(Cp, axis=1)
-        C = np.concatenate([C[~hit], Cp[order]])
-        A = np.concatenate([A[~hit], Ap[order]])
+        C = np.concatenate([C[keep], Cp])
+        A = np.concatenate([A[keep], Ap])
         F = max(F, int(np.abs(Ap).max()))
+    C.sort(axis=1)
     return sorted(map(tuple, C.tolist()))
 
 
@@ -225,17 +220,8 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary_cells)
     if len(interior) > 1:
         index = {p: i for i, p in enumerate(pts)}
-        coords = _chart_coords(P._chart, pts)
-        # a coned cell's facet opposite the apex is its boundary face, which
-        # spans the one facet of P tight on all of its points
-        masks = _tight_form_masks(coords, P._fd_facets)
-        planes = {}
-        for f in boundary_cells:
-            j = functools.reduce(operator.and_, (masks[i] for i in f))
-            form = P._fd_facets[j.bit_length() - 1]
-            planes[f] = form.normal, form.offset
-        cells = _stellar_insert(coords, cells,
-                                [index[x] for x in interior[1:]], planes)
+        cells = _stellar_insert(_chart_coords(P._chart, pts), cells,
+                                [index[x] for x in interior[1:]])
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
@@ -339,8 +325,7 @@ def total_normalized_volume(T: Triangulation) -> int:
     coords = T.points
     if not T.points or T.dim != len(T.points[0]):
         coords = _chart_coords(build_chart(list(T.points)), T.points)
-    rows = np.array([c + (1,) for c in coords],
-                    dtype=object)  # Python ints: any size reaches det_stack
+    rows = _int_array([c + (1,) for c in coords])
     cells = np.array(T.cells, dtype=np.intp).reshape(len(T.cells), T.dim + 1)
     return sum(map(abs, det_stack(rows[cells])))
 

@@ -9,7 +9,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycanon.checks as checks_mod
@@ -406,6 +406,9 @@ _values = st.recursive(
 
 
 @given(_values)
+@example({"cells": ((0, 1, 2), (1, 2, 3)), "faces": ((1,), (-2**70, 5),
+                                                    (True, 1))})
+@example([[0, 1, 2], (3, 4, 5), [6]])
 @settings(max_examples=100, deadline=None)
 def test_canonical_writer_matches_json_dumps(value):
     assert _canonical(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -1,5 +1,6 @@
 """Property and unit tests for the exact integer/rational linear algebra."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -134,21 +135,76 @@ stacks = st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
              min_size=n, max_size=n), max_size=6)))
 
 
+def _largest_under_guard(n):
+    """The largest entry ``a`` with ``n! * a^n`` under ``_INT64_GUARD``:
+    the closed form runs on int64 up to it and on Python ints past it."""
+    f = math.factorial(n)
+    a = int((emod._INT64_GUARD / f) ** (1 / n))
+    while f * (a + 1) ** n < emod._INT64_GUARD:
+        a += 1
+    while f * a ** n >= emod._INT64_GUARD:
+        a -= 1
+    return a
+
+
+def _edge_stack(n, a):
+    """Two ``n x n`` matrices with largest entry ``a``: a sign pattern
+    times ``a`` with a nonzero determinant, and a mixed one."""
+    signs = {3: [[1, -1, 1], [1, 1, -1], [-1, 1, 1]],
+             4: [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                 [1, -1, -1, 1]]}[n]
+    mixed = [[a - (i + j) % 3 if (i + j) % 2 else -(a - i) for j in range(n)]
+             for i in range(n)]
+    return (n, [[[a * x for x in row] for row in signs], mixed])
+
+
 @given(stacks)
 @example((2, [[[2**40, 3], [5, 2**40 - 1]], [[2**40, 1], [2**40, 1]]]))
 @example((3, [[[2**40, 1, 0], [0, 2**40, 1], [1, 0, 2**40]]]))
+@example(_edge_stack(3, _largest_under_guard(3)))
+@example(_edge_stack(3, _largest_under_guard(3) + 1))
+@example(_edge_stack(4, _largest_under_guard(4)))
+@example(_edge_stack(4, _largest_under_guard(4) + 1))
 def test_det_stack_matches_both_routes(case):
     n, stack = case
     A = np.array(stack, dtype=np.int64).reshape(len(stack), n, n)
     want = [det_bareiss(M) for M in stack]
     assert want == [det_cofactor(M) for M in stack]
-    # neither the int64 route nor the Python-int one calls det_bareiss
-    with mock.patch.object(emod, "det_bareiss", side_effect=AssertionError):
+    top = max((abs(a) for M in stack for row in M for a in row), default=0)
+    # neither the int64 route nor the Python-int one calls det_bareiss;
+    # matrices up to 4 x 4 take the closed form, on Python ints from the
+    # guard on, and only larger ones take Bareiss steps
+    with mock.patch.object(emod, "det_bareiss", side_effect=AssertionError), \
+            mock.patch.object(emod, "_det_small",
+                              wraps=emod._det_small) as small, \
+            mock.patch.object(emod, "_bareiss_stack",
+                              wraps=emod._bareiss_stack) as bareiss:
         got = det_stack(A)
         assert got == want and all(type(v) is int for v in got)
+        assert bareiss.called == (n >= 5 and len(stack) > 0)
+        assert small.called == (1 <= n <= 4 and len(stack) > 0)
+        if small.called:
+            wide = math.factorial(n) * top ** n >= emod._INT64_GUARD
+            assert (small.call_args.args[0].dtype == object) == wide
         with mock.patch.object(emod, "_INT64_GUARD", 0):
             got = det_stack(A)
         assert got == want and all(type(v) is int for v in got)
+
+
+@given(stacks.filter(lambda case: case[0] >= 1))
+@example((3, [[[2**70, 1, 0], [0, 2**40, 1], [1, 0, 2**40]]]))
+def test_cofactor_stack_matches_laplace_minors(case):
+    n, stack = case
+    got = emod._cofactor_stack(
+        np.array(stack, dtype=object).reshape(len(stack), n, n))
+    for M, C in zip(stack, got.tolist()):
+        assert C == [[(-1) ** (i + j) * det_cofactor(
+            [r[:j] + r[j + 1:] for k, r in enumerate(M) if k != i])
+            for j in range(n)] for i in range(n)]
+        D = det_bareiss(M)
+        assert mat_mul(M, transpose(C)) == tuple(
+            tuple(D if i == j else 0 for j in range(n)) for i in range(n))
+        assert all(type(v) is int for row in C for v in row)
 
 
 def test_det_stack_takes_python_ints_and_refuses_non_square_stacks():

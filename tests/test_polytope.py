@@ -117,6 +117,10 @@ def test_point_polytope_scans(point_polytope):
     assert point_polytope.dim == 0
     assert point_polytope.lattice_points(5) == ((10, -5),)
     assert point_polytope.interior_lattice_points(5) == ((10, -5),)
+    # the point of Z^0: the identity chart has no coordinates to zip
+    origin = Polytope.from_vertices([()])
+    assert origin.lattice_points(3) == origin.interior_lattice_points(3) \
+        == ((),)
 
 
 def test_segment_scans(segment):

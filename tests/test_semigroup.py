@@ -2,6 +2,7 @@
 action and under the full graded semigroup), degree bounds, and the
 degree-one splitting check."""
 
+import itertools
 import operator
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from polycanon import families, semigroup
 from polycanon.cone import GradedPoint, ReductionWitness
 from polycanon.exactmath import vadd, vsub
-from polycanon.polytope import Polytope
+from polycanon.polytope import BudgetError, Polytope
 from polycanon.semigroup import (
     _check_work,
     _runs,
@@ -552,6 +553,22 @@ def test_reduced_degree_refuses_oversized_sumsets(monkeypatch):
     with pytest.raises(ValueError, match=f"the sumsets would OR"
                        f" {checked[0]} mask cells, over the cap of"):
         reduced_degree(P, y)
+
+
+def test_oracle_refuses_oversized_searches_before_any_multiset():
+    # [0, 2]^3 has 27 lattice points: degree 8 needs C(34, 7) - 1 =
+    # 5 379 615 multisets of sizes 1..7, over the cap
+    P = families.unit_cube(3)
+    P = Polytope.from_vertices([tuple(2 * a for a in v) for v in P.vertices])
+    y = GradedPoint((8, 8, 8), 8)
+    with mock.patch.object(itertools, "combinations_with_replacement",
+                           side_effect=AssertionError) as spy, \
+            pytest.raises(BudgetError, match="the oracle would try 5379615"
+                          " multisets of degree-one points, over the cap"):
+        reduced_degree_oracle(P, y)
+    assert not spy.called
+    # degree 5 needs C(31, 4) - 1 = 31 464 multisets, under the cap
+    assert reduced_degree_oracle(P, GradedPoint((5, 5, 5), 5)) == 1
 
 
 @given(small_hulls())

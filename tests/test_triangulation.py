@@ -21,12 +21,13 @@ from polycanon.checks import _empty_cells, default_corpus
 from polycanon.exactmath import (
     build_chart,
     det_bareiss,
+    det_cofactor,
     dot,
     generalized_cross,
     vsub,
 )
-from polycanon.polytope import BudgetError, Polytope
-from polycanon.simplex import SimplexConeSlicer, is_empty_simplex
+from polycanon.polytope import BudgetError, Polytope, _facet_form
+from polycanon.simplex import SimplexConeSlicer
 from polycanon.triangulation import (
     DecompositionResult,
     Triangulation,
@@ -368,8 +369,32 @@ def _owners(T, groups):
             for f, o in zip(F.tolist(), owner.tolist())}
 
 
-def _empty_by_scan(points):
-    return is_empty_simplex(Polytope.from_vertices(points))
+def _empty_by_signs(P, cells):
+    """Per cell of ``P`` (its points), whether no lattice point of ``P``
+    but its vertices lies in it.  In chart coordinates, with ``E`` the
+    edges ``v_j - v_0`` as rows and ``D = det E``, a point ``q`` has
+    barycentric coordinates ``mu = (q - v_0) adj(E) / D`` and
+    ``1 - sum(mu)``; it lies in the cell iff each, times ``D^2``, is
+    ``>= 0``.  Column ``j`` of ``adj(E)`` is row ``j`` of the cofactor
+    matrix, so every sign is an exact integer product."""
+    chart = P._chart
+    Q = np.array([chart.to_chart(q) for q in P.lattice_points(1)],
+                 dtype=object).reshape(-1, P.dim)
+    out = []
+    for cp in cells:
+        v = [chart.to_chart(p) for p in cp]
+        E = [vsub(a, v[0]) for a in v[1:]]
+        n = len(E)
+        cof = np.array([[(-1) ** (i + j) * det_cofactor(
+            [r[:i] + r[i + 1:] for k, r in enumerate(E) if k != j])
+            for i in range(n)] for j in range(n)], dtype=object)
+        D = det_cofactor(E)
+        mu = (Q - np.array(v[0], dtype=object)) @ cof.reshape(n, n).T
+        bary = np.concatenate([D - mu.sum(axis=1, keepdims=True), mu],
+                              axis=1)
+        inside = (bary * D >= 0).all(axis=1)
+        out.append(int(np.count_nonzero(inside)) == len(cp))
+    return out
 
 
 @given(hulls(), st.randoms(use_true_random=False))
@@ -405,7 +430,7 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
     # placing cells span only vertices, so some of them are not empty
     placing = placing_triangulation(P)
     cps = [placing.cell_points(cell) for cell in placing.cells]
-    assert _empty_cells(cps) == [_empty_by_scan(cp) for cp in cps]
+    assert _empty_cells(cps) == _empty_by_signs(P, cps)
     tris = [full_lattice_triangulation(P)]
     if P.dim >= 2 and P.interior_lattice_points(1):
         tris.append(interior_respecting_triangulation(P))
@@ -423,7 +448,7 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
         reps = {f: HalfOpenBox(T.cell_points(f)).face_reps(range(len(f)))
                 for f in faces}
         cps = [T.cell_points(cell) for cell in T.cells]
-        assert _empty_cells(cps) == [_empty_by_scan(cp) for cp in cps]
+        assert _empty_cells(cps) == _empty_by_signs(P, cps)
         for cell, cp in zip(T.cells, cps):
             box = HalfOpenBox(cp)
             for r in range(1, len(cell) + 1):
@@ -737,6 +762,26 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
 
 # ------------------------------------------- stellar insertion on one table
 
+def _cell_forms(coords, cell, planes):
+    """Inequalities of a full-dimensional simplex cell in chart coordinates,
+    one plane at a time: form ``j`` is tight on the facet opposite
+    ``cell[j]`` and positive at it.  ``planes`` maps each facet to one
+    ``(n, o)`` with ``n . x == o`` on it, shared by the cells on both
+    sides; a cell orients it by the sign at its vertex opposite the
+    facet."""
+    out = []
+    for j, v in enumerate(cell):
+        f = cell[:j] + cell[j + 1:]
+        if f not in planes:
+            planes[f] = _facet_form(coords, f, v)
+        n, o = planes[f]
+        s = dot(n, coords[v]) - o
+        if s == 0:
+            raise ValueError("degenerate cell")
+        out.append((n, o) if s > 0 else (tuple(-a for a in n), -o))
+    return tuple(out)
+
+
 def _split_at(coords, cells, forms, planes, x_index):
     """Stellar-insert point ``x_index`` into every cell containing it, one
     cell at a time; ``forms`` (cell -> its forms) and ``planes`` (facet ->
@@ -746,7 +791,7 @@ def _split_at(coords, cells, forms, planes, x_index):
     for c in cells:
         fs = forms.get(c)
         if fs is None:
-            fs = forms[c] = tmod._cell_forms(coords, c, planes)
+            fs = forms[c] = _cell_forms(coords, c, planes)
         if all(dot(n, x) - o >= 0 for n, o in fs):
             hit.append(c)
     if not hit:
@@ -816,22 +861,40 @@ def test_stellar_table_matches_the_cell_loop(P):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tmod, "_INT64_GUARD", 0)  # Python ints throughout
             assert tmod._stellar_insert(coords, cells, xs) == want
+            # a guard that the first insertion's bound stays under and a
+            # later one reaches: the table turns to Python ints mid-pass
+            probe = _Guard(2**200)
+            mp.setattr(tmod, "_INT64_GUARD", probe)
+            tmod._stellar_insert(coords, cells, xs)
+            top = max(probe.bounds, default=0)
+            if probe.bounds and probe.bounds[0] < top:
+                guard = _Guard(top)
+                mp.setattr(tmod, "_INT64_GUARD", guard)
+                assert tmod._stellar_insert(coords, cells, xs) == want
+                assert guard.bounds[0] < top == max(guard.bounds)
     assert interior_respecting_triangulation(P).cells == \
         tuple(_insert_by_cells(*_stellar_cases(P)[0]))
-    # the planes opposite the apex are the facets of P: only planes through
-    # the apex take a determinant
+    # every cell's forms come from batched det_stack calls, never from one
+    # determinant per plane
     inside = P.interior_lattice_points(1)
-    apex = full_lattice_triangulation(P).points.index(inside[0])
-    faces = []
+    with mock.patch.object(emod, "det_cofactor", side_effect=AssertionError), \
+            mock.patch.object(emod, "det_bareiss", side_effect=AssertionError):
+        assert tmod._interior_respecting(P, inside).cells == \
+            interior_respecting_triangulation(P).cells
 
-    def spy(coords, f, v):
-        faces.append(f)
-        return form(coords, f, v)
-    form = tmod._facet_form
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tmod, "_facet_form", spy)
-        tmod._interior_respecting(P, inside)
-    assert all(apex in f for f in faces)
+
+class _Guard(int):
+    """A stand-in for ``_INT64_GUARD`` that records every bound compared
+    with it (``bound >= guard`` asks ``guard.__le__(bound)`` first)."""
+
+    def __new__(cls, value):
+        guard = super().__new__(cls, value)
+        guard.bounds = []
+        return guard
+
+    def __le__(self, bound):
+        self.bounds.append(bound)
+        return bound >= int(self)
 
 
 def _subdivide_by_cells(T, x):

@@ -14,6 +14,7 @@ import operator
 import os
 import random
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -37,18 +38,16 @@ from .simplex import (
     is_empty_simplex,
     is_unimodular,
     normalized_volume,
-    square_lift,
     unit_box_decomposition,
 )
 from .triangulation import (
-    _boundary_count,
     full_lattice_triangulation,
     interior_respecting_triangulation,
     placing_triangulation,
     total_normalized_volume,
     verify_decomposition,
 )
-from .exactmath import det_stack, dot, rank, vadd, vsub
+from .exactmath import _int_array, det_stack, dot, rank, vadd, vsub
 
 SAMPLE_CAP = 8
 ORACLE_POINT_CAP = 12
@@ -393,8 +392,8 @@ def _cell_emptiness(P: Polytope) -> Optional[str]:
     T = full_lattice_triangulation(P)
     to_chart = P._chart.to_chart  # every full-dimensional cell is square
     cells = T.cells[:SAMPLE_CAP * 5]
-    empty = _empty_cells([[to_chart(p) for p in T.cell_points(c)]
-                          for c in cells])
+    rows = {i: to_chart(T.points[i]) + (1,) for c in cells for i in c}
+    empty = _empty_cells([[rows[i] for i in c] for c in cells])
     for cell, ok in zip(cells, empty):
         if not ok:
             return f"cell {cell} is not an empty simplex"
@@ -402,29 +401,22 @@ def _cell_emptiness(P: Polytope) -> Optional[str]:
 
 
 def _empty_cells(cells) -> list:
-    """Per point set of one size in ``cells``, whether it is the vertex set
-    of an empty simplex.
+    """Per cell of ``cells``, square lifted rows ``(x, 1)`` of one size on
+    a polytope's chart, whether its points are the vertex set of an empty
+    simplex.
 
     A lattice point of the simplex other than a vertex is a point of degree
     one in its half-open box, and conversely.  Affinely dependent points
-    are not a simplex, and a unimodular simplex's box is the origin alone.
-    Every other box comes from one :func:`half_open_boxes` call on the
-    sets' :func:`square_lift`; ``cell_emptiness`` passes chart
-    coordinates, so its cells are square already.
+    (determinant zero) are not a simplex, and a unimodular simplex's box is
+    the origin alone.  Every other box comes from one
+    :func:`half_open_boxes` call.
     """
-    lifts = {}
-    for i, c in enumerate(cells):
-        try:
-            lifts[i] = square_lift(c)
-        except ValueError:  # affinely dependent
-            pass
-    dets = dict(zip(lifts, det_stack(list(lifts.values()))))
-    empty = [abs(dets.get(i, 0)) == 1 for i in range(len(cells))]
-    odd = [i for i, v in dets.items() if abs(v) > 1]
+    A = _int_array(cells)
+    dets = det_stack(A)
+    empty = [abs(v) == 1 for v in dets]
+    odd = [i for i, v in enumerate(dets) if abs(v) > 1]
     if odd:
-        owner, _, points = half_open_boxes(
-            np.array([lifts[i] for i in odd], dtype=object),
-            [dets[i] for i in odd])
+        owner, _, points = half_open_boxes(A[odd], [dets[i] for i in odd])
         hit = np.bincount(owner[points[:, -1] == 1], minlength=len(odd))
         for i, h in zip(odd, hit.tolist()):
             empty[i] = not h
@@ -457,6 +449,14 @@ def _decomposition(P: Polytope) -> Optional[str]:
             return (f"interior-respecting covering failed at degree"
                     f" {res.degree}: {res.reason} ({res.point})")
     return None
+
+
+def _boundary_count(cells) -> Counter:
+    cnt = Counter()
+    for c in cells:
+        for f in itertools.combinations(c, len(c) - 1):
+            cnt[f] += 1
+    return cnt
 
 
 def _boundary_face_property(P: Polytope) -> Optional[str]:

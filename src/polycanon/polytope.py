@@ -4,8 +4,9 @@ A polytope lives in ``Z^m`` but may have smaller dimension ``d``; all facet
 data is stored both in ambient coordinates and in an exact chart on the
 affine hull, so every enumeration runs in a full-dimensional picture.
 
-Facets are the final boundary of a placing pass (``_placing``, the one
-hull routine, shared with the triangulation layer), whose planes come
+Facets are the planes of the final boundary of a placing pass
+(``_placing``, the one hull routine, shared with the triangulation layer,
+which also keeps the boundary simplices themselves), whose planes come
 oriented and gcd-reduced: a dimension jump takes one determinant, for the
 base of the pyramid it makes, and every other plane comes from the pencil
 of two known ones.  The vertices are the points whose sets of tight facets
@@ -419,7 +420,7 @@ def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:
         return []
     _check_placing(len(fd_pts), d)
     facets = set()
-    for n, o in _placing(fd_pts)[1]:  # n . x >= o on the hull
+    for n, o in _placing(fd_pts)[1].values():  # n . x >= o on the hull
         g = gcd_vector(n)
         facets.add(FacetForm(tuple(-a // g for a in n), -o // g))
     return list(facets)
@@ -460,24 +461,13 @@ def _facet_form(coords: Sequence[tuple], facet: Sequence[int],
     return (n, o) if s > 0 else (tuple(-a for a in n), -o)
 
 
-def _free_facets(simplices) -> dict:
-    """Facets lying in exactly one of ``simplices`` (sorted index tuples),
-    each mapped to the vertex of its simplex opposite it."""
-    opposite = {}
-    for c in simplices:
-        for j, v in enumerate(c):
-            f = c[:j] + c[j + 1:]
-            opposite[f] = None if f in opposite else v
-    return {f: v for f, v in opposite.items() if v is not None}
-
-
 def _placing(pts: Sequence[tuple]) -> tuple:
     """Triangulate the convex hull of ``pts`` by placing them in order.
 
     ``pts`` are distinct and lex-sorted, or the image of such a sequence
-    under an injective affine map.  Returns ``(cells, planes)``: the cells
-    as a sorted tuple of sorted index tuples, with every point a vertex of
-    some cell, and the planes of the final boundary (below).  The
+    under an injective affine map.  Returns ``(cells, boundary)``: the
+    cells as a sorted tuple of sorted index tuples, with every point a
+    vertex of some cell, and the final boundary (below).  The
     lex-greatest point placed so far maximizes ``(1, e, e^2, ...)`` for
     small ``e > 0``, so it is a vertex of the hull placed so far and lies
     strictly beyond some boundary facet (De Loera-Rambau-Santos,
@@ -508,11 +498,12 @@ def _placing(pts: Sequence[tuple]) -> tuple:
     ridge index is rebuilt at the first point placed after a jump, so a
     pass that ends on jumps (a simplex) never builds it.
 
-    ``planes`` lists the ``(n, o)`` of the final boundary, one per boundary
-    simplex, with ``n`` moved from pivot-column order back to the
-    coordinates of ``pts`` (zero off the pivot columns), so ``n . x >= o``
-    on the hull.  A plane taken from a pencil is gcd-reduced.  A single
-    point has no boundary, and ``planes`` is empty.
+    ``boundary`` maps each simplex of the final boundary, a sorted index
+    tuple, to its plane ``(n, o)``, with ``n`` moved from pivot-column
+    order back to the coordinates of ``pts`` (zero off the pivot columns),
+    so ``n . x >= o`` on the hull.  A plane taken from a pencil is
+    gcd-reduced.  A single point has no boundary, and ``boundary`` is
+    empty.
     """
     rows: list = []    # echelon rows, each zero at the earlier pivots
     pivots: list = []
@@ -577,13 +568,12 @@ def _placing(pts: Sequence[tuple]) -> tuple:
         for f in seen:
             del boundary[f]
             cells.append(f + (i,))
-    planes = []
-    for n, o in boundary.values():
+    for f, (n, o) in boundary.items():
         full = [0] * len(pts[0])
         for c, a in zip(pivots, n):
             full[c] = a
-        planes.append((tuple(full), o))
-    return tuple(sorted(cells)), planes
+        boundary[f] = (tuple(full), o)
+    return tuple(sorted(cells)), boundary
 
 
 def _pyramid(coords: Sequence[tuple], cells: Sequence[tuple],

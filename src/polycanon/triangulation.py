@@ -5,8 +5,9 @@ lattice points plus maximal cells as sorted index tuples.  The placing and
 fine triangulations are one placing pass over lex-sorted points (cone each
 new point over the boundary facets it sees strictly;
 ``polytope._placing``, the routine the polytope's facets are read off),
-which uses every point.  The interior-respecting triangulation cones the
-boundary over one interior point and stellar-inserts the others
+which uses every point.  The fine triangulation keeps the boundary
+simplices of its pass, and the interior-respecting triangulation cones
+them over one interior point and stellar-inserts the others
 (``_stellar_insert``): one integer table of every cell's facet forms, read
 off one batched cofactor table, one product per inserted point to find
 the cells that contain it, and each new piece's forms from the pencil of
@@ -35,8 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
@@ -54,7 +53,6 @@ from .exactmath import (
 from .polytope import (
     _INT64_GUARD,
     Polytope,
-    _free_facets,
     _placing,
     _tight_form_masks,
 )
@@ -116,14 +114,6 @@ def _cell_table(coords: Sequence[tuple], cells: Sequence[tuple]
         raise ValueError("degenerate cell")
     sign = np.array([1 if v > 0 else -1 for v in dets], dtype=np.int64)
     return _cofactor_stack(L) * sign[:, None, None]
-
-
-def _boundary_count(cells) -> Counter:
-    cnt = Counter()
-    for c in cells:
-        for f in itertools.combinations(c, len(c) - 1):
-            cnt[f] += 1
-    return cnt
 
 
 def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
@@ -190,9 +180,18 @@ def full_lattice_triangulation(P: Polytope) -> Triangulation:
     """Triangulation of ``P`` using every lattice point of ``P`` as a vertex."""
     if P.dim < 1:
         raise ValueError("triangulation needs dimension >= 1")
-    pts = P.lattice_points(1)  # lex-sorted
-    return P._memo("full_triangulation",
-                   lambda: Triangulation(points=pts, cells=_placing(pts)[0]))
+    return _fine(P)[0]
+
+
+def _fine(P: Polytope) -> tuple:
+    """``(T, boundary)``: the fine triangulation of ``P`` and the sorted
+    simplices of its boundary, both from one placing pass over the
+    lex-sorted lattice points.  Cached on ``P``."""
+    def build():
+        pts = P.lattice_points(1)
+        cells, boundary = _placing(pts)
+        return Triangulation(points=pts, cells=cells), sorted(boundary)
+    return P._memo("full_triangulation", build)
 
 
 def interior_respecting_triangulation(P: Polytope) -> Triangulation:
@@ -212,12 +211,11 @@ def interior_respecting_triangulation(P: Polytope) -> Triangulation:
 
 
 def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
-    full = full_lattice_triangulation(P)
-    pts = full.points
-    boundary_cells = _boundary_restriction(full, P)
+    # by its public name, which bench/spans.py times as its own call
+    pts = full_lattice_triangulation(P).points
     apex = interior[0]  # lex-least interior point
     apex_i = pts.index(apex)
-    cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary_cells)
+    cells = sorted(tuple(sorted(f + (apex_i,))) for f in _fine(P)[1])
     if len(interior) > 1:
         index = {p: i for i, p in enumerate(pts)}
         cells = _stellar_insert(_chart_coords(P._chart, pts), cells,
@@ -225,28 +223,11 @@ def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
 
 
-def _boundary_restriction(T: Triangulation, P: Polytope) -> list:
-    """Maximal boundary faces: cell facets lying in a single cell and
-    contained in a facet of ``P``."""
-    masks = _tight_masks(T, P)
-    out = sorted(_free_facets(T.cells))
-    for f in out:
-        if not _face_in_boundary(masks, f):
-            raise AssertionError("free cell facet not on the boundary")
-    return out
-
-
 def _tight_masks(T: Triangulation, P: Polytope) -> list:
     """Per point of ``T``, the bitmask of the facets of ``P`` it is tight on.
     Cached on ``P`` per point list."""
     return P._memo(("tight_masks", T.points),
                    lambda: _tight_form_masks(T.points, P.facets))
-
-
-def _face_in_boundary(masks: Sequence[int], face) -> bool:
-    """A face lies in the boundary iff some facet is tight on all of its
-    points, i.e. iff the AND of their tight-facet masks is nonzero."""
-    return functools.reduce(operator.and_, (masks[i] for i in face)) != 0
 
 
 def interior_faces(T: Triangulation, P: Polytope) -> tuple:

@@ -13,6 +13,7 @@ import sys
 import time
 
 from polycanon import families
+from polycanon.checks import _boundary_count
 from polycanon.cone import GradedPoint
 from polycanon.polytope import Polytope
 from polycanon.semigroup import (
@@ -25,7 +26,6 @@ from polycanon.semigroup import (
 )
 from polycanon.simplex import is_empty_simplex
 from polycanon.triangulation import (
-    _boundary_count,
     full_lattice_triangulation,
     interior_respecting_triangulation,
     placing_triangulation,

@@ -1,7 +1,9 @@
 """Tests for placing/full/interior-respecting triangulations, stellar
 subdivision, and the disjoint interior-cone covering checker."""
 
+import functools
 import itertools
+import operator
 import random
 import sys
 from collections import Counter
@@ -131,8 +133,8 @@ def test_interior_respecting_on_reeve_like_volume():
 
 
 def test_tight_masks_are_built_once_per_point_list(monkeypatch):
-    # the interior-respecting triangulation restricts the fine one to the
-    # boundary, and its interior faces then read the same points' masks
+    # the fine and the interior-respecting triangulations share their
+    # points, so the interior faces of both read one list of masks
     calls = []
     build = tmod._tight_form_masks
     monkeypatch.setattr(tmod, "_tight_form_masks",
@@ -140,6 +142,7 @@ def test_tight_masks_are_built_once_per_point_list(monkeypatch):
     P = families.example2(3)
     S = interior_respecting_triangulation(P)
     interior_faces(S, P)
+    interior_faces(full_lattice_triangulation(P), P)
     assert len(calls) == 1
     assert tmod._tight_masks(S, P) == [
         sum(1 << j for j, f in enumerate(P.facets) if f.slack(p) == 0)
@@ -306,6 +309,15 @@ def hulls(draw):
     return Polytope.from_vertices(pts)
 
 
+def _free_facets(cells):
+    """Cell facets lying in exactly one of ``cells`` (sorted index tuples):
+    the boundary of the region they triangulate, recounted from the
+    cells."""
+    count = Counter(f for c in cells
+                    for f in itertools.combinations(c, len(c) - 1))
+    return [f for f, k in count.items() if k == 1]
+
+
 def _placing_by_recount(pts):
     """Placing from scratch at every point: recount the free facets of all
     cells and cone the point over those it sees strictly.  Returns the cells
@@ -357,8 +369,10 @@ def _interior_faces_by_dict(T, P):
         for r in range(1, len(cell) + 1):
             for f in itertools.combinations(cell, r):
                 if f not in owner:
-                    owner[f] = None if tmod._face_in_boundary(masks, f) \
-                        else cell
+                    # on the boundary iff some facet is tight at every point
+                    tight = functools.reduce(operator.and_,
+                                             (masks[i] for i in f))
+                    owner[f] = None if tight else cell
     owner = {f: c for f, c in owner.items() if c is not None}
     return tuple(sorted(owner, key=lambda f: (len(f), f))), owner
 
@@ -428,9 +442,11 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
     else:
         assert _placing(shuffled)[0] == cells
     # placing cells span only vertices, so some of them are not empty
+    lift = {p: P._chart.to_chart(p) + (1,) for p in pts}
     placing = placing_triangulation(P)
     cps = [placing.cell_points(cell) for cell in placing.cells]
-    assert _empty_cells(cps) == _empty_by_signs(P, cps)
+    assert _empty_cells([[lift[p] for p in cp] for cp in cps]) == \
+        _empty_by_signs(P, cps)
     tris = [full_lattice_triangulation(P)]
     if P.dim >= 2 and P.interior_lattice_points(1):
         tris.append(interior_respecting_triangulation(P))
@@ -448,7 +464,8 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
         reps = {f: HalfOpenBox(T.cell_points(f)).face_reps(range(len(f)))
                 for f in faces}
         cps = [T.cell_points(cell) for cell in T.cells]
-        assert _empty_cells(cps) == _empty_by_signs(P, cps)
+        assert _empty_cells([[lift[p] for p in cp] for cp in cps]) == \
+            _empty_by_signs(P, cps)
         for cell, cp in zip(T.cells, cps):
             box = HalfOpenBox(cp)
             for r in range(1, len(cell) + 1):
@@ -456,6 +473,28 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
                     if f in reps:
                         got = box.face_reps([cell.index(i) for i in f])
                         assert got == reps[f], (cell, f)
+
+
+@given(hulls())
+@example(Polytope.from_vertices(  # jumps after placed points
+    [(0, y, z) for y in range(3) for z in range(3)] + [(1, 0, 0), (2, 1, 1)]))
+@example(Polytope.from_vertices(  # a simplex past the int64 guard
+    [(2**61, 0, 0), (2**61 + 2, 0, 0), (2**61, 1, 0), (2**61 + 1, 1, 3)]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fine_boundary_is_the_free_facet_recount(P):
+    assume(P.dim >= 1)
+    T, boundary = tmod._fine(P)
+    assert T is full_lattice_triangulation(P)
+    assert boundary == sorted(_free_facets(T.cells))
+    # each boundary simplex lies on its plane, and the plane on a facet
+    planes = _placing(T.points)[1]
+    assert sorted(planes) == boundary
+    masks = tmod._tight_masks(T, P)
+    for f, (n, o) in planes.items():
+        assert all(dot(n, T.points[i]) == o for i in f)
+        assert all(dot(n, p) >= o for p in T.points)
+        assert functools.reduce(operator.and_, (masks[i] for i in f))
 
 
 def _box_fits(P, scale):
@@ -824,8 +863,7 @@ def _stellar_cases(P):
     coords = [P._chart.to_chart(p) for p in pts]
     inside = [pts.index(x) for x in P.interior_lattice_points(1)]
     apex = inside[0]
-    cones = sorted(tuple(sorted(f + (apex,)))
-                   for f in tmod._boundary_restriction(T, P))
+    cones = sorted(tuple(sorted(f + (apex,))) for f in _free_facets(T.cells))
     verts = [pts.index(v) for v in P.vertices]
     placed = sorted(tuple(verts[i] for i in c)
                     for c in _placing(P.vertices)[0])
@@ -946,8 +984,25 @@ def test_stellar_subdivide_matches_the_cell_loop(case):
 
 
 def test_dependent_cell_is_not_empty():
-    assert _empty_cells([[(0, 0), (1, 1), (2, 2)]]) == [False]
-    assert _empty_cells([[(0, 0), (0, 0)]]) == [False]
+    assert _empty_cells([[(0, 0, 1), (1, 1, 1), (2, 2, 1)]]) == [False]
+
+
+def test_cell_emptiness_builds_no_chart_per_cell(monkeypatch):
+    # a Reeve simplex lifted into Z^4: its chart is not the identity, and
+    # its one fine cell, of normalized volume 5, has a box of five points
+    P = Polytope.from_vertices(
+        [p + (p[0] + 2 * p[1] - p[2] + 1,)
+         for p in families.reeve_simplex(5).vertices])
+    full_lattice_triangulation(P)  # built before the spies: only the check
+    boxes = mock.Mock(side_effect=smod.half_open_boxes)
+    for mod in (emod, smod, tmod, checks_mod):
+        for name in ("build_chart", "square_lift"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, mock.Mock(
+                    side_effect=AssertionError(f"{name} was called")))
+    monkeypatch.setattr(checks_mod, "half_open_boxes", boxes)
+    assert checks_mod._cell_emptiness(P) is None
+    assert boxes.called
 
 
 # ------------------------------- volumes and boundary faces against loops
@@ -996,7 +1051,7 @@ def _boundary_face_property_by_faces(P):
     if P.dim < 1:
         return None
     T = checks_mod.full_lattice_triangulation(P)
-    for face, cnt in sorted(tmod._boundary_count(T.cells).items()):
+    for face, cnt in sorted(checks_mod._boundary_count(T.cells).items()):
         if cnt not in (1, 2):
             return f"cell facet {face} lies in {cnt} cells"
         pts = T.cell_points(face)

@@ -289,11 +289,12 @@ class Polytope:
     def _points(self, scale: int, lo: tuple, mask) -> tuple:
         """The ambient lattice points at the true entries of ``mask``, a
         mask over the box of the ``scale``-th dilate with corner ``lo``,
-        lex-sorted.  An identity chart adds ``lo`` to the indices in one
+        lex-sorted.  The indices come from one flat scan of the mask
+        (:func:`_true_cells`).  An identity chart adds ``lo`` to them in one
         statement, on int64 while the box stays below ``_INT64_GUARD`` and
         on Python ints (``object``) past it, and zips its columns into the
         points; C order of the indices is lex order of the points."""
-        idx = np.argwhere(mask)
+        idx = _true_cells(mask)
         if self.dim == self.ambient_dim:
             wide = any(abs(l) + n >= _INT64_GUARD
                        for l, n in zip(lo, mask.shape))
@@ -410,6 +411,17 @@ class Polytope:
     def __repr__(self) -> str:
         label = self.name or f"{len(self.vertices)} vertices"
         return f"Polytope(dim={self.dim}, ambient={self.ambient_dim}, {label})"
+
+
+def _true_cells(mask) -> np.ndarray:
+    """The indices of the true cells of ``mask``, one row per cell in C
+    order, as ``np.argwhere`` gives them, from one flat scan: the flat
+    positions, then one ``unravel_index``, whose columns are transposed
+    into rows.  A 0-d mask gives shape ``(n, 0)``."""
+    flat = np.flatnonzero(mask)
+    if mask.ndim == 0:
+        return np.empty((len(flat), 0), dtype=np.intp)
+    return np.transpose(np.unravel_index(flat, mask.shape))
 
 
 def _facets_from_points(fd_pts: Sequence[tuple], d: int) -> list:

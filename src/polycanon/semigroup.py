@@ -9,13 +9,17 @@ own degree exactly when the point is an irreducible generator.
 The generator sets, the reduced-degree search and the splitting check all
 work on boolean masks over chart boxes and ask one question: which points
 of a mask lie in a sumset ``A + B`` of two others.  :func:`_sumset`
-answers it with one shifted OR per run of one operand along the last
-axis, of the other mask widened to the run's length.  The generator scans
-and the splitting check take whole dilate slices (``Polytope._slice``).
+answers it by one of two exact routes: a small sumset sets the pairwise
+sums of the operands' flat indices in the strides of the result box, and
+a larger one takes one shifted OR per run of one operand along the last
+axis, of the other mask widened to the run's length.  Every mask is
+turned into indices by one flat scan (``polytope._true_cells``).  The
+generator scans and the splitting check take whole dilate slices
+(``Polytope._slice``).
 The reduced-degree search of one point ``y`` of degree ``k`` holds its
 level ``j``, which lies in ``y - jP``, on a window of the dilate of degree
 ``k - j`` (:func:`reduced_degree`), and builds or caches no interior
-slice.
+slice, though it crops one that is cached already.
 
 Both generator reports run one stage: at degree ``k`` a point is reducible
 when it lies in some ``interior_{k-j} + basis_j``.  Under the degree-one
@@ -40,13 +44,23 @@ import numpy as np
 
 from .cone import GradedPoint, ReductionWitness, cone_over, cone_slice
 from .exactmath import vadd, vsub
-from .polytope import BudgetError, Polytope
+from .polytope import BudgetError, Polytope, _true_cells
 
 # Work budget of the shifted ORs, in mask cells ORed, checked before the
 # first sumset.  example2(6) reads 1.5e10 for its degree-one generators and
 # 2.9e10 under the full action, 1.35e10 of it a bound on building the
-# Hilbert basis; conv{0, 60e1, 60e2, 60e3} reads 3.1e11 and 3.2e11.
+# Hilbert basis; conv{0, 60e1, 60e2, 60e3} reads 3.1e11 and 3.2e11.  The
+# scatter route's count(A) * count(B) pairs of points never exceed the
+# count(A) * size(B) cells ORed, so the cap bounds both routes.
 SUMSET_CAP = 10**11
+# A sumset with at most this many pairs of points per cell of the result
+# scatters them.  On the sumsets of example2(5) scattering won at 1.5-8.6
+# pairs per cell, tied near 10.8 and lost from 16.3 on.
+_SCATTER_RATIO = 8
+# The scatter route holds at most max(size(result) // 8, _SCATTER_FLOOR)
+# int64 indices at once: no more index bytes than the result has cells,
+# past a floor of 1 MiB.
+_SCATTER_FLOOR = 2**17
 # Multisets of degree-one points that reduced_degree_oracle may try, checked
 # before the first one; the benchmark's oracle check stays under about
 # 10**5 and the test suite's far under that.
@@ -85,7 +99,8 @@ def _interior_set(P: Polytope, k: int) -> frozenset:
 
 
 def _sumset_work(a: tuple, b: tuple) -> int:
-    """Mask cells :func:`_sumset` ORs for slices ``a`` and ``b``."""
+    """Mask cells :func:`_sumset` ORs for slices ``a`` and ``b`` on its
+    run route, at least the pairs of points its scatter route sets."""
     na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
     return na * b[1].size if na <= nb else nb * a[1].size
 
@@ -98,10 +113,11 @@ def _check_work(work: int) -> None:
 
 def _runs(mask) -> list:
     """The maximal runs of true cells of a mask along its last axis, as
-    ``(first cell, length)`` in C order; a run ends with its row."""
+    ``(first cell, length)`` in C order, read off one flat scan of the mask
+    (:func:`_true_cells`); a run ends with its row."""
     runs = []
     first, n = None, 0
-    for idx in np.argwhere(mask).tolist():
+    for idx in _true_cells(mask).tolist():
         if n and idx[-1] == first[-1] + n and idx[:-1] == first[:-1]:
             n += 1
             continue
@@ -113,23 +129,53 @@ def _runs(mask) -> list:
     return runs
 
 
+def _scatter(flat, fa, fb, rows: int) -> None:
+    """Set the cells of the flat mask ``flat`` at every sum of an index of
+    ``fa`` and one of ``fb``, ``rows`` indices of ``fa`` at a time."""
+    for i in range(0, len(fa), rows):
+        flat[fa[i:i + rows, None] + fb] = True
+
+
 def _sumset(a: tuple, b: tuple) -> tuple:
     """The slice ``(lo, mask)`` of the sumset ``A + B`` of two slices.
 
     Its box corner is the sum of theirs and each side is one shorter than
     the sum of theirs, so slices of degrees ``j`` and ``l`` sum onto the
-    box of degree ``j + l``.  The operand with fewer points is walked by
-    its runs along the last axis (:func:`_runs`), shortest first.  The
-    other mask is widened along that axis to the length of each run, so
-    that ``w_n`` holds its shifts by ``0 .. n - 1``, and ORed in once per
-    run at the run's first cell.  With the widenings that makes at most
+    box of degree ``j + l``.  Two routes give the same mask.
+
+    When the pairs of points, ``count(A) * count(B)``, are at most
+    ``_SCATTER_RATIO`` times the cells of the result, both operands' true
+    cells (:func:`_true_cells`) are taken as flat indices in the result's
+    C-order strides, where the index of ``a + b`` is the index of ``a``
+    plus that of ``b``, and the pairwise sums are set, a block of rows of
+    the sparser operand at a time (:func:`_scatter`).  The cell rows, the
+    flat indices of both operands and one block of sums stay under
+    ``max(size // 8, _SCATTER_FLOOR)`` entries; a pair over that takes the
+    other route.
+
+    Otherwise the operand with fewer points is walked by its runs along
+    the last axis (:func:`_runs`), shortest first.  The other mask is
+    widened along that axis to the length of each run, so that ``w_n``
+    holds its shifts by ``0 .. n - 1``, and ORed in once per run at the
+    run's first cell.  With the widenings that makes at most
     ``runs + longest - 1`` shifted ORs, never more than one per point.
     """
-    if np.count_nonzero(a[1]) > np.count_nonzero(b[1]):
-        a, b = b, a
+    na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
+    if na > nb:
+        a, b, na, nb = b, a, nb, na
     (lo_a, small), (lo_b, big) = a, b
     out = np.zeros(tuple(s + t - 1 for s, t in zip(small.shape, big.shape)),
                    dtype=bool)
+    lo = tuple(map(operator.add, lo_a, lo_b))
+    limit = max(out.size // 8, _SCATTER_FLOOR)
+    if na * nb <= _SCATTER_RATIO * out.size \
+            and (na + nb) * (out.ndim + 1) <= limit:
+        # a bool mask's byte strides are its strides in cells
+        strides = np.array(out.strides, dtype=np.int64)
+        fa, fb = (_true_cells(m) @ strides for m in (small, big))
+        _scatter(out.reshape(-1), fa, fb,
+                 max(1, (limit - na - nb) // max(nb, 1)))
+        return lo, out
     wide, n = big, 1
     for first, length in sorted(_runs(small), key=operator.itemgetter(1)):
         while n < length:
@@ -140,7 +186,13 @@ def _sumset(a: tuple, b: tuple) -> tuple:
             w[..., s:] |= wide
             wide, n = w, n + s
         out[tuple(slice(i, i + m) for i, m in zip(first, wide.shape))] |= wide
-    return tuple(map(operator.add, lo_a, lo_b)), out
+    return lo, out
+
+
+def _crop(lo: tuple, shape: tuple, corner: tuple) -> tuple:
+    """The slices of the box ``(lo, shape)`` in a mask with lowest corner
+    ``corner``."""
+    return tuple(slice(a - c, a - c + n) for a, c, n in zip(lo, corner, shape))
 
 
 def _outside(mask, pairs) -> np.ndarray:
@@ -193,9 +245,11 @@ def reduced_degree(P: Polytope, y: GradedPoint
     of interior points of degree ``k - j`` reached from ``y``.  It lies in
     ``y - jP``, so it is held on a window, not on the whole dilate box: the
     box its sumset reaches, the level above's window minus the box of
-    ``P``, cut down to the box of degree ``k - j``; its interior cells come
-    from the per-line facet bounds on that window alone, so no interior
-    slice is built or cached.  Before the first sumset the search is
+    ``P``, cut down to the box of degree ``k - j``.  Its interior cells are
+    cropped from the interior slice of degree ``k - j`` when ``P`` has
+    cached it already (the check suite has), and otherwise come from the
+    per-line facet bounds on that window alone, so no interior slice is
+    built or cached.  Before the first sumset the search is
     refused when ``|P|`` times the larger operand box of each sumset,
     summed over the levels, is over the work budget.  Returns the value
     and a witness whose interior part is the lexicographically least at
@@ -230,9 +284,11 @@ def reduced_degree(P: Polytope, y: GradedPoint
     levels = [(windows[0][0], np.ones(windows[0][1], dtype=bool))]
     for j, (lo, shape) in enumerate(windows[1:], 1):
         lo_r, reach = _sumset(levels[-1], minus_ones)
-        crop = tuple(slice(a - b, a - b + n)
-                     for a, b, n in zip(lo, lo_r, shape))
-        nxt = P._build_slice(k - j, True, lo, shape) & reach[crop]
+        # the window lies in the box of degree k - j, so a cached interior
+        # slice of that degree holds every cell of it
+        lo_in, inner = P._cache.get(("slice", k - j, True)) \
+            or (lo, P._build_slice(k - j, True, lo, shape))
+        nxt = inner[_crop(lo, shape, lo_in)] & reach[_crop(lo, shape, lo_r)]
         if not nxt.any():
             break
         levels.append((lo, nxt))

@@ -235,6 +235,44 @@ def test_slice_masks_and_vertices_match_their_twins(pts):
     assert P.vertices == tuple(spans)
 
 
+@st.composite
+def mask_views(draw):
+    """A mask of rank 0 to 5, empty, full, sparse or random, taken as it
+    is, flipped on every axis (the ``-P`` operand of ``reduced_degree``)
+    or sliced with a step."""
+    shape = draw(st.lists(st.integers(1, 5), max_size=5).map(tuple))
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["empty", "full", "sparse", "random"]))
+    if kind == "random":
+        cells = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    else:
+        cells = [kind == "full"] * size
+        if kind == "sparse":
+            for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+                cells[i] = True
+    mask = np.array(cells, dtype=bool).reshape(shape)
+    view = draw(st.sampled_from(["as is", "flipped", "sliced"]))
+    if view == "flipped":
+        return np.flip(mask)
+    if view == "sliced":
+        return mask[tuple(slice(draw(st.integers(0, n - 1)), None,
+                                draw(st.integers(1, 2))) for n in shape)]
+    return mask
+
+
+@given(mask_views())
+@example(np.array(True))
+@example(np.array(False))
+@example(np.flip(np.eye(4, 3, 1, dtype=bool)))
+@example(np.ones((2, 1, 3, 1, 2), dtype=bool)[:, :, ::2])
+@settings(max_examples=200, deadline=None)
+def test_true_cells_match_argwhere(mask):
+    cells = pmod._true_cells(mask)
+    want = np.argwhere(mask)
+    assert cells.shape == want.shape and cells.dtype == want.dtype
+    assert (cells == want).all()
+
+
 @given(point_sets(max_size=8))
 @example([tuple(2**60 + a for a in p) for p in _CUBE])
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,9 @@
 action and under the full graded semigroup), degree bounds, and the
 degree-one splitting check."""
 
+import contextlib
 import itertools
+import math
 import operator
 from unittest import mock
 
@@ -528,6 +530,28 @@ def test_reduced_degree_caches_no_interior_slice():
     assert slices == [("slice", 1, False)]
 
 
+@given(rdeg_queries())
+@example((families.example2(4), GradedPoint((1, 1, 1, 11), 3)))
+@example((families.example2(4), GradedPoint((3, 3, 2, 15), 5)))
+@example((FLAT_CUBE, GradedPoint((1, 2, 5, 0), 4)))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_reduced_degree_reads_cached_interior_slices(query):
+    # a polytope whose slices are built already (as the check suite's
+    # are) answers from them, and as a fresh one does
+    P, y = query
+    fresh = Polytope.from_vertices(P.vertices)
+    warm = Polytope.from_vertices(P.vertices)
+    warm._slice(1, False)
+    for j in range(1, y.degree):
+        warm._slice(j, True)
+    with mock.patch.object(Polytope, "_build_slice",
+                           side_effect=AssertionError("a slice was built")):
+        got = reduced_degree(warm, y)
+    assert got == reduced_degree(fresh, y)
+
+
 def test_reduced_degree_refuses_oversized_sumsets(monkeypatch):
     def never(*args):
         raise AssertionError("a sumset started")
@@ -621,15 +645,44 @@ def test_sumsets_stay_within_the_checked_budget(P):
     def spy(a, b):
         spent.append(_sumset_work(a, b))
         assert checked and sum(spent) <= checked[-1]
+        # the scatter route's pairs of points are within the same budget
+        assert np.count_nonzero(a[1]) * np.count_nonzero(b[1]) <= spent[-1]
         return _sumset(a, b)
 
     for report in (irreducible_generators, full_generators):
         checked.clear()
         spent.clear()
         with mock.patch.object(semigroup, "_check_work", check), \
-                mock.patch.object(semigroup, "_sumset", spy):
+                mock.patch.object(semigroup, "_sumset", spy), _index_spy():
             report(Polytope.from_vertices(P.vertices))
         assert len(checked) == (2 if report is full_generators else 1)
+
+
+@contextlib.contextmanager
+def _index_spy():
+    """Assert that each scattered sumset keeps its index arrays within
+    ``max(size // 8, _SCATTER_FLOOR)`` entries, ``size`` the cells of the
+    result: the cell rows of both operands with the flat indices of both,
+    and the flat indices with one block of sums."""
+    built = []
+    true_cells, scatter = semigroup._true_cells, semigroup._scatter
+
+    def cells(mask):
+        rows = true_cells(mask)
+        built.append(rows.size)
+        return rows
+
+    def scatter_spy(flat, fa, fb, rows):
+        limit = max(flat.size // 8, semigroup._SCATTER_FLOOR)
+        # the scatter route's two flat scans come right before it
+        assert sum(built[-2:]) + len(fa) + len(fb) <= limit
+        assert len(fa) + len(fb) + min(rows, len(fa)) * len(fb) <= limit
+        built.clear()
+        scatter(flat, fa, fb, rows)
+
+    with mock.patch.object(semigroup, "_true_cells", cells), \
+            mock.patch.object(semigroup, "_scatter", scatter_spy):
+        yield
 
 
 def _sumset_by_points(a, b):
@@ -645,8 +698,37 @@ def _sumset_by_points(a, b):
     return tuple(map(operator.add, lo_a, lo_b)), out
 
 
-def _check_sumset(a, b):
-    lo, mask = _sumset(a, b)
+# the ratio each route is forced with: -1 takes the run route even for an
+# empty operand, and the one-row route scatters one row at a time
+_RATIOS = {"rule": semigroup._SCATTER_RATIO, "runs": -1,
+           "scatter": 10**18, "one-row": 10**18}
+
+
+def _scatters(a, b, ratio):
+    """Does ``_sumset`` scatter ``a + b`` under ``ratio``: at most that
+    many pairs of points per cell of the result, and the index arrays
+    within the limit?"""
+    na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
+    size = math.prod(s + t - 1 for s, t in zip(a[1].shape, b[1].shape))
+    limit = max(size // 8, semigroup._SCATTER_FLOOR)
+    return na * nb <= ratio * size and (na + nb) * (a[1].ndim + 1) <= limit
+
+
+def _check_sumset(a, b, route="rule"):
+    """Check ``_sumset`` against its twin on the route ``route``; return
+    whether it scattered."""
+    ratio = _RATIOS[route]
+    blocks = []
+    scatter = semigroup._scatter
+
+    def spy(flat, fa, fb, rows):
+        blocks.append(rows)
+        scatter(flat, fa, fb, 1 if route == "one-row" else rows)
+
+    with mock.patch.object(semigroup, "_SCATTER_RATIO", ratio), \
+            mock.patch.object(semigroup, "_scatter", spy):
+        lo, mask = _sumset(a, b)
+    assert bool(blocks) == _scatters(a, b, ratio)
     ref_lo, ref = _sumset_by_points(a, b)
     assert lo == ref_lo and mask.shape == ref.shape and (mask == ref).all()
     # the kernel's shifted ORs (one per run, one per widening) stay within
@@ -657,6 +739,7 @@ def _check_sumset(a, b):
     longest = max((n for _, n in runs), default=1)
     assert len(runs) + longest - 1 <= points
     assert len(runs) + longest - 1 <= _sumset_work(a, b)
+    return bool(blocks)
 
 
 @st.composite
@@ -677,8 +760,20 @@ def mask_pairs(draw):
 
 
 _ROW_END = np.array([[0, 0, 1], [1, 1, 0]], dtype=bool)  # flat run, 2 rows
+# 30 and 24 points on a 9 x 10 result: 720 pairs, exactly 8 per cell
+_ALL_BUT_ONE = np.ones((5, 5), dtype=bool)
+_ALL_BUT_ONE[2, 3] = False
+_AT_RULE = (((0, 0), np.ones((5, 6), dtype=bool)), ((1, 2), _ALL_BUT_ONE))
+_PAST_RULE = (((0, 0), np.ones((5, 6), dtype=bool)),
+              ((1, 2), np.ones((5, 5), dtype=bool)))
+# 140 000 pairs on 70 001 cells, but 2 * 70 002 indices, over the 2**17
+# floor of the index limit
+_OVER_LIMIT = (((0,), np.ones(70_000, dtype=bool)),
+               ((5,), np.ones(2, dtype=bool)))
+ROUTES = list(_RATIOS)
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @given(mask_pairs())
 @example((((0, 0), _ROW_END), ((1, -1), np.ones((2, 2), dtype=bool))))
 @example((((0, 0), np.ones((3, 3), dtype=bool)), ((0, 0), _ROW_END)))
@@ -690,26 +785,66 @@ _ROW_END = np.array([[0, 0, 1], [1, 1, 0]], dtype=bool)  # flat run, 2 rows
           ((0, 0, 0), np.ones((1, 2, 2), dtype=bool))))
 @example((((0, 0), np.ones((1, 4), dtype=bool)),  # a single row
           ((0, 0), np.array([[1, 1, 1, 0, 1, 1, 1]], dtype=bool))))
+@example(_AT_RULE)
+@example(_PAST_RULE)
+@example(_OVER_LIMIT)
+@example((((-1, -2), np.flip(_ROW_END)),  # a flipped view, as -P is
+          ((0, 0), np.ones((2, 2), dtype=bool))))
 @settings(max_examples=200, deadline=None)
-def test_sumset_matches_the_point_loop_on_masks(pair):
-    _check_sumset(*pair)
+def test_sumset_matches_the_point_loop_on_masks(route, pair):
+    _check_sumset(*pair, route=route)
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @given(small_hulls(), st.integers(0, 2**32 - 1))
 @example(families.reeve_simplex(2), 0)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_sumset_matches_the_point_loop_on_slices(P, seed):
+def test_sumset_matches_the_point_loop_on_slices(route, P, seed):
     for k in range(2, 4):
         for low in range(1, k):
-            _check_sumset(P._slice(low, True), P._slice(k - low, False))
+            _check_sumset(P._slice(low, True), P._slice(k - low, False),
+                          route)
     # a reduced_degree level: sparse interior points of dilate 3 minus P
     lo1, ones = P._slice(1, False)
     minus_ones = (tuple(-(l + n - 1) for l, n in zip(lo1, ones.shape)),
                   np.flip(ones))
     lo, inner = P._slice(3, True)
     sparse = inner & (np.random.default_rng(seed).random(inner.shape) < 0.2)
-    _check_sumset((lo, sparse), minus_ones)
+    _check_sumset((lo, sparse), minus_ones, route)
+
+
+def test_sumset_rule_scatters_only_small_sumsets():
+    P = families.example2(3)
+    assert _check_sumset(P._slice(1, True), P._slice(1, False))
+    assert _check_sumset(*_AT_RULE)
+    assert not _check_sumset(*_PAST_RULE)
+    assert not _check_sumset(*_OVER_LIMIT)
+    # the degree-6 generator sumset of example2 d=5: 59 510 interior
+    # points of degree 5 and 243 of P on 885 391 cells, 16.3 pairs each
+    Q = families.example2(5)
+    a, b = Q._slice(5, True), Q._slice(1, False)
+    pairs = np.count_nonzero(a[1]) * np.count_nonzero(b[1])
+    size = math.prod(s + t - 1 for s, t in zip(a[1].shape, b[1].shape))
+    assert 16 < pairs / size < 17
+    assert not _check_sumset(a, b)
+
+
+_SPREAD = np.arange(400) % 40 == 0  # 10 points, 40 apart
+
+
+@given(mask_pairs())
+@example(_AT_RULE)
+@example(_OVER_LIMIT)
+# 100 pairs on 799 cells: 20 flat indices leave 79 of the limit of 99 to
+# the blocks, 7 rows of 10 sums at a time
+@example((((0,), _SPREAD), ((3,), _SPREAD)))
+@settings(max_examples=100, deadline=None)
+def test_scatter_route_holds_at_most_its_index_limit(pair):
+    # with no floor the limit is an eighth of the result's cells, so
+    # small pairs fall back to the runs and the blocks get short
+    with mock.patch.object(semigroup, "_SCATTER_FLOOR", 0), _index_spy():
+        _check_sumset(*pair, route="scatter")
 
 
 def test_idp_check_refuses_an_oversized_top_degree():

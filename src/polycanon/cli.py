@@ -42,8 +42,8 @@ def _canonical(x, pad: str = "") -> str:
     triangulation's long lists of small int lists cost more to print than
     to check.  Lists, dicts with string keys, strings, ints (bools are not
     ints here), ``None`` and bools are written here: a list of ints by one
-    join, and a list of nonempty int lists row by row, each row through one
-    cached ``%d`` template per row length.  Every other value goes through
+    join, and a list of nonempty int lists by one ``%`` per run of rows of
+    one length (:func:`_int_rows`).  Every other value goes through
     ``json.dumps``, and so does a dict with a key that is not a string,
     whole, since ``json.dumps`` converts such keys."""
     t = type(x)
@@ -61,7 +61,7 @@ def _canonical(x, pad: str = "") -> str:
             items = map(int.__repr__, x)
         elif (all(x) and set(map(type, x)) <= {list, tuple}
               and _only(itertools.chain.from_iterable(x), int)):
-            items = [_row_template(inner, len(v)) % tuple(v) for v in x]
+            items = _int_rows(x, inner)
         else:
             items = (_canonical(v, inner) for v in x)
         return ("[\n" + inner + (",\n" + inner).join(items)
@@ -81,6 +81,18 @@ def _row_template(pad: str, n: int) -> str:
     """The ``%`` template of a list of ``n`` ints at indent ``pad``."""
     return ("[\n" + pad + "  " + (",\n" + pad + "  ").join(["%d"] * n)
             + "\n" + pad + "]")
+
+
+def _int_rows(rows, pad: str) -> list:
+    """The lines of nonempty int lists ``rows`` at indent ``pad``, one
+    string per run of rows of one length: the row template, joined once per
+    row of the run, takes all of the run's values in one ``%``."""
+    out = []
+    for n, run in itertools.groupby(rows, len):
+        run = list(run)
+        template = (",\n" + pad).join([_row_template(pad, n)] * len(run))
+        out.append(template % tuple(itertools.chain.from_iterable(run)))
+    return out
 
 
 _ATOMS = {None: "null", True: "true", False: "false"}

@@ -143,7 +143,8 @@ def _sumset(a: tuple, b: tuple) -> tuple:
     the sum of theirs, so slices of degrees ``j`` and ``l`` sum onto the
     box of degree ``j + l``.  Two routes give the same mask.
 
-    When the pairs of points, ``count(A) * count(B)``, are at most
+    When the sparser operand is not a single point and the pairs of
+    points, ``count(A) * count(B)``, are at most
     ``_SCATTER_RATIO`` times the cells of the result, both operands' true
     cells (:func:`_true_cells`) are taken as flat indices in the result's
     C-order strides, where the index of ``a + b`` is the index of ``a``
@@ -158,7 +159,9 @@ def _sumset(a: tuple, b: tuple) -> tuple:
     widened along that axis to the length of each run, so that ``w_n``
     holds its shifts by ``0 .. n - 1``, and ORed in once per run at the
     run's first cell.  With the widenings that makes at most
-    ``runs + longest - 1`` shifted ORs, never more than one per point.
+    ``runs + longest - 1`` shifted ORs, never more than one per point.  A
+    single point, as the first level of every :func:`reduced_degree`
+    search is, takes one OR.
     """
     na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
     if na > nb:
@@ -168,7 +171,7 @@ def _sumset(a: tuple, b: tuple) -> tuple:
                    dtype=bool)
     lo = tuple(map(operator.add, lo_a, lo_b))
     limit = max(out.size // 8, _SCATTER_FLOOR)
-    if na * nb <= _SCATTER_RATIO * out.size \
+    if na != 1 and na * nb <= _SCATTER_RATIO * out.size \
             and (na + nb) * (out.ndim + 1) <= limit:
         # a bool mask's byte strides are its strides in cells
         strides = np.array(out.strides, dtype=np.int64)

@@ -6,13 +6,19 @@ fine triangulations are one placing pass over lex-sorted points (cone each
 new point over the boundary facets it sees strictly;
 ``polytope._placing``, the routine the polytope's facets are read off),
 which uses every point.  The fine triangulation keeps the boundary
-simplices of its pass, and the interior-respecting triangulation cones
-them over one interior point and stellar-inserts the others
-(``_stellar_insert``): one integer table of every cell's facet forms, read
-off one batched cofactor table, one product per inserted point to find
-the cells that contain it, and each new piece's forms from the pencil of
-two forms of its cell, so neither pass takes a determinant per new plane.
-All arithmetic is exact and in integers.
+simplices of its pass.  The interior-respecting triangulation cones the
+boundary simplices over one interior point: those of the fine pass when
+it is cached, else those of one placing pass over the boundary points
+alone.  A placing triangulation is regular, so it restricts to each face
+as the placing triangulation of the face's own points (De Loera-Rambau-
+Santos, *Triangulations*, 4.3), and both passes give the same boundary.
+It then stellar-inserts the other interior points (``_stellar_insert``):
+one integer table of every cell's facet forms, read off one batched
+cofactor table; rounds of insertions whose hit cells are disjoint, which
+commute, each round's hits from one product with many points; and each
+new piece's forms from the pencil of two forms of its cell, so neither
+pass takes a determinant per new plane.  All arithmetic is exact and in
+integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
@@ -62,6 +68,12 @@ from .simplex import (
     half_open_boxes,
     square_lift,
 )
+
+# A round of stellar insertion takes as many pending points as keep its
+# points x cells x (d+1) hit values under this, and at least one: 1 MiB of
+# int64 values.  A limit 8 times larger raised the peak memory of the
+# interior-respecting triangulation of [0,8]^3 from 36 to 49 MB.
+_ROUND_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -122,48 +134,72 @@ def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
 
     One integer table holds the forms ``(n, o)`` of every cell as rows
     ``(n, -o)`` (:func:`_cell_table`): ``A`` is cells x (d+1) x (d+1), row
-    ``j`` tight on the facet opposite vertex ``j``.  A point ``x`` takes
-    one product, ``V = A @ (x, 1)``, and hits the cells where every
-    ``V_j >= 0``.  Each hit cell ``c`` and each ``j`` with ``V_j > 0``
-    gives the piece ``c`` with ``c_j`` replaced by ``x`` in place.  Its row
-    opposite ``x`` is row ``j`` of ``c``; its row opposite ``c_t`` is the
-    pencil ``V_j * A_t - V_t * A_j``, which vanishes on the ridge the two
-    rows share and at ``x`` and is positive at ``c_t``, divided by its gcd.
-    A cell's indices stay in the order of its rows until the end, where
-    each is sorted once.  The table is int64 while a bound from the
-    largest coordinate of the point and the largest table entry keeps
-    ``V`` and the pencil products under ``_INT64_GUARD``, and Python ints
-    (``object``) from the first point where it does not.
+    ``j`` tight on the facet opposite vertex ``j``.  A point ``x`` gives
+    ``V = A @ (x, 1)`` and hits the cells where every ``V_j >= 0``.  Each
+    hit cell ``c`` and each ``j`` with ``V_j > 0`` gives the piece ``c``
+    with ``c_j`` replaced by ``x`` in place.  Its row opposite ``x`` is row
+    ``j`` of ``c``; its row opposite ``c_t`` is the pencil
+    ``V_j * A_t - V_t * A_j``, which vanishes on the ridge the two rows
+    share and at ``x`` and is positive at ``c_t``, divided by its gcd.  A
+    cell's indices stay in the order of its rows until the end, where each
+    is sorted once.
+
+    The points go in rounds.  A round takes a prefix of the pending points,
+    as many as keep the points x cells x (d+1) products under
+    ``_ROUND_ENTRIES`` (at least one), and finds every hit in one product.
+    A point is inserted in the round iff no cell it hits is hit by an
+    earlier pending point (one cumulative OR of the hit rows); the others
+    wait, in order, for the next round.  Two insertions whose hit cells are
+    disjoint commute: every piece lies inside its hit cell, so neither
+    point's hit cells change under the other's insertion, in this
+    triangulation or in any refinement of it.  So each point inserted in a
+    round could be moved in front of every earlier point that waits, and
+    the cells are those of the one-by-one order.  The table is int64 while
+    a bound from the largest coordinate of the round's points and the
+    largest table entry keeps ``V`` and the pencil products under
+    ``_INT64_GUARD``, checked once per round, and Python ints (``object``)
+    from the first round where it does not.
     """
     d = len(coords[0])
     A = _cell_table(coords, cells)
     F = int(np.abs(A).max(initial=0))
     C = np.array(cells, dtype=np.int64).reshape(len(cells), d + 1)
-    for x in xs:
-        # |V| <= F * (d * X + 1) for X the largest |coordinate| of x, and a
-        # pencil entry is at most 2 |V| F
-        X = max(map(abs, coords[x]))
+    pending = list(xs)
+    while pending:
+        take = max(1, _ROUND_ENTRIES // (len(C) * (d + 1)))
+        batch, pending = pending[:take], pending[take:]
+        # |V| <= F * (d * X + 1) for X the largest |coordinate| of a point,
+        # and a pencil entry is at most 2 |V| F
+        X = max(abs(a) for x in batch for a in coords[x])
         if 2 * F * F * (d * X + 1) >= _INT64_GUARD:
             A = A.astype(object, copy=False)
-        V = A @ np.array(coords[x] + (1,), dtype=A.dtype)
-        keep = (V < 0).any(1)
-        hit = np.flatnonzero(~keep)
-        if not len(hit):
+        Y = np.array([coords[x] + (1,) for x in batch], dtype=A.dtype)
+        V = (A.reshape(-1, d + 1) @ Y.T).reshape(len(C), d + 1, len(batch))
+        hits = (V >= 0).all(axis=1).T  # points x cells
+        if not hits.any(axis=1).all():
             raise ValueError(
                 "point to insert is outside the triangulated region")
-        hc, j = np.nonzero(V[hit] > 0)
-        hc = hit[hc]
-        k = np.arange(len(hc))
-        Vc, Ac = V[hc], A[hc]
+        clash = np.zeros(len(batch), dtype=bool)
+        clash[1:] = (hits[1:] & np.logical_or.accumulate(hits[:-1])).any(1)
+        go = np.flatnonzero(~clash)
+        inserted = hits[go]
+        pt, hc = np.nonzero(inserted)
+        Vc = V[hc, :, go[pt]]  # hits x (d+1): the split indices go first
+        r, j = np.nonzero(Vc > 0)
+        hc, pt = hc[r], go[pt[r]]
+        k = np.arange(len(r))
+        Vc, Ac = Vc[r], A[hc]
         Vj, Aj = Vc[k, j], Ac[k, j]
         Ap = Vj[:, None, None] * Ac - Vc[:, :, None] * Aj[:, None, :]
         Ap[k, j] = Aj
         Ap //= np.gcd.reduce(Ap, axis=2)[:, :, None]
         Cp = C[hc]
-        Cp[k, j] = x
+        Cp[k, j] = np.array(batch, dtype=np.int64)[pt]
+        keep = ~inserted.any(axis=0)
         C = np.concatenate([C[keep], Cp])
         A = np.concatenate([A[keep], Ap])
         F = max(F, int(np.abs(Ap).max()))
+        pending = [x for x, c in zip(batch, clash) if c] + pending
     C.sort(axis=1)
     return sorted(map(tuple, C.tolist()))
 
@@ -196,8 +232,10 @@ def _fine(P: Polytope) -> tuple:
 
 def interior_respecting_triangulation(P: Polytope) -> Triangulation:
     """Full triangulation in which every maximal cell has a vertex interior
-    to ``P``: cone the triangulated boundary over one interior lattice point
-    and stellar-insert the remaining interior points.
+    to ``P``: cone the triangulated boundary over the lex-least interior
+    lattice point and stellar-insert the remaining interior points.  The
+    boundary is that of the fine triangulation, read off its cache or
+    placed from the boundary points alone (:func:`_boundary_simplices`).
 
     Needs ``dim >= 2`` and at least one interior lattice point.
     """
@@ -211,16 +249,31 @@ def interior_respecting_triangulation(P: Polytope) -> Triangulation:
 
 
 def _interior_respecting(P: Polytope, interior: tuple) -> Triangulation:
-    # by its public name, which bench/spans.py times as its own call
-    pts = full_lattice_triangulation(P).points
-    apex = interior[0]  # lex-least interior point
-    apex_i = pts.index(apex)
-    cells = sorted(tuple(sorted(f + (apex_i,))) for f in _fine(P)[1])
+    pts = P.lattice_points(1)
+    fine = P._cache.get("full_triangulation")
+    boundary = fine[1] if fine else _boundary_simplices(pts, interior)
+    apex_i = pts.index(interior[0])  # the lex-least interior point
+    cells = sorted(tuple(sorted(f + (apex_i,))) for f in boundary)
     if len(interior) > 1:
         index = {p: i for i, p in enumerate(pts)}
         cells = _stellar_insert(_chart_coords(P._chart, pts), cells,
                                 [index[x] for x in interior[1:]])
     return Triangulation(points=pts, cells=tuple(sorted(cells)))
+
+
+def _boundary_simplices(pts: tuple, interior: tuple) -> list:
+    """The sorted boundary simplices of the fine triangulation on the
+    lattice points ``pts``, as index tuples into ``pts``, from one placing
+    pass over the lex-sorted boundary points alone (``interior`` holds the
+    others).  A placing triangulation is regular, so its restriction to a
+    face is the placing triangulation of the face's own points in the same
+    order (De Loera-Rambau-Santos, *Triangulations*, 4.3): the points
+    inside do not change the boundary."""
+    inside = set(interior)
+    at = [i for i, p in enumerate(pts) if p not in inside]
+    boundary = _placing([pts[i] for i in at])[1]
+    # at is increasing, so the index tuples stay sorted, and in order
+    return [tuple(at[i] for i in f) for f in sorted(boundary)]
 
 
 def _tight_masks(T: Triangulation, P: Polytope) -> list:

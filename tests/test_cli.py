@@ -409,6 +409,9 @@ _values = st.recursive(
 @example({"cells": ((0, 1, 2), (1, 2, 3)), "faces": ((1,), (-2**70, 5),
                                                     (True, 1))})
 @example([[0, 1, 2], (3, 4, 5), [6]])
+# runs of rows of one length, as interior faces come sorted by size
+@example({"faces": ((0,), (1,), (0, 1), [0, 2], (1, -2**70), (0, 1, 2))})
+@example([[1, 2], (3,), [4, 5], (6, 7), [8], [9, 10, 11], (12,)])
 @settings(max_examples=100, deadline=None)
 def test_canonical_writer_matches_json_dumps(value):
     assert _canonical(value) == json.dumps(value, sort_keys=True, indent=2)

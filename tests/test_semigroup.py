@@ -705,13 +705,14 @@ _RATIOS = {"rule": semigroup._SCATTER_RATIO, "runs": -1,
 
 
 def _scatters(a, b, ratio):
-    """Does ``_sumset`` scatter ``a + b`` under ``ratio``: at most that
-    many pairs of points per cell of the result, and the index arrays
-    within the limit?"""
+    """Does ``_sumset`` scatter ``a + b`` under ``ratio``: a sparser
+    operand that is not a single point, at most that many pairs of points
+    per cell of the result, and the index arrays within the limit?"""
     na, nb = np.count_nonzero(a[1]), np.count_nonzero(b[1])
     size = math.prod(s + t - 1 for s, t in zip(a[1].shape, b[1].shape))
     limit = max(size // 8, semigroup._SCATTER_FLOOR)
-    return na * nb <= ratio * size and (na + nb) * (a[1].ndim + 1) <= limit
+    return (min(na, nb) != 1 and na * nb <= ratio * size
+            and (na + nb) * (a[1].ndim + 1) <= limit)
 
 
 def _check_sumset(a, b, route="rule"):
@@ -816,7 +817,9 @@ def test_sumset_matches_the_point_loop_on_slices(route, P, seed):
 
 def test_sumset_rule_scatters_only_small_sumsets():
     P = families.example2(3)
-    assert _check_sumset(P._slice(1, True), P._slice(1, False))
+    # its one interior point takes the runs; the 27 of degree 2 scatter
+    assert not _check_sumset(P._slice(1, True), P._slice(1, False))
+    assert _check_sumset(P._slice(2, True), P._slice(1, False))
     assert _check_sumset(*_AT_RULE)
     assert not _check_sumset(*_PAST_RULE)
     assert not _check_sumset(*_OVER_LIMIT)
@@ -828,6 +831,33 @@ def test_sumset_rule_scatters_only_small_sumsets():
     size = math.prod(s + t - 1 for s, t in zip(a[1].shape, b[1].shape))
     assert 16 < pairs / size < 17
     assert not _check_sumset(a, b)
+
+
+def test_single_point_sumsets_take_one_or():
+    # a single point against -P, as the first level of every reduced_degree
+    # search is, takes the run route's one OR on every route, never a scatter
+    P = families.example2(3)
+    point = ((0, 0, 0), np.zeros((2, 1, 3), dtype=bool))
+    point[1][1, 0, 2] = True
+    for route in ROUTES:
+        assert not _check_sumset(point, P._slice(1, False), route)
+        assert not _check_sumset(P._slice(2, True), point, route)
+    routes = []
+    sumset, scatter = semigroup._sumset, semigroup._scatter
+
+    def sumset_spy(a, b):
+        sparse = min(np.count_nonzero(a[1]), np.count_nonzero(b[1]))
+        routes.append([int(sparse), "runs"])
+        return sumset(a, b)
+
+    def scatter_spy(*args):
+        routes[-1][1] = "scatter"
+        scatter(*args)
+    with mock.patch.object(semigroup, "_sumset", sumset_spy), \
+            mock.patch.object(semigroup, "_scatter", scatter_spy):
+        reduced_degree(P, GradedPoint((2, 2, 6), 5))
+    assert routes == [[1, "runs"], [15, "scatter"], [24, "scatter"],
+                      [16, "scatter"]]
 
 
 _SPREAD = np.arange(400) % 40 == 0  # 10 points, 40 apart

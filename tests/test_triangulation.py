@@ -497,6 +497,58 @@ def test_fine_boundary_is_the_free_facet_recount(P):
         assert functools.reduce(operator.and_, (masks[i] for i in f))
 
 
+@given(hulls())
+@example(Polytope.from_vertices(  # jumps after placed points
+    [(0, y, z) for y in range(3) for z in range(3)] + [(1, 0, 0), (2, 1, 1)]))
+@example(Polytope.from_vertices(  # a lifted square, 25 points inside
+    [(0, 0, 1), (6, 0, 7), (0, 6, -5), (6, 6, 1)]))
+@example(Polytope.from_vertices(  # the same translated past the int64 guard
+    [(2**61, 2**61, 2**61 + 1), (2**61 + 6, 2**61, 2**61 + 7),
+     (2**61, 2**61 + 6, 2**61 - 5), (2**61 + 6, 2**61 + 6, 2**61 + 1)]))
+@example(Polytope.from_vertices(  # a simplex past the int64 guard
+    [(2**61, 0, 0), (2**61 + 2, 0, 0), (2**61, 1, 0), (2**61 + 1, 1, 3)]))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_boundary_pass_is_the_fine_boundary(P):
+    # placing the boundary points alone gives the boundary of the placing
+    # pass over every lattice point, mapped back to the same indices
+    assume(P.dim >= 1)
+    pts = P.lattice_points(1)
+    interior = P.interior_lattice_points(1)
+    got = tmod._boundary_simplices(pts, interior)
+    T, want = tmod._fine(P)
+    assert got == want
+    assert {frozenset(T.cell_points(f)) for f in got} == \
+        {frozenset(T.cell_points(f)) for f in _free_facets(T.cells)}
+    inside = set(interior)
+    assert not any(pts[i] in inside for f in got for i in f)
+
+
+def test_interior_respecting_takes_no_fine_pass(monkeypatch):
+    # cold: one placing pass over the boundary points, no fine
+    # triangulation; warm: the fine triangulation's boundary, no pass
+    for vertices in ([(0, 0, 1), (6, 0, 7), (0, 6, -5), (6, 6, 1)],
+                     families.example2(3).vertices):
+        P = Polytope.from_vertices(vertices)
+        passes = []
+        placing = tmod._placing
+        with monkeypatch.context() as mp:
+            mp.setattr(tmod, "_fine", _never)
+            mp.setattr(tmod, "full_lattice_triangulation", _never)
+            mp.setattr(tmod, "_placing",
+                       lambda pts: passes.append(pts) or placing(pts))
+            cold = interior_respecting_triangulation(P)
+        inside = set(P.interior_lattice_points(1))
+        assert passes == [[p for p in P.lattice_points(1) if p not in inside]]
+        Q = Polytope.from_vertices(vertices)
+        full_lattice_triangulation(Q)
+        with monkeypatch.context() as mp:
+            mp.setattr(tmod, "_placing", _never)
+            warm = interior_respecting_triangulation(Q)
+        assert warm == cold
+        assert cold.cells == tuple(_insert_by_cells(*_stellar_cases(P)[0]))
+
+
 def _box_fits(P, scale):
     """Whether the chart box of the dilate is under ``BOX_POINT_CAP``; a
     flat hull's chart box can be far larger than its ambient one."""
@@ -899,8 +951,10 @@ def test_stellar_table_matches_the_cell_loop(P):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tmod, "_INT64_GUARD", 0)  # Python ints throughout
             assert tmod._stellar_insert(coords, cells, xs) == want
-            # a guard that the first insertion's bound stays under and a
-            # later one reaches: the table turns to Python ints mid-pass
+            # one point per round, and a guard that the first round's bound
+            # stays under and a later one reaches: the table turns to
+            # Python ints in a later round
+            mp.setattr(tmod, "_ROUND_ENTRIES", 1)
             probe = _Guard(2**200)
             mp.setattr(tmod, "_INT64_GUARD", probe)
             tmod._stellar_insert(coords, cells, xs)
@@ -919,6 +973,53 @@ def test_stellar_table_matches_the_cell_loop(P):
             mock.patch.object(emod, "det_bareiss", side_effect=AssertionError):
         assert tmod._interior_respecting(P, inside).cells == \
             interior_respecting_triangulation(P).cells
+
+
+def test_stellar_rounds_insert_points_together():
+    # the placing triangulation of example2(3)'s vertices takes its other
+    # 17 points in 4 rounds, with the cells of the one-by-one order; one
+    # point per round is that order itself
+    P = families.example2(3)
+    coords, cells, xs = _stellar_cases(P)[1]
+    want = _insert_by_cells(coords, cells, xs)
+    rounds = {}
+    for entries in (1, tmod._ROUND_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmod, "_ROUND_ENTRIES", entries)
+            # the guard is compared once per round
+            guard = _Guard(tmod._INT64_GUARD)
+            mp.setattr(tmod, "_INT64_GUARD", guard)
+            assert tmod._stellar_insert(coords, cells, xs) == want
+            rounds[entries] = len(guard.bounds)
+            mp.setattr(tmod, "_INT64_GUARD", 0)  # Python ints throughout
+            assert tmod._stellar_insert(coords, cells, xs) == want
+    assert len(xs) == rounds[1] == 17
+    assert rounds[tmod._ROUND_ENTRIES] == 4
+
+
+def test_stellar_rounds_reject_an_outside_pending_point():
+    # (3, 3) waits behind (1, 1) in its round, as in the one-by-one order
+    coords = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (3, 3), (1, 0)]
+    cells = [(0, 1, 3), (1, 3, 4)]
+    for xs in ([2, 5], [2, 6, 5], [5, 2]):
+        with pytest.raises(ValueError) as want:
+            _insert_by_cells(coords, cells, xs)
+        with pytest.raises(ValueError) as got:
+            tmod._stellar_insert(coords, cells, xs)
+        assert str(got.value) == str(want.value) == \
+            "point to insert is outside the triangulated region"
+    assert tmod._stellar_insert(coords, cells, [2, 6]) == \
+        _insert_by_cells(coords, cells, [2, 6])
+
+
+def test_stellar_table_turns_to_python_ints_before_it_overflows():
+    # int64 forms of about 2^40: the pencils of the first point's pieces
+    # would pass 2^63, and the later points are tested against them
+    coords = [(0, 0), (806070, -4), (-4, 1717995), (17, 8), (32, 49),
+              (29, 31), (42, 25)]
+    for xs in ([3, 4, 5, 6], [6, 5, 4, 3]):
+        assert tmod._stellar_insert(coords, [(0, 1, 2)], xs) == \
+            _insert_by_cells(coords, [(0, 1, 2)], xs)
 
 
 class _Guard(int):

@@ -194,11 +194,21 @@ def det_stack(stack) -> list:
     if n == 0:
         return [1] * s
     if n <= 4:
-        if A.dtype != object and math.factorial(n) * max(
-                int(A.max()), -int(A.min())) ** n >= _INT64_GUARD:
-            A = A.astype(object)
-        return _det_small(A, n).tolist()
+        return _det_small(_expansion_operands(A), n).tolist()
     return _bareiss_stack(A)
+
+
+def _expansion_operands(A: np.ndarray) -> np.ndarray:
+    """A stack of ``n x n`` integer matrices in a dtype that holds every
+    product of a cofactor expansion of their determinants: each is at most
+    ``n! * a^n`` for the largest absolute entry ``a``, so ``A`` itself
+    while that stays below ``_INT64_GUARD``, and ``A`` on Python ints
+    (``object``) past it."""
+    n = A.shape[-1]
+    if A.dtype != object and len(A) and math.factorial(n) * max(
+            int(A.max()), -int(A.min())) ** n >= _INT64_GUARD:
+        return A.astype(object)
+    return A
 
 
 def _cofactor_stack(stack) -> np.ndarray:

@@ -22,19 +22,24 @@ integers.
 
 A face lies in the boundary of the polytope iff the AND of its points'
 tight-facet bitmasks is nonzero.  The covering check gives each interior
-face one owning cell, the first cell containing it.  Its set-up works on
-index arrays: the faces of one size come from one sort of every cell's
-index combinations, every point is lifted into chart coordinates in one
-product, and every owning cell's determinant is taken in one batched call.
-A face of a unimodular cell has one box point, the sum of its lifted
-vertices; the faces of every other cell are read off that cell's
-half-open box, all boxes from one call of the batched enumerator
-``simplex.half_open_boxes`` and no Smith form.  It counts each degree on
-the chart box of the dilate: the points of all faces of one size from box
-points of one degree are one integer product, and their ``bincount`` must
-equal the dilate's interior mask, which the facet-form scan builds, so the
-two routes stay independent.  A degree that does not match is named from the
-same points, face by face.
+face one owning cell, the first cell containing it.  Its set-up has no loop
+over face sizes.  Every subset of every cell's vertex positions is one row
+of one sort on a packed key, which orders the faces and puts each face's
+owner first, and the interior faces are one index array padded with a
+point past the last.  Every point is lifted into chart coordinates in one
+product, with a zero row for the padding, and every owning cell's
+determinant is taken in one batched call.  A face of a unimodular cell has
+one box point, the sum of its lifted vertices; the faces of every other
+cell are read off that cell's half-open box, all boxes from one call of the
+batched enumerator ``simplex.half_open_boxes`` and no Smith form, all faces
+from one call of ``simplex.face_box_points``.  One sort splits the box
+points into groups of one face size and one degree.  It counts each degree
+on the chart box of the dilate: each group's points are one integer
+product, written in place into chunks of many groups, and each chunk is
+bounds-checked, flattened and scattered onto one boolean box.  That box
+must be the dilate's interior mask, which the facet-form scan builds, so
+the two routes stay independent, and the points as many as its cells.  A
+degree that does not match is named from the same points, face by face.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .exactmath import (
     _cofactor_stack,
+    _expansion_operands,
     _int_array,
     build_chart,
     det_stack,
@@ -74,6 +80,12 @@ from .simplex import (
 # int64 values.  A limit 8 times larger raised the peak memory of the
 # interior-respecting triangulation of [0,8]^3 from 36 to 49 MB.
 _ROUND_ENTRIES = 2**17
+
+# The covering counts a degree's points in chunks of as many (n, h) groups
+# as keep a chunk under this many coordinates, and at least one group: 1 MiB
+# of int64 values.  One buffer per degree instead raised the peak memory of
+# `triangulate --kmax 10` on example2 d=5 from 161 to 198 MB.
+_COUNT_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -116,16 +128,18 @@ def _cell_table(coords: Sequence[tuple], cells: Sequence[tuple]
     ``n . x > o`` at that vertex, so a point is in the cell iff every form
     is >= 0.  With ``L`` the cell's lifted points as rows ``(x, 1)``,
     ``L cof(L)^T = det(L) I``, so the rows are the cofactor matrix
-    (:func:`_cofactor_stack`) times the sign of ``det(L)``.  Raises
-    ``ValueError`` for an affinely dependent cell."""
+    (:func:`_cofactor_stack`) times the sign of ``det(L)``, and ``det(L)``
+    is the first row of ``L`` against the first row of the cofactor matrix
+    (Laplace expansion), in the dtype of :func:`_expansion_operands`.
+    Raises ``ValueError`` for an affinely dependent cell."""
     n = len(coords[0]) + 1
     L = _int_array([[coords[i] + (1,) for i in c]
                     for c in cells]).reshape(len(cells), n, n)
-    dets = det_stack(L)
-    if 0 in dets:
+    cof = _cofactor_stack(L)
+    dets = (_expansion_operands(L)[:, 0] * cof[:, 0]).sum(axis=1)
+    if (dets == 0).any():
         raise ValueError("degenerate cell")
-    sign = np.array([1 if v > 0 else -1 for v in dets], dtype=np.int64)
-    return _cofactor_stack(L) * sign[:, None, None]
+    return cof * np.where(dets > 0, 1, -1)[:, None, None]
 
 
 def _stellar_insert(coords, cells, xs: Sequence[int]) -> list:
@@ -287,65 +301,120 @@ def interior_faces(T: Triangulation, P: Polytope) -> tuple:
     """Faces of ``T`` not contained in the boundary of ``P``, sorted by
     (size, indices).  The open cones over exactly these faces partition the
     interior of the cone over ``P``."""
-    return _interior_faces(T, P)[0]
+    arrays = _interior_faces(T, P)
+    ends = np.searchsorted(arrays.size, np.arange(arrays.F.shape[1] + 1),
+                           side="right").tolist()
+    faces = []
+    for n, (a, b) in enumerate(zip(ends, ends[1:]), 1):
+        faces += map(tuple, arrays.F[a:b, :n].tolist())
+    return tuple(faces)
 
 
-def _interior_faces(T: Triangulation, P: Polytope) -> tuple:
-    """``(faces, groups)``: :func:`interior_faces` and, per face size in
-    increasing order, ``(F, owner)``: those faces as the rows of an int64
-    array, in the same order, and for each the index in ``T.cells`` of the
-    first cell containing it.  Cached on ``P`` per triangulation.
+class _Faces(NamedTuple):
+    """The interior faces of a triangulation as index arrays, in the order
+    of :func:`interior_faces`."""
+
+    cells: np.ndarray    # T.cells as rows, cells x n
+    F: np.ndarray        # faces x n point indices, padded with len(T.points)
+    owner: np.ndarray    # per face, the index of the first cell holding it
+    subset: np.ndarray   # per face, its row of the owner's _subset_table
+    size: np.ndarray     # per face, its number of points
+
+
+def _interior_faces(T: Triangulation, P: Polytope) -> _Faces:
+    """The interior faces of ``T`` as a :class:`_Faces`, each with the first
+    cell containing it.  Cached on ``P`` per triangulation.
 
     Raises ``ValueError`` when a point of ``T`` has another length than
-    the ambient dimension of ``P``, or a cell another length than the
-    first cell."""
+    the ambient dimension of ``P``, when ``T`` has no cells, or when a cell
+    has another length than the first cell or an index that names no point
+    of ``T``."""
     def build():
-        for p in T.points:
-            if len(p) != P.ambient_dim:
-                raise ValueError(
-                    f"triangulation point {p} has length {len(p)}, but the"
-                    f" polytope's ambient dimension is {P.ambient_dim}")
-        for c in T.cells:
-            if len(c) != len(T.cells[0]):
-                raise ValueError(
-                    f"triangulation cell {c} has {len(c)} points, but its"
-                    f" first cell {T.cells[0]} has {len(T.cells[0])}")
-        return _face_groups(T, _tight_masks(T, P))
+        # each check reads all points or cells at once and looks for the
+        # one to name only when it fails
+        N, d = len(T.points), P.ambient_dim
+        if set(map(len, T.points)) - {d}:
+            p = next(p for p in T.points if len(p) != d)
+            raise ValueError(
+                f"triangulation point {p} has length {len(p)}, but the"
+                f" polytope's ambient dimension is {d}")
+        if not T.cells:
+            raise ValueError("triangulation has no cells")
+        n = len(T.cells[0])
+        if set(map(len, T.cells)) - {n}:
+            c = next(c for c in T.cells if len(c) != n)
+            raise ValueError(
+                f"triangulation cell {c} has {len(c)} points, but its"
+                f" first cell {T.cells[0]} has {n}")
+        C = _int_array(T.cells).reshape(len(T.cells), n)
+        if n and (C.min() < 0 or C.max() >= N):
+            c = next(c for c in T.cells if min(c) < 0 or max(c) >= N)
+            raise ValueError(
+                f"triangulation cell {c} has an index outside 0..{N - 1},"
+                f" the indices of its {N} points")
+        return _face_groups(C.astype(np.int64, copy=False), N,
+                            _tight_masks(T, P))
     return P._memo(("interior_faces", T), build)
 
 
-def _face_groups(T: Triangulation, masks: Sequence[int]) -> tuple:
-    """:func:`_interior_faces` from the points' tight-facet bitmasks.
+@functools.lru_cache(maxsize=None)
+def _subset_table(n: int) -> tuple:
+    """``(at, on, rank, size)`` over the nonempty subsets of ``range(n)``,
+    by size and then in lex order, one row each: the subset's positions
+    padded with ``n``, its membership as booleans, each member's rank in
+    it (``n`` off it) and its size.  Read-only."""
+    subsets = [s for r in range(1, n + 1)
+               for s in itertools.combinations(range(n), r)]
+    at = np.full((len(subsets), n), n, dtype=np.intp)
+    rank = np.full((len(subsets), n), n, dtype=np.intp)
+    for i, s in enumerate(subsets):
+        at[i, :len(s)] = s
+        rank[i, list(s)] = range(len(s))
+    table = at, rank < n, rank, (rank < n).sum(axis=1)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
-    The faces of one size are every cell's index combinations, in cell
-    order, as the rows of one array.  A stable sort on one packed key per
-    row (the row's digits in base ``len(T.points)``, on int64 while the key
-    stays below ``_INT64_GUARD`` and on Python ints past it) sorts them and
-    puts each face's first cell first.  A face is interior iff the AND of
-    its points' masks, held as 64-bit words, is zero."""
-    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
-    n = C.shape[1]
+
+def _face_groups(C: np.ndarray, N: int, masks: Sequence[int]) -> _Faces:
+    """The interior faces of the cells ``C`` (rows of indices into ``N``
+    points) from the points' tight-facet bitmasks.
+
+    Every cell's every subset of positions (:func:`_subset_table`) is one
+    row, cell by cell, and gets one packed key: its size, then its indices,
+    as digits in base ``N``, from one product of the cells with a table of
+    digit weights.  The key is int64 while it stays below ``_INT64_GUARD``
+    and Python ints past it.  One stable sort of the keys orders the faces
+    by size and indices and puts each face's first cell first.  The faces
+    are rows of indices padded with ``N``, and a face is interior iff the
+    AND of its points' masks, held as 64-bit words with an all-ones row for
+    the padding, is zero."""
+    s, n = C.shape
+    at, _, rank, size = _subset_table(n)
+    dtype = np.int64 if (n + 1) * N ** n < _INT64_GUARD else object
+    # the p-th index of a face weighs N^(n-1-p), an index off it nothing
+    weight = np.array([N ** (n - 1 - p) for p in range(n)] + [0],
+                      dtype=dtype)
+    key = C.astype(dtype, copy=False) @ weight[rank].T
+    key += size * np.array(N ** n, dtype=dtype)
+    key = key.reshape(-1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    owner, subset = np.divmod(order[first], len(at))
+    F = np.concatenate([C, np.full((s, 1), N, dtype=np.int64)], axis=1)
+    F = np.take(F, owner[:, None] * (n + 1) + at[subset])
     words = max(1, -(-max(masks, default=0).bit_length() // 64))
     M = np.array([[(a >> (64 * w)) & (2**64 - 1) for w in range(words)]
-                  for a in masks], dtype=np.uint64).reshape(-1, words)
-    faces, groups = [], []
-    for r in range(1, n + 1):
-        combos = list(itertools.combinations(range(n), r))
-        F = C[:, combos].reshape(-1, r)
-        dtype = np.int64 if len(T.points) ** r < _INT64_GUARD else object
-        digits = np.array([len(T.points) ** i for i in range(r)][::-1],
-                          dtype=dtype)
-        order = np.argsort(F.astype(dtype, copy=False) @ digits,
-                           kind="stable")
-        F = F[order]
-        first = np.ones(len(F), dtype=bool)
-        first[1:] = (F[1:] != F[:-1]).any(axis=1)
-        F, order = F[first], order[first]
-        inside = ~np.bitwise_and.reduce(M[F], axis=1).any(axis=1)
-        F = F[inside]
-        groups.append((F, order[inside] // len(combos)))
-        faces += map(tuple, F.tolist())
-    return tuple(faces), groups
+                  for a in (*masks, -1)], dtype=np.uint64).reshape(-1, words)
+    # one position at a time: numpy reduces along a short axis slowly
+    tight = np.take(M, F[:, 0], axis=0)
+    for j in range(1, n):
+        tight &= np.take(M, F[:, j], axis=0)
+    inside = ~tight.any(axis=1)
+    subset = subset[inside]
+    return _Faces(C, F[inside], owner[inside], subset, size[subset])
 
 
 def total_normalized_volume(T: Triangulation) -> int:
@@ -377,7 +446,7 @@ def verify_decomposition(T: Triangulation, P: Polytope,
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     P._box(kmax)  # refuse an oversized top degree before any scan
-    _interior_faces(T, P)  # refuse points of another length
+    _interior_faces(T, P)  # refuse malformed points and cells
     try:
         cover = _cover_arrays(T, P)
     except ValueError:  # only an affinely dependent owning cell raises
@@ -404,83 +473,83 @@ def _cover_arrays(T: Triangulation, P: Polytope) -> tuple:
     points and the chart keeps every entry under ``_INT64_GUARD``, and
     Python ints (``object``) past it, with the same statements.
 
-    Every triangulation point is lifted in one product.  A cell's rows are
-    its points' chart coordinates and a one, with the coordinates across
-    the hull too when a point lies off it, so that its box is the box of
-    its ambient points.  Cells that are then not square (points off the
-    hull, or cells of another size) each go onto a chart of their own
-    points (:func:`square_lift`).  Every owning cell's determinant is
-    taken in one :func:`det_stack` call.  A face owned by a unimodular
-    cell has one box point, the sum of its lifted vertices, at degree
-    ``n``.  The boxes of all other owning cells come from one
-    :func:`half_open_boxes` call, and every face of those cells is read
-    off its owner's box in one ragged expansion per face size
-    (:func:`face_box_points`), with no loop over faces.
+    Every triangulation point is lifted in one product, with one zero row
+    more for the padding of the face rows (:func:`_face_groups`).  A cell's
+    rows are its points' chart coordinates and a one, with the coordinates
+    across the hull too when a point lies off it, so that its box is the
+    box of its ambient points.  Cells that are then not square (points off
+    the hull, or cells of another size) each go onto a chart of their own
+    points (:func:`square_lift`).  Every owning cell's determinant is taken
+    in one :func:`det_stack` call.  The faces owned by unimodular cells
+    have one box point each, at degree ``n``: the sum of their lifted
+    vertices, all in one padded sum.  The boxes of all other owning cells
+    come from one :func:`half_open_boxes` call, and all their faces are
+    read off them in one :func:`face_box_points` call, each face's vertex
+    positions its row of :func:`_subset_table`.  One stable sort on
+    ``(n, h)`` splits the rows into groups, and each group's generators
+    are one gather of the lifted points.
 
     Raises ``ValueError`` when the points of an owning cell are affinely
     dependent.
     """
     chart = P._chart
     d, m = chart.dim, chart.ambient_dim
-    face_groups = _interior_faces(T, P)[1]
+    C, F, owner, subset, size = _interior_faces(T, P)
     cols = [(*c, -dot(chart.origin, c))
             for c in (*chart.proj_cols, *chart.comp_cols)]
     gain = max((abs(a) for c in cols for a in c), default=0) * (m + 1)
-    big = max((abs(a) for p in T.points for a in p), default=0) + 1
+    X = _int_array(T.points).reshape(len(T.points), m)
+    big = max(int(X.max(initial=0)), -int(X.min(initial=0))) + 1
     dtype = object if big * gain * (d + 1) >= _INT64_GUARD else np.int64
     lift = np.array(cols, dtype=dtype).T
-    W = np.array([p + (1,) for p in T.points],
-                 dtype=dtype).reshape(len(T.points), m + 1) @ lift
+    # one zero row more, for the padding of the faces' index rows
+    W = np.zeros((len(T.points) + 1, m), dtype=dtype)
+    W[:-1] = X.astype(dtype, copy=False) @ lift[:m] + lift[m]
     w = m if (W[:, d:] != 0).any() else d
-    rows = np.ones((len(W), w + 1), dtype=dtype)
-    rows[:, :w] = W[:, :w]
-    C = np.array(T.cells, dtype=np.int64).reshape(len(T.cells), -1)
-    owned = np.flatnonzero(np.bincount(
-        np.concatenate([o for _, o in face_groups]), minlength=len(C)))
-    cells = square = rows[C[owned]]
+    rows = np.ones((len(W) - 1, w + 1), dtype=dtype)
+    rows[:, :w] = W[:-1, :w]
+    owned = np.flatnonzero(np.bincount(owner, minlength=len(C)))
+    cells = square = np.take(rows, C[owned], axis=0)
     if C.shape[1] != w + 1:  # each cell on a chart of its own points
         square = np.array([square_lift(c[:, :w].tolist()) for c in cells],
                           dtype=object).reshape(len(cells), *C.shape[1:] * 2)
-    dets = det_stack(square)
-    if 0 in dets:
+    dets = _int_array(det_stack(square))
+    if (dets == 0).any():
         raise ValueError("degenerate face")
-    odd = [abs(v) != 1 for v in dets]
-    boxed = owned[odd]
+    odd = (dets != 1) & (dets != -1)
+    boxed_cells = owned[odd]
     box_of = np.full(len(C), -1)
-    box_of[boxed] = np.arange(len(boxed))
+    box_of[boxed_cells] = np.arange(len(boxed_cells))
+    b = box_of[owner]
+    # a unimodular cell's box is the origin: a face's one box point is the
+    # sum of its lifted vertices, at the degree of its size
+    one = np.flatnonzero(b < 0)
+    R, h, I = [np.take(W, F[one].T, axis=0).sum(axis=0)], [size[one]], [one]
+    # every other face is read off its owner's box
+    boxed = np.flatnonzero(b >= 0)
     if len(boxed):
-        lifted = cells[odd]
-        at, coefficients, points = half_open_boxes(
-            square[odd], [v for v in dets if abs(v) != 1], lifted)
-        first = np.searchsorted(at, np.arange(len(boxed) + 1))
-        support = coefficients != 0
-    parts: Dict[tuple, list] = {}
-    base = 0
-    for F, owner in face_groups:
-        n, b = F.shape[1], box_of[owner]
-        I = base + np.arange(len(F))
-        base += len(F)
-        # a unimodular cell's box is the origin: a face's one box point is
-        # the sum of its lifted vertices
-        G = W[F[b < 0]]
-        if len(G):
-            parts.setdefault((n, n), []).append((G.sum(axis=1), G, I[b < 0]))
-        F, I, b = F[b >= 0], I[b >= 0], b[b >= 0]
-        if not len(F):
-            continue
-        on = (C[boxed[b]][:, :, None] == F[:, None, :]).any(axis=2)
-        face, reps = face_box_points(lifted, first, support, points, b, on)
-        R = np.zeros((len(reps), m), dtype=dtype)
-        R[:, :w] = reps[:, :w]
-        h = reps[:, w].astype(np.int64)
-        for k in np.flatnonzero(np.bincount(h)).tolist():
-            f = face[h == k]
-            parts.setdefault((n, k), []).append((R[h == k], W[F[f]], I[f]))
-    groups = {key: tuple(map(np.concatenate, zip(*v)))
-              for key, v in parts.items()}
-    bound = max([int(np.abs(W).max(initial=0))]
-                + [int(np.abs(R).max(initial=0))
-                   for R, _, _ in groups.values()])
+        at, coefficients, points = half_open_boxes(square[odd], dets[odd],
+                                                   cells[odd])
+        face, reps = face_box_points(
+            cells[odd], np.searchsorted(at, np.arange(len(boxed_cells) + 1)),
+            coefficients != 0, points, b[boxed],
+            _subset_table(C.shape[1])[1][subset[boxed]])
+        R.append(np.zeros((len(reps), m), dtype=dtype))
+        R[-1][:, :w] = reps[:, :w]
+        h.append(reps[:, w].astype(np.int64))
+        I.append(boxed[face])
+    R, h, I = map(np.concatenate, (R, h, I))
+    # one sort splits the rows into (n, h) groups
+    key = size[I] * (C.shape[1] + 1) + h
+    order = np.argsort(key, kind="stable")
+    R, I, key = R[order], I[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    groups = {}
+    for a, e in zip(starts, starts[1:] + [len(I)]):
+        n, h = divmod(int(key[a]), C.shape[1] + 1)
+        groups[n, h] = (R[a:e], np.take(W, F[I[a:e], :n], axis=0), I[a:e])
+    bound = max(int(np.abs(W).max(initial=0)),
+                int(np.abs(R).max(initial=0)))
     return bound, groups
 
 
@@ -493,26 +562,48 @@ def _composition_array(total: int, parts: int) -> np.ndarray:
     return a
 
 
-def _degree_points(groups: dict, k: int, dtype) -> Iterator[tuple]:
-    """Per group of :func:`_cover_arrays` with ``h <= k``, ``(pts, I)``:
-    its faces' degree-``k`` points as one integer product (box points plus
-    compositions of ``k - h`` times the generators), shaped faces x
-    compositions x coordinates, and the faces' indices."""
-    for (n, h), (R, G, I) in groups.items():
-        if h <= k:
-            pts = _composition_array(k - h, n) @ G.astype(dtype, copy=False)
-            pts += R[:, None, :].astype(dtype, copy=False)
-            yield pts, I
+def _degree_chunks(groups: dict, k: int, dtype) -> Iterator[tuple]:
+    """The degree-``k`` points of the groups of :func:`_cover_arrays` with
+    ``h <= k``: box points plus compositions of ``k - h`` times the
+    generators.  They come in chunks of as many groups as keep a chunk
+    under ``_COUNT_ENTRIES`` coordinates, and at least one.  Yields
+    ``(pts, parts)``: the chunk's points as the rows of one array, each
+    group's written in place by one product, face by face and within a
+    face composition by composition, and the chunk's groups as
+    ``(compositions, R, G, I)``."""
+    parts = [(_composition_array(k - h, n), R, G, I)
+             for (n, h), (R, G, I) in groups.items() if h <= k]
+    chunk, rows = [], 0
+    for i, (c, R, G, I) in enumerate(parts):
+        chunk.append((c, R, G, I))
+        rows += len(c) * len(R)
+        m = R.shape[1]
+        if i + 1 < len(parts) and (
+                rows + len(parts[i + 1][0]) * len(parts[i + 1][1])
+        ) * m <= _COUNT_ENTRIES:
+            continue
+        pts = np.empty((rows, m), dtype=dtype)
+        at = 0
+        for c, R, G, _ in chunk:
+            out = pts[at:at + len(c) * len(R)].reshape(len(R), len(c), m)
+            np.matmul(c, G.astype(dtype, copy=False), out=out)
+            out += R[:, None, :].astype(dtype, copy=False)
+            at += len(c) * len(R)
+        yield pts, chunk
+        chunk, rows = [], 0
 
 
 def _cover_degree(cover: tuple, P: Polytope, k: int) -> DecompositionResult:
     """Whether the degree-``k`` points of the faces' open cones, given as
     their :func:`_cover_arrays`, hit every interior point of the ``k``-th
-    dilate exactly once.  Every point is shifted into the chart box of
-    ``k * P``; one ``bincount`` counts them all, and the counts must equal
-    the interior mask.  Int64 while the points stay under
-    ``_INT64_GUARD``, Python ints past it.  A degree that does not match
-    is named by :func:`_first_bad_point`."""
+    dilate exactly once.  The points come in chunks of many groups
+    (:func:`_degree_chunks`), and each chunk is bounds-checked against the
+    chart box of ``k * P``, flattened to box indices at once and scattered
+    onto one boolean box.  The covering holds at degree ``k`` iff that box
+    is the interior mask and the points are as many as its interior cells,
+    none hit twice.  Int64 while the points stay under ``_INT64_GUARD``,
+    Python ints past it.  A degree that does not match is named by
+    :func:`_first_bad_point`."""
     bound, groups = cover
     lo, mask = P._slice(k, True)
     shape = mask.shape
@@ -523,16 +614,18 @@ def _cover_degree(cover: tuple, P: Polytope, k: int) -> DecompositionResult:
     dims = np.array(shape, dtype=np.int64)
     strides = np.array([math.prod(shape[i + 1:]) for i in range(d)],
                        dtype=np.int64)
-    flat = [np.zeros(0, dtype=np.int64)]
-    for pts, _ in _degree_points(groups, k, dtype):
-        pts = pts.reshape(-1, pts.shape[-1])
-        q = pts[:, :d] - lo_
+    hit = np.zeros(mask.size, dtype=bool)
+    points = 0
+    for pts, _ in _degree_chunks(groups, k, dtype):
+        q = pts[:, :d]
+        q -= lo_  # in place: the chunk is not read again
         if (pts[:, d:] != 0).any() or (q < 0).any() or (q >= dims).any():
             return _first_bad_point(groups, P, k)
-        flat.append(q @ strides)
-    counts = np.bincount(np.concatenate(flat).astype(np.int64, copy=False),
-                         minlength=mask.size)
-    if np.array_equal(counts, mask.reshape(-1)):
+        hit[(q @ strides).astype(np.int64, copy=False)] = True
+        points += len(pts)
+    # the hit cells are the interior ones, and as many as the points, so
+    # no point is hit twice
+    if points == np.count_nonzero(mask) and (hit == mask.reshape(-1)).all():
         return DecompositionResult(ok=True)
     return _first_bad_point(groups, P, k)
 
@@ -548,11 +641,11 @@ def _first_bad_point(groups: dict, P: Polytope,
     back = np.array(unimodular_inverse(transpose(
         (*chart.proj_cols, *chart.comp_cols))), dtype=object)
     walk = []
-    for pts, I in _degree_points(groups, k, object):
-        x = pts.reshape(-1, len(back)) @ back
+    for pts, parts in _degree_chunks(groups, k, object):
+        x = pts @ back
         x += np.array(chart.origin, dtype=object) * k
-        walk += zip(np.repeat(I, pts.shape[1]).tolist(),
-                    map(tuple, x.tolist()))
+        faces = np.concatenate([np.repeat(I, len(c)) for c, _, _, I in parts])
+        walk += zip(faces.tolist(), map(tuple, x.tolist()))
     target, seen = set(P.interior_lattice_points(k)), set()
     for _, x in sorted(walk):
         if x not in target:

@@ -284,6 +284,36 @@ def _never(*args, **kwargs):
     raise AssertionError("a scan started")
 
 
+_TRIANGLE = Polytope.from_vertices([(0, 0), (2, 0), (0, 2)])
+
+
+def test_interior_faces_name_cells_with_a_negative_index():
+    # numpy would read -1 as the last point
+    T = Triangulation(_TRIANGLE.lattice_points(1), ((0, 1, -1),))
+    for check in (lambda: interior_faces(T, _TRIANGLE),
+                  lambda: verify_decomposition(T, _TRIANGLE, 2)):
+        with pytest.raises(ValueError, match=r"cell \(0, 1, -1\) has an index"
+                           r" outside 0\.\.5, the indices of its 6 points"):
+            check()
+
+
+def test_interior_faces_name_cells_with_an_index_past_the_points():
+    T = Triangulation(_TRIANGLE.lattice_points(1), ((0, 1, 99),))
+    for check in (lambda: interior_faces(T, _TRIANGLE),
+                  lambda: verify_decomposition(T, _TRIANGLE, 2)):
+        with pytest.raises(ValueError, match=r"cell \(0, 1, 99\) has an index"
+                           r" outside 0\.\.5"):
+            check()
+
+
+def test_interior_faces_need_a_cell():
+    T = Triangulation(_TRIANGLE.lattice_points(1), ())
+    for check in (lambda: interior_faces(T, _TRIANGLE),
+                  lambda: verify_decomposition(T, _TRIANGLE, 2)):
+        with pytest.raises(ValueError, match="^triangulation has no cells$"):
+            check()
+
+
 def test_verify_decomposition_refuses_an_oversized_top_degree(monkeypatch):
     P = Polytope.from_vertices([(0, 0), (4, 0), (0, 4)])
     T = full_lattice_triangulation(P)
@@ -294,6 +324,29 @@ def test_verify_decomposition_refuses_an_oversized_top_degree(monkeypatch):
 
 
 # ----------------------------------------- fast paths against slow twins
+
+# the 4-simplex of the CI covering step: its coverings read 31 and 38 cell
+# boxes of up to 20 points each
+_SIMPLEX_D4 = Polytope.from_vertices([(0, 0, 0, 0), (5, 0, 0, 0), (0, 3, 0, 0),
+                                      (1, 1, 4, 0), (1, 2, 1, 3)])
+# hulls whose fine triangulations have 1 (unimodular), 1 (a box of two
+# points), 2 and 3 cells
+_FEW_CELLS = [Polytope.from_vertices([(0, 0), (1, 0), (0, 1)]),
+              Polytope.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                      (1, 1, 2)]),
+              Polytope.from_vertices([(0, 0), (2, 0), (0, 1)]),
+              Polytope.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                      (0, 0, 3)])]
+
+
+def _lifted_square(t):
+    """The 6x6 square lifted onto a plane of Z^3, translated by ``t`` in
+    every coordinate: its chart subtracts the translation, so the chart
+    coordinates stay small while the ambient points can be past int64."""
+    return Polytope.from_vertices(
+        [(t, t, t + 1), (t + 6, t, t + 7), (t, t + 6, t - 5),
+         (t + 6, t + 6, t + 1)])
+
 
 @st.composite
 def hulls(draw):
@@ -377,10 +430,20 @@ def _interior_faces_by_dict(T, P):
     return tuple(sorted(owner, key=lambda f: (len(f), f))), owner
 
 
-def _owners(T, groups):
-    """The owning cell of every face of :func:`_interior_faces` groups."""
-    return {tuple(f): T.cells[o] for F, owner in groups
-            for f, o in zip(F.tolist(), owner.tolist())}
+def _owners(T, faces):
+    """The owning cell of every face of the :func:`_interior_faces` arrays,
+    in their order.  Each face's row is its points padded with
+    ``len(T.points)``, and its subset row gives its positions in its
+    owner."""
+    at = tmod._subset_table(faces.F.shape[1])[0]
+    out = {}
+    for f, o, s, n in zip(faces.F.tolist(), faces.owner.tolist(),
+                          faces.subset.tolist(), faces.size.tolist()):
+        cell = T.cells[o]
+        assert f[n:] == [len(T.points)] * (len(f) - n)
+        assert f[:n] == [cell[j] for j in at[s, :n]]
+        out[tuple(f[:n])] = cell
+    return out
 
 
 def _empty_by_signs(P, cells):
@@ -426,6 +489,11 @@ def _empty_by_signs(P, cells):
 @example(Polytope.from_vertices(  # a simplex past the int64 guard
     [(2**61, 0, 0), (2**61 + 2, 0, 0), (2**61, 1, 0), (2**61 + 1, 1, 3)]),
     random.Random(4))
+@example(_SIMPLEX_D4, random.Random(5))
+@example(_FEW_CELLS[0], random.Random(6))
+@example(_FEW_CELLS[1], random.Random(7))
+@example(_FEW_CELLS[2], random.Random(8))
+@example(_FEW_CELLS[3], random.Random(9))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_triangulation_layer_matches_its_twins(P, rnd):
@@ -454,13 +522,15 @@ def test_triangulation_layer_matches_its_twins(P, rnd):
         faces = interior_faces(T, P)
         assert faces == _interior_faces_by_slack(T, P)
         want = _interior_faces_by_dict(T, P)
-        groups = _interior_faces(T, P)[1]
-        assert (faces, _owners(T, groups)) == want
+        arrays = _interior_faces(T, P)
+        assert (faces, _owners(T, arrays)) == want
         # the packed key on Python ints past its guard
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tmod, "_INT64_GUARD", 0)
-            got, groups = tmod._face_groups(T, tmod._tight_masks(T, P))
-        assert (got, _owners(T, groups)) == want
+            arrays = tmod._face_groups(arrays.cells, len(T.points),
+                                       tmod._tight_masks(T, P))
+        owner = _owners(T, arrays)
+        assert (tuple(owner), owner) == want
         reps = {f: HalfOpenBox(T.cell_points(f)).face_reps(range(len(f)))
                 for f in faces}
         cps = [T.cell_points(cell) for cell in T.cells]
@@ -607,6 +677,13 @@ def _cover_loop(T, P, kmax, faces, owner):
 @given(hulls())
 @example(families.reeve_simplex(3))
 @example(Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)]))
+@example(_SIMPLEX_D4)
+@example(_FEW_CELLS[0])
+@example(_FEW_CELLS[1])
+@example(_FEW_CELLS[2])
+@example(_FEW_CELLS[3])
+@example(_lifted_square(2**30))
+@example(_lifted_square(2**61))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_count_mask_covering_matches_the_point_loop(P):
@@ -665,6 +742,13 @@ def _sorted_rows(groups):
 @given(hulls())
 @example(families.reeve_simplex(3))
 @example(Polytope.from_vertices([(0, 0, 1), (3, 0, 4), (0, 2, 3)]))
+@example(_SIMPLEX_D4)
+@example(_FEW_CELLS[0])
+@example(_FEW_CELLS[1])
+@example(_FEW_CELLS[2])
+@example(_FEW_CELLS[3])
+@example(_lifted_square(2**30))
+@example(_lifted_square(2**61))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_cover_arrays_match_the_per_face_groups(P):
@@ -834,21 +918,57 @@ def test_mutated_coverings_match_the_point_loop(monkeypatch):
     for P in polys:
         # each interior face removed in turn leaves its open cone uncovered
         T = full_lattice_triangulation(P)
-        faces, groups = _interior_faces(T, P)
-        owner = _owners(T, groups)
-        for f in faces[::max(1, len(faces) // 4)]:
+        arrays = _interior_faces(T, P)
+        owner = _owners(T, arrays)
+        faces = tuple(owner)
+        for i in range(0, len(faces), max(1, len(faces) // 4)):
+            f = faces[i]
             kept = tuple(g for g in faces if g != f)
             own = {g: c for g, c in owner.items() if g != f}
-            cut = [(F[keep], o[keep]) for F, o in groups
-                   for keep in [[tuple(g) != f for g in F.tolist()]]]
+            keep = np.arange(len(faces)) != i
+            cut = tmod._Faces(arrays.cells, *(a[keep] for a in arrays[1:]))
+            assert tuple(_owners(T, cut)) == kept
             with monkeypatch.context() as mp:
-                mp.setattr(tmod, "_interior_faces", lambda T, P: (kept, cut))
+                mp.setattr(tmod, "_interior_faces", lambda T, P: cut)
                 res = verify_decomposition(T, P, P.dim + 2)
             assert not res
             assert res == _cover_loop(T, P, P.dim + 2, kept, own)
             reasons.add(res.reason)
     assert reasons == {"", "covered twice", "point outside the interior",
                        "point not covered", "degenerate face"}
+
+
+def test_covering_counts_the_same_in_chunks_of_one_group(monkeypatch):
+    # a chunk limit of one entry counts every (n, h) group on its own, and
+    # every result, passing or failing, stays the same
+    square = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cases = [  # overlapping cells, and a cell outside the square
+        (families.unit_cube(2),
+         Triangulation(square, ((0, 1, 2), (0, 1, 3), (1, 2, 3)))),
+        (families.unit_cube(2), Triangulation(
+            square + ((2, 0),), ((0, 1, 2), (1, 2, 3), (2, 3, 4))))]
+    for P in (families.example2(3), _SIMPLEX_D4, *_FEW_CELLS):
+        T = full_lattice_triangulation(P)
+        cases += [(P, T)] + [(P, M) for M in _mutants(T)]
+        if P.interior_lattice_points(1):
+            cases.append((P, interior_respecting_triangulation(P)))
+    chunks = []
+    real = tmod._degree_chunks
+
+    def spy(groups, k, dtype):
+        for pts, parts in real(groups, k, dtype):
+            chunks.append(len(parts))
+            yield pts, parts
+
+    monkeypatch.setattr(tmod, "_degree_chunks", spy)
+    want = [verify_decomposition(T, P, P.dim + 2) for P, T in cases]
+    assert {r.reason for r in want} == {
+        "", "covered twice", "point not covered", "point outside the interior"}
+    merged = len(chunks)
+    monkeypatch.setattr(tmod, "_COUNT_ENTRIES", 1)
+    assert [verify_decomposition(T, P, P.dim + 2) for P, T in cases] == want
+    assert len(chunks) - merged > merged
+    assert set(chunks[merged:]) == {1}
 
 
 # ------------------------------------------- stellar insertion on one table

@@ -4,6 +4,15 @@ relies on, run against arbitrary polytopes.
 All checks are deterministic — samples are lexicographic prefixes, never
 random — so a suite run over a fixed corpus produces byte-identical
 reports no matter the thread count.
+
+The point-count and slice-projection checks read each dilate as the
+cached masks of the scan (``Polytope._slice``), with no point tuples: the
+count check compares the lattice and interior masks of a degree cell for
+cell, and the slice check labels the lattice mask's ambient rows
+(``Polytope._rows``) in one ``GradedCone.codes`` product against the
+interior mask read at the same cells.  Only when a code differs does the
+tuple loop run, for that degree alone, to name the first bad point in lex
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .cone import GradedPoint, cone_over, cone_slice
+from .cone import GradedCone, GradedPoint, cone_over, cone_slice
 from .polytope import BudgetError, Polytope
 from .semigroup import (
     degree_bound,
@@ -147,16 +156,19 @@ def _roundtrip(P: Polytope) -> Optional[str]:
 
 
 def _point_count(P: Polytope) -> Optional[str]:
-    if len(P.lattice_points(1)) < len(P.vertices):
-        return "fewer lattice points than vertices"
+    # the lattice and interior masks of a degree lie on one chart box, and
+    # cells map to points one to one
     prev = None
     for k in range(1, P.dim + 2):
-        lat = set(P.lattice_points(k))
-        if not set(P.interior_lattice_points(k)) <= lat:
+        lat = P._slice(k, False)[1]
+        n = np.count_nonzero(lat)
+        if k == 1 and n < len(P.vertices):
+            return "fewer lattice points than vertices"
+        if (P._slice(k, True)[1] & ~lat).any():
             return f"interior points at degree {k} not among lattice points"
-        if prev is not None and len(lat) < prev:
+        if prev is not None and n < prev:
             return f"lattice point count dropped at degree {k}"
-        prev = len(lat)
+        prev = n
     return None
 
 
@@ -180,13 +192,26 @@ def _classification(P: Polytope) -> Optional[str]:
 def _slice_projection(P: Polytope) -> Optional[str]:
     C = cone_over(P)
     for k in range(1, P.dim + 2):
-        interior = set(P.interior_lattice_points(k))
-        points = P.lattice_points(k)
-        for p, got in zip(points, C.classify(points, k)):
-            want = "interior" if p in interior else "boundary"
-            if got != want:
-                return (f"slice point {p} degree {k} membership"
-                        f" {got}, expected {want}")
+        lo, lat = P._slice(k, False)
+        # row for row, code 0 (interior) or 1 (boundary) is expected
+        want = np.where(P._slice(k, True)[1][lat], 0, 1)
+        if (C.codes(P._rows(k, lo, lat), k) != want).any():
+            return (_first_wrong_label(P, C, k)
+                    or f"slice degree {k}: the mask labels and the point"
+                    " labels disagree")
+    return None
+
+
+def _first_wrong_label(P: Polytope, C: GradedCone, k: int) -> Optional[str]:
+    """The first lattice point of degree ``k``, in lex order, whose cone
+    label is not its label in the dilate, named point by point."""
+    interior = set(P.interior_lattice_points(k))
+    points = P.lattice_points(k)
+    for p, got in zip(points, C.classify(points, k)):
+        want = "interior" if p in interior else "boundary"
+        if got != want:
+            return (f"slice point {p} degree {k} membership"
+                    f" {got}, expected {want}")
     return None
 
 

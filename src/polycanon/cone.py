@@ -5,10 +5,11 @@ a cone in ``Z^(m+1)`` whose lattice points at height ``k`` are exactly the
 lattice points of the ``k``-th dilate of ``P``.  The last coordinate of a
 graded point is called its degree.
 
-``GradedCone.classify`` sorts a whole list of points of one degree into
+``GradedCone.codes`` sorts a whole array of points of one degree into
 interior, boundary and outside with one product by the cone's ambient
 forms, on int64 or, past the int64 guard, on Python ints;
-``GradedCone.membership`` is its exact per-point twin.
+``GradedCone.classify`` is its labels view for a list of points, and
+``GradedCone.membership`` their exact per-point twin.
 """
 
 from __future__ import annotations
@@ -114,32 +115,41 @@ class GradedCone:
 
     def classify(self, positions: Sequence[tuple], degree: int) -> tuple:
         """``membership(GradedPoint(p, degree))`` for each ``p`` in
-        ``positions``, in order, from one product of the lifted points with
-        the span equations and support forms: a nonzero span value or a
-        negative support value means outside, and otherwise a zero support
-        value, or degree zero, means boundary.  The product is taken on
-        int64 while every entry of it stays below ``_INT64_GUARD``, and on
-        Python ints (``object``) past it.
-        """
+        ``positions``, in order: the labels of :meth:`codes`."""
         if not positions:
             return ()
-        if degree < 0:
-            return ("outside",) * len(positions)
         big = max(map(abs, itertools.chain.from_iterable(positions)),
                   default=0)
+        rows = np.array(positions,
+                        dtype=object if big >= _INT64_GUARD else np.int64)
+        return tuple(map(_LABELS.__getitem__,
+                         self.codes(rows, degree).tolist()))
+
+    def codes(self, rows: np.ndarray, degree: int) -> np.ndarray:
+        """Per row of ``rows``, an integer array of positions of one degree,
+        the index in ``("interior", "boundary", "outside")`` of its label,
+        from one product of the lifted rows with the span equations and
+        support forms: a nonzero span value or a negative support value
+        means outside, and otherwise a zero support value, or degree zero,
+        means boundary.  The product is taken on int64 while every entry of
+        it stays below ``_INT64_GUARD``, and on Python ints (``object``)
+        past it.
+        """
+        if degree < 0:
+            return np.full(len(rows), 2)
+        big = int(abs(rows).max(initial=0))
         wide = ((max(big, degree) + 1) * self._coeff * self.ambient_dim
                 >= _INT64_GUARD)
         dtype = object if wide else np.int64
         forms = np.array(self.span_equations + self.support_forms,
                          dtype=dtype).reshape(-1, self.ambient_dim)
-        pts = np.array(positions, dtype=dtype)
-        vals = pts @ forms[:, :-1].T + degree * forms[:, -1]
+        vals = (rows.astype(dtype, copy=False) @ forms[:, :-1].T
+                + degree * forms[:, -1])
         span = vals[:, :len(self.span_equations)]
         support = vals[:, len(self.span_equations):]
         outside = (span != 0).any(axis=1) | (support < 0).any(axis=1)
         boundary = (support == 0).any(axis=1) | (degree == 0)
-        codes = np.where(outside, 2, boundary.astype(np.int64))
-        return tuple(map(_LABELS.__getitem__, codes.tolist()))
+        return np.where(outside, 2, boundary.astype(np.int64))
 
 
 def cone_over(P: Polytope) -> GradedCone:

@@ -289,25 +289,40 @@ class Polytope:
     def _points(self, scale: int, lo: tuple, mask) -> tuple:
         """The ambient lattice points at the true entries of ``mask``, a
         mask over the box of the ``scale``-th dilate with corner ``lo``,
-        lex-sorted.  The indices come from one flat scan of the mask
-        (:func:`_true_cells`).  An identity chart adds ``lo`` to them in one
-        statement, on int64 while the box stays below ``_INT64_GUARD`` and
-        on Python ints (``object``) past it, and zips its columns into the
-        points; C order of the indices is lex order of the points."""
+        lex-sorted: the columns of :meth:`_rows` zipped into points.  For
+        an identity chart C order of the cells is lex order of the
+        points; any other chart sorts them."""
+        rows = self._rows(scale, lo, mask)
+        if not rows.shape[1]:  # Z^0 has no columns to zip
+            return ((),) * len(rows)
+        points = tuple(zip(*rows.T.tolist()))
+        return points if self._chart.identity else tuple(sorted(points))
+
+    def _rows(self, scale: int, lo: tuple, mask) -> np.ndarray:
+        """The ambient lattice points at the true entries of ``mask``, a
+        mask over the box of the ``scale``-th dilate with corner ``lo``, as
+        the rows of one integer array in C order of the cells.  The indices
+        come from one flat scan of the mask (:func:`_true_cells`), and one
+        statement adds ``lo`` and maps them through the chart,
+        ``(idx + lo) @ basis + scale * origin``, which an identity chart
+        skips.  It runs on int64 while every value stays below
+        ``_INT64_GUARD`` and on Python ints (``object``) past it."""
         idx = _true_cells(mask)
-        if self.dim == self.ambient_dim:
-            wide = any(abs(l) + n >= _INT64_GUARD
-                       for l, n in zip(lo, mask.shape))
-            dtype = object if wide else np.int64
-            idx = idx.astype(dtype, copy=False)
-            idx += np.array(lo, dtype=dtype)
-            if not lo:  # Z^0 has no columns to zip
-                return ((),) * len(idx)
-            return tuple(zip(*idx.T.tolist()))
-        return tuple(sorted(
-            self._chart.from_chart(tuple(map(operator.add, lo, row)),
-                                   scale=scale)
-            for row in idx.tolist()))
+        chart = self._chart
+        reach = max((abs(l) + n for l, n in zip(lo, mask.shape)), default=0)
+        if not chart.identity:
+            coeff = max(map(abs, itertools.chain(*chart.basis)), default=0)
+            reach = (reach * self.dim * coeff
+                     + scale * max(map(abs, chart.origin)))
+        dtype = object if reach >= _INT64_GUARD else np.int64
+        rows = idx.astype(dtype, copy=False)
+        rows += np.array(lo, dtype=dtype)
+        if chart.identity:
+            return rows
+        basis = np.array(chart.basis, dtype=dtype).reshape(
+            self.dim, self.ambient_dim)
+        return rows @ basis + np.array([scale * a for a in chart.origin],
+                                       dtype=dtype)
 
     # -- queries -----------------------------------------------------------
 

@@ -1,18 +1,23 @@
 """Tests for the self-check suite and the reproducible corpus."""
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import polycanon.checks as checks_mod
 from polycanon import families
 from polycanon.checks import (
+    _point_count,
     _slice_projection,
     check_polytope,
     default_corpus,
     run_suite,
 )
-from polycanon.cone import GradedCone
+from polycanon.cone import GradedCone, cone_over
 from polycanon.polytope import BudgetError, Polytope
 
 
@@ -59,17 +64,169 @@ def test_check_polytope_returns_structured_violations(unit_square):
 
 
 def test_slice_projection_reports_a_wrong_label(monkeypatch, unit_square):
-    classify = GradedCone.classify
+    codes = GradedCone.codes
 
-    def one_boundary_point_called_interior(self, positions, degree):
-        labels = list(classify(self, positions, degree))
-        labels[labels.index("boundary")] = "interior"
-        return tuple(labels)
+    def one_boundary_point_called_interior(self, rows, degree):
+        out = codes(self, rows, degree).copy()
+        out[np.flatnonzero(out == 1)[0]] = 0
+        return out
 
-    monkeypatch.setattr(GradedCone, "classify",
+    monkeypatch.setattr(GradedCone, "codes",
                         one_boundary_point_called_interior)
     assert _slice_projection(unit_square) == (
         "slice point (0, 0) degree 1 membership interior, expected boundary")
+
+
+# ------------------------- the point-count and slice checks and their twins
+
+def _point_count_by_sets(P):
+    """Twin of ``checks._point_count`` on point tuples and sets."""
+    if len(P.lattice_points(1)) < len(P.vertices):
+        return "fewer lattice points than vertices"
+    prev = None
+    for k in range(1, P.dim + 2):
+        lat = set(P.lattice_points(k))
+        if not set(P.interior_lattice_points(k)) <= lat:
+            return f"interior points at degree {k} not among lattice points"
+        if prev is not None and len(lat) < prev:
+            return f"lattice point count dropped at degree {k}"
+        prev = len(lat)
+    return None
+
+
+def _slice_projection_by_tuples(P):
+    """Twin of ``checks._slice_projection``: every lattice point tuple's
+    cone label against the interior set, in lex order."""
+    C = cone_over(P)
+    for k in range(1, P.dim + 2):
+        interior = set(P.interior_lattice_points(k))
+        points = P.lattice_points(k)
+        for p, got in zip(points, C.classify(points, k)):
+            want = "interior" if p in interior else "boundary"
+            if got != want:
+                return (f"slice point {p} degree {k} membership"
+                        f" {got}, expected {want}")
+    return None
+
+
+@st.composite
+def check_hulls(draw):
+    """Vertices of a hull of 1 to 7 points in [-2, 2]^m, m <= 3, sometimes
+    lifted onto the lattice hyperplane ``x_{m+1} = c . x + t`` of
+    Z^(m+1), a segment, or a point; translated by 0 or by +-2^61 or
+    +-2^70 in every coordinate, which takes the ``object`` route."""
+    kind = draw(st.sampled_from(["hull", "lifted", "segment", "point"]))
+    m = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * m)
+    if kind == "point":
+        pts = [draw(coords)]
+    elif kind == "segment":
+        a = draw(coords)
+        v = draw(coords.filter(any))
+        n = draw(st.integers(1, 3))
+        pts = [a, tuple(x + n * y for x, y in zip(a, v))]
+    else:
+        pts = draw(st.lists(coords, min_size=2, max_size=7))
+        if kind == "lifted":
+            c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+            t = draw(st.integers(-3, 3))
+            pts = [p + (sum(a * b for a, b in zip(c, p)) + t,) for p in pts]
+    shift = draw(st.sampled_from([0, 0, 2**61, -2**61, 2**70, -2**70]))
+    return [tuple(x + shift for x in p) for p in pts]
+
+
+def _faulty_slices(P, k, fault, delta=0):
+    """A stand-in for ``Polytope._slice`` that corrupts the masks of degree
+    ``k`` of ``P``: ``"inner"`` sets the first interior cell that lies
+    outside the lattice mask, and ``"drop"`` keeps only the first
+    ``count(k - 1) - delta`` lattice cells (and the interior cells among
+    them).  Both checks and both twins read the same masks."""
+    real = Polytope._slice
+
+    def _slice(self, scale, interior):
+        lo, mask = real(self, scale, interior)
+        if self is not P or scale != k:
+            return lo, mask
+        lat = real(self, scale, False)[1]
+        if fault == "inner":
+            if not interior:
+                return lo, mask
+            out = mask.copy()
+            outside = np.flatnonzero(~lat)
+            out.reshape(-1)[outside[:1]] = True
+        else:
+            prev = np.count_nonzero(real(self, scale - 1, False)[1])
+            keep = lat.copy()
+            keep.reshape(-1)[np.flatnonzero(lat)[prev - delta:]] = False
+            out = mask & keep if interior else keep
+        out.setflags(write=False)
+        return lo, out
+
+    return _slice
+
+
+def _flipped_codes(target, k):
+    """A stand-in for ``GradedCone.codes`` that swaps interior and boundary
+    for the position ``target`` at degree ``k``."""
+    real = GradedCone.codes
+
+    def codes(self, rows, degree):
+        out = real(self, rows, degree)
+        if degree != k or not len(rows):
+            return out
+        hit = (rows == np.array(target, dtype=object)).all(axis=1)
+        return np.where(hit, 1 - out, out)
+
+    return codes
+
+
+def _both_routes(P):
+    """``(new, twin)`` for both checks, on fresh caches."""
+    P._cache.clear()
+    new = (_point_count(P), _slice_projection(P))
+    P._cache.clear()
+    return new, (_point_count_by_sets(P), _slice_projection_by_tuples(P))
+
+
+@given(check_hulls(), st.integers(0, 2**16), st.integers(0, 1))
+@example([(0, 0), (2, 0), (0, 2), (2, 2)], 5, 0)
+@example([(0, 0, 1), (2, 0, 3), (0, 2, -1)], 3, 0)  # lifted: a chart
+@example([(2**70 + a, 2**70 + b) for a, b in [(0, 0), (3, 0), (0, 2)]],
+         7, 1)
+@example([(-2**61, -2**61, -2**61), (-2**61 + 2, -2**61, -2**61 + 1),
+          (-2**61 + 1, -2**61 + 2, -2**61)], 1, 0)  # flat, object rows
+@example([(-1, 3)], 0, 0)  # a point
+@example([(1,), (4,)], 2, 1)  # a segment: the box is the segment
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mask_checks_match_their_tuple_twins(pts, pick, delta):
+    P = Polytope.from_vertices(pts)
+    new, twin = _both_routes(P)
+    assert new == twin == (None, None)
+    k = 1 + pick % (P.dim + 1)
+    # one interior cell outside the lattice mask
+    with mock.patch.object(Polytope, "_slice", _faulty_slices(P, k, "inner")):
+        new, twin = _both_routes(P)
+        full = P._slice(k, False)[1].all()
+    assert new == twin
+    assert full or twin[0] == (
+        f"interior points at degree {k} not among lattice points")
+    # a lattice count that drops by delta = 1, or stays with delta = 0
+    if k >= 2:
+        with mock.patch.object(Polytope, "_slice",
+                               _faulty_slices(P, k, "drop", delta)):
+            new, twin = _both_routes(P)
+        assert new == twin
+        assert twin[0] == (
+            f"lattice point count dropped at degree {k}" if delta else None)
+    # one flipped cone code
+    points = P.lattice_points(k)
+    target = points[pick % len(points)]
+    with mock.patch.object(GradedCone, "codes", _flipped_codes(target, k)):
+        new, twin = _both_routes(P)
+    assert new == twin
+    assert twin[1] is not None and twin[1].startswith(
+        f"slice point {target} degree {k} membership")
 
 
 def test_suite_identical_across_thread_counts():

@@ -9,12 +9,15 @@ the independent determinant route.  :func:`det_stack` takes a whole
 stack of matrices at once, by closed-form cofactor expansion up to 4 x 4
 and by Bareiss steps past that, on int64 or, for a stack whose entries
 could overflow, the same statements on Python ints; :func:`det_bareiss`
-and :func:`det_cofactor` are its per-matrix twins.  Here
+and :func:`det_cofactor` are its per-matrix twins.  Every table of
+minors indexed out of a stack goes through one kernel, :func:`_minors`
+(one :func:`det_stack` pass per call); :func:`_cross_stack` reads the
+cofactor rays of a stack off it, and :func:`_cofactor_stack` the cofactor
+matrices, with :func:`generalized_cross` the per-matrix twin.  Here
 ``fractions.Fraction`` appears only in the results of
 :func:`solve_rational` and in the Gram-Schmidt data of
 :func:`lll_reduce`; the polytope layer's vertex search reads its
-common-denominator solutions off a table of cofactor rays, whose minors
-take one :func:`det_stack` call per chunk of subsets.
+common-denominator solutions off cofactor rays, chunk by chunk.
 
 An :class:`AffineChart` of a full-dimensional point set is the identity
 with origin 0 and maps points without any arithmetic.  Any other chart
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -185,16 +188,23 @@ def det_stack(stack) -> list:
     ints (``object``) past it.  Larger matrices take fraction-free
     Bareiss steps (:func:`_bareiss_stack`).
     """
-    A = _int_array(stack)
+    return _det_array(_int_array(stack)).tolist()
+
+
+def _det_array(A: np.ndarray) -> np.ndarray:
+    """The determinants of :func:`det_stack` for an integer array ``A``,
+    which the steps may overwrite, as an array: int64 where they were
+    computed on int64, so that they are below ``_INT64_GUARD``, and Python
+    ints (``object``) otherwise."""
     if not len(A):
-        return []
+        return np.zeros(0, dtype=np.int64)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("determinant needs a square matrix")
     s, n = A.shape[:2]
     if n == 0:
-        return [1] * s
+        return np.ones(s, dtype=np.int64)
     if n <= 4:
-        return _det_small(_expansion_operands(A), n).tolist()
+        return _det_small(_expansion_operands(A), n)
     return _bareiss_stack(A)
 
 
@@ -211,19 +221,50 @@ def _expansion_operands(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _minors(A: np.ndarray, rows, cols) -> np.ndarray:
+    """Per matrix of the stack ``A``, its ``k x k`` minors on the row index
+    sets ``rows[q]`` and column index sets ``cols[q]`` (arrays that
+    broadcast to ``(K, k)``), as an ``(s, K)`` array from one
+    :func:`det_stack` pass (:func:`_det_array`): int64 while every minor
+    stays below ``_INT64_GUARD``, else Python ints (``object``)."""
+    sub = A[:, rows[:, :, None], cols[:, None, :]]
+    s, K, k = sub.shape[:3]
+    dets = _det_array(sub.reshape(s * K, k, k))
+    if dets.dtype == object and max(map(abs, dets), default=0) < _INT64_GUARD:
+        dets = dets.astype(np.int64)
+    return dets.reshape(s, K)
+
+
+@lru_cache(maxsize=None)
+def _leave_one_out(n: int) -> np.ndarray:
+    """``(n, n - 1)`` index table, read-only: row ``j`` lists ``range(n)``
+    without ``j``."""
+    table = np.array([[c for c in range(n) if c != j] for j in range(n)],
+                     dtype=np.intp).reshape(n, n - 1)
+    table.setflags(write=False)
+    return table
+
+
+def _cross_stack(A: np.ndarray) -> np.ndarray:
+    """The cofactor rays (:func:`generalized_cross`) of a stack of
+    ``r x (r+1)`` integer matrices: entry ``j`` is ``(-1)^j`` times the
+    minor without column ``j``, so ``r = 0`` gives ``(1,)``.  The dtype is
+    that of :func:`_minors`."""
+    cols = _leave_one_out(A.shape[-1])
+    # the last row of the table is range(r), every minor's row set
+    return _minors(A, cols[-1:], cols) * (1 - 2 * (np.arange(len(cols)) % 2))
+
+
 def _cofactor_stack(stack) -> np.ndarray:
     """The cofactor matrices of a stack of ``n x n`` integer matrices,
     ``n >= 1``: entry ``(i, j)`` is ``(-1)^(i+j)`` times the minor without
-    row ``i`` and column ``j``, every minor from one :func:`det_stack`
-    call; int64 where they fit and Python ints (``object``) past that."""
+    row ``i`` and column ``j``, so row ``i`` is ``(-1)^i`` times the cross
+    (:func:`_cross_stack`) of the matrix without row ``i``; in the dtype of
+    :func:`_minors`."""
     A = _int_array(stack)
     s, n = A.shape[:2]
-    rest = np.array([[k for k in range(n) if k != i] for i in range(n)],
-                    dtype=np.intp).reshape(n, n - 1)
-    minors = A[:, rest[:, None, :, None], rest[None, :, None, :]]
-    checker = 1 - 2 * (np.add.outer(range(n), range(n)) % 2)
-    dets = det_stack(minors.reshape(s * n * n, n - 1, n - 1))
-    return _int_array(dets).reshape(s, n, n) * checker
+    rays = _cross_stack(A[:, _leave_one_out(n)].reshape(s * n, n - 1, n))
+    return rays.reshape(s, n, n) * (1 - 2 * (np.arange(n) % 2))[:, None]
 
 
 # 2x2 minors of two rows, as (left columns, right columns): the expansion
@@ -235,7 +276,7 @@ _TOP_MINORS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 _BOTTOM_MINORS = ([2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1])
 
 
-def _minors(A: np.ndarray, r: int, cols: tuple) -> np.ndarray:
+def _pair_minors(A: np.ndarray, r: int, cols: tuple) -> np.ndarray:
     """Per matrix of the stack ``A``, the 2x2 minors of rows ``r`` and
     ``r + 1`` on the column pairs ``cols``."""
     I, J = cols
@@ -251,14 +292,14 @@ def _det_small(A: np.ndarray, n: int) -> np.ndarray:
     if n == 2:
         return A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
     if n == 3:
-        return (A[:, 0] * _minors(A, 1, _FIRST_ROW_MINORS)).sum(axis=1)
-    return (_minors(A, 0, _TOP_MINORS)
-            * _minors(A, 2, _BOTTOM_MINORS)).sum(axis=1)
+        return (A[:, 0] * _pair_minors(A, 1, _FIRST_ROW_MINORS)).sum(axis=1)
+    return (_pair_minors(A, 0, _TOP_MINORS)
+            * _pair_minors(A, 2, _BOTTOM_MINORS)).sum(axis=1)
 
 
-def _bareiss_stack(A: np.ndarray) -> list:
+def _bareiss_stack(A: np.ndarray) -> np.ndarray:
     """Determinants of a stack of ``n x n`` integer matrices, ``n >= 1``,
-    as Python ints.
+    in the dtype the steps ran on.
 
     Fraction-free Bareiss with row pivoting, one step for the whole stack
     at a time; a matrix with no pivot left in a column is singular and its
@@ -299,7 +340,7 @@ def _bareiss_stack(A: np.ndarray) -> list:
         prev = piv.copy()
     det = sign * A[:, n - 1, n - 1]
     det[dead] = 0
-    return det.tolist()
+    return det
 
 
 def _row_reduce(rows: Iterable[Sequence[int]], ncols: int) -> tuple:

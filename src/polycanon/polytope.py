@@ -10,18 +10,18 @@ which also keeps the boundary simplices themselves), whose planes come
 oriented and gcd-reduced: a dimension jump takes one determinant, for the
 base of the pyramid it makes, and every other plane comes from the pencil
 of two known ones.  The vertices are the points whose sets of tight facets
-are maximal (``_tight_form_masks``).  ``from_inequalities`` takes the
-cofactor ray of every ``(m-1)``-subset of forms from one ``det_stack``
-table, tests every ray for recession in one product with the normals, and
-reads each ``m``-subset's point off the rays of its ``(m-1)``-subsets (its
-adjugate), testing it in integers; the ``facet_duality`` check rebuilds
-every polytope through it.  A full-dimensional polytope's chart is the
-identity and costs no arithmetic.
+are maximal (``_tight_form_masks``).  ``from_inequalities`` reads
+everything off cofactor rays from the one minors kernel of ``exactmath``
+(``_cross_stack``): it tests the ray of every ``(m-1)``-subset of normals
+for recession in one product with the normals, and reads each
+``m``-subset's point off its own ``m`` forms, as the ray ``(num, e)`` of
+their lifted rows ``(n, -o)``, testing it in integers; the
+``facet_duality`` check rebuilds every polytope through it.  A
+full-dimensional polytope's chart is the identity and costs no arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -33,11 +33,12 @@ import numpy as np
 
 from .exactmath import (
     _INT64_GUARD,
+    _cross_stack,
+    _int_array,
     AffineChart,
     as_matrix,
     as_vector,
     build_chart,
-    det_stack,
     dot,
     gcd_vector,
     generalized_cross,
@@ -59,8 +60,9 @@ SUBSET_CAP = 1_000_000
 # 216-point cube [0,5]^3 reads 92448 and example2(6) 5193804; a 6^4 grid,
 # 1085871744, is refused.
 PLACING_CAP = 10_000_000
-# The inequality route builds its minors and its per-subset gathers this
-# many subsets at a time, so no array grows with C(#forms, m) past one chunk.
+# The inequality route takes the cofactor rays of this many subsets at a
+# time, in the recession search and in the vertex search, so no array grows
+# with C(#forms, m - 1) or C(#forms, m) past one chunk.
 _CHUNK = 2048
 
 
@@ -140,10 +142,10 @@ class Polytope:
         Raises ``ValueError`` for unbounded or empty regions and for regions
         whose vertices are not all lattice points, and ``BudgetError``
         before any work when ``C(#forms, m)`` or ``C(#forms, m - 1)`` is
-        over ``SUBSET_CAP``.  After the rank check, one cofactor table
-        (:func:`_cofactor_table`) serves the recession search
-        (:func:`_recession_ray`) and the vertex search
-        (:func:`_subset_points`).
+        over ``SUBSET_CAP``.  After the rank check come the recession
+        search (:func:`_recession_ray`) and the vertex search
+        (:func:`_subset_points`), on the forms as the rows ``(n, -o)`` of
+        one array.
         """
         pairs = [(f.normal, f.offset) if isinstance(f, FacetForm) else tuple(f)
                  for f in forms]
@@ -159,11 +161,11 @@ class Polytope:
                        "the recession search would take {} cofactor rays")
         if rank([f.normal for f in forms]) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
-        N, o, rays = _cofactor_table(forms, m)
-        ray = _recession_ray(N, rays)
+        L = _int_array([f.normal + (-f.offset,) for f in forms])
+        ray = _recession_ray(L[:, :-1])
         if ray is not None:
             raise ValueError(f"unbounded polyhedron (recession ray {ray})")
-        points = _subset_points(N, o, rays)
+        points = _subset_points(L)
         if not points:
             raise ValueError("infeasible system (no vertices)")
         bad = [tuple(Fraction(a, row[-1]) for a in row[:-1])
@@ -658,98 +660,54 @@ def _check_subsets(n: int, r: int, what: str) -> None:
                           + f", over the cap of {SUBSET_CAP}")
 
 
-def _cofactor_table(forms: Sequence[FacetForm], m: int) -> tuple:
-    """``(N, o, rays)`` for ``forms`` in ``Z^m``: the normals and offsets as
-    arrays, and row ``k`` of ``rays`` the cofactor ray
-    (``generalized_cross``) of the ``k``-th ``(m-1)``-subset of normals in
-    ``itertools.combinations`` order, zero where they are dependent.
-
-    The minors are taken from one normals array by indexing, ``_CHUNK``
-    subsets at a time, and their determinants by ``det_stack``.  The
-    arrays are int64 while every value the inequality route forms from them
-    (at most ``(m + 1) * m * |n| * |o| * |ray|``) stays below
-    ``_INT64_GUARD``, else ``object`` (Python ints)."""
-    big_n = max(abs(a) for f in forms for a in f.normal)
-    big_o = max(max(abs(f.offset) for f in forms), 1)
-    N = np.array([f.normal for f in forms],
-                 dtype=np.int64 if big_n < _INT64_GUARD else object)
-    cols = _leave_one_out(m)
-    flip = np.array([(-1) ** j for j in range(m)])
-    big_r, chunks = 1, []
-    for S in _subset_chunks(len(forms), m - 1):
-        # minors[k, j] = the rows of subset k without column j
-        minors = N[S][:, :, cols].transpose(0, 2, 1, 3)
-        dets = det_stack(minors.reshape(len(S) * m, m - 1, m - 1))
-        top = max(map(abs, dets))
-        big_r = max(big_r, top)
-        chunks.append(np.array(
-            dets, dtype=np.int64 if top < _INT64_GUARD else object
-        ).reshape(len(S), m) * flip)
-    wide = (m + 1) * m * big_n * big_o * big_r >= _INT64_GUARD
-    dtype = object if wide else np.int64
-    o = np.array([f.offset for f in forms], dtype=dtype)
-    return N.astype(dtype), o, np.concatenate(chunks).astype(dtype)
-
-
-def _recession_ray(N: np.ndarray, rays: np.ndarray) -> Optional[tuple]:
-    """The first nonzero row ``c`` of ``rays`` with every ``n . c <= 0``
-    over the rows ``n`` of ``N``, or with every ``n . c >= 0`` (then
-    ``-c``), as a tuple of ints; ``None`` if there is none.  When the
-    normals span, no ray is both."""
-    for lo in range(0, len(rays), _CHUNK):
-        block = rays[lo:lo + _CHUNK]
-        prod = N @ block.T
+def _recession_ray(N: np.ndarray) -> Optional[tuple]:
+    """The first nonzero cofactor ray ``c`` of an ``(m-1)``-subset of the
+    rows of ``N``, in ``itertools.combinations`` order, with every
+    ``n . c <= 0`` over the rows ``n`` of ``N``, or with every
+    ``n . c >= 0`` (then ``-c``), as a tuple of ints; ``None`` if there is
+    none.  When the normals span, no ray is both.  The products run on
+    int64 while ``m * |n| * |c|`` stays below ``_INT64_GUARD``."""
+    n, m = N.shape
+    big = int(np.abs(N).max())
+    for S in _subset_chunks(n, m - 1):
+        rays = _cross_stack(N[S])
+        if m * big * int(np.abs(rays).max()) >= _INT64_GUARD:
+            rays = rays.astype(object)
+        prod = N @ rays.T
         down = (prod <= 0).all(axis=0)
         hit = np.flatnonzero((down | (prod >= 0).all(axis=0))
-                             & block.any(axis=1))
+                             & rays.any(axis=1))
         if hit.size:
-            ray = tuple(block[hit[0]].tolist())
+            ray = tuple(rays[hit[0]].tolist())
             return ray if down[hit[0]] else tuple(-a for a in ray)
     return None
 
 
-def _subset_points(N: np.ndarray, o: np.ndarray, rays: np.ndarray) -> set:
+def _subset_points(L: np.ndarray) -> set:
     """The points ``num + (e,)``, in lowest terms with ``e > 0``, where some
-    ``m``-subset of the forms ``N x <= o`` meets in the one point
-    ``num / e`` and that point satisfies every form; ``rays`` is as
-    :func:`_cofactor_table` gives it.
+    ``m``-subset of the forms ``n . x <= o``, given as the rows
+    ``(n, -o)`` of ``L``, meets in the one point ``num / e`` and that
+    point satisfies every form.
 
-    A subset ``S`` reads its adjugate off the rays ``c_i`` of its
-    ``(m-1)``-subsets, ``c_i`` leaving out form ``S[i]``:
-    ``n_i . c_i = (-1)^i det`` with ``det = n_0 . c_0``, so where
-    ``det != 0`` the point is ``num / e``, ``num = sign(det) sum_i (-1)^i
-    o_i c_i`` and ``e = |det|``.  It is tested as ``o * e - n . num >= 0``
-    per form.  ``c_i`` is found by the rank of its subset in combinations
-    order, ``C(n, m-1) - 1 - sum_j C(n - 1 - t_j, m - 1 - j)``."""
-    n, m = N.shape
-    cols = _leave_one_out(m)
-    flip = np.array([(-1) ** i for i in range(m)])
-    binom = np.array([[math.comb(a, b) for b in range(m)]
-                      for a in range(n)], dtype=np.int64)
-    top = math.comb(n, m - 1) - 1
+    A subset's point is the cross ``(num, e)`` (:func:`_cross_stack`) of
+    its own rows: ``n . num = o e`` on each, so where ``e != 0`` (its
+    normals are independent) the point is ``num / e``, taken with
+    ``e > 0``.  It satisfies a form iff ``n . num - o e <= 0``, one
+    product with ``L``, on int64 while ``(m + 1) * |L| * |(num, e)|``
+    stays below ``_INT64_GUARD``."""
+    n, m = L.shape[0], L.shape[1] - 1
+    big = int(np.abs(L).max())
     points = set()
     for S in _subset_chunks(n, m):
-        T = S[:, cols]  # T[:, i] = S without S[:, i], in subset order
-        c = rays[top - binom[n - 1 - T, m - 1 - np.arange(m - 1)].sum(axis=2)]
-        det = (N[S[:, 0]] * c[:, 0]).sum(axis=1)
-        num = ((o[S] * flip)[:, :, None] * c).sum(axis=1)
-        num[det < 0] *= -1
-        e = abs(det)
-        ok = (det != 0) & (o * e[:, None] - num @ N.T >= 0).all(axis=1)
-        for row in np.column_stack([num[ok], e[ok]]).tolist():
+        c = _cross_stack(L[S])
+        c = c[c[:, -1] != 0]
+        c[c[:, -1] < 0] *= -1
+        if (m + 1) * big * int(np.abs(c).max(initial=0)) >= _INT64_GUARD:
+            c = c.astype(object)
+        for row in c[(c @ L.T <= 0).all(axis=1)].tolist():
             g = math.gcd(*row)
             points.add(tuple(a // g for a in row))
     return points
-
-
-@functools.lru_cache(maxsize=None)
-def _leave_one_out(m: int) -> np.ndarray:
-    """``(m, m - 1)`` index table, read-only: row ``j`` lists ``range(m)``
-    without ``j``."""
-    cols = np.array([[c for c in range(m) if c != j] for j in range(m)],
-                    dtype=np.intp).reshape(m, m - 1)
-    cols.setflags(write=False)
-    return cols
 
 
 def _subset_chunks(n: int, r: int):
@@ -757,7 +715,8 @@ def _subset_chunks(n: int, r: int):
     order, as ``(k, r)`` index arrays of at most ``_CHUNK`` rows."""
     subsets = itertools.combinations(range(n), r)
     while chunk := list(itertools.islice(subsets, _CHUNK)):
-        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
+        yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                          len(chunk) * r).reshape(len(chunk), r)
 
 
 def _pull_back_facet(f: FacetForm, chart: AffineChart) -> FacetForm:

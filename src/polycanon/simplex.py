@@ -21,6 +21,7 @@ from .cone import GradedPoint, ReductionWitness
 from .exactmath import (
     _INT64_GUARD,
     _cofactor_stack,
+    _minors,
     as_matrix,
     build_chart,
     det_bareiss,
@@ -164,9 +165,10 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
     their ``k x k`` minors.  A coset ``y`` has ``D t = y adj(M) mod D``,
     as ``adj(M) = det M^-1`` (for a negative ``det`` that is the coset of
     ``-y``, so the cosets are the same), and the box point ``(D t) M / D``,
-    each division checked exact.  Every minor comes from
-    :func:`det_stack`, the adjugate's through :func:`_cofactor_stack`,
-    and the adjugate's give the gcd for ``k = n - 2`` too.  The box
+    each division checked exact.  Every minor comes from the one minors
+    kernel, :func:`_minors`: the edges' ``k x k`` minors directly, the
+    adjugate's through :func:`_cofactor_stack`, and the adjugate's give
+    the gcd for ``k = n - 2`` too.  The box
     points are read off ``rows`` instead of ``M`` when given: the lifted
     points that :func:`square_lift` put on charts of their own.
 
@@ -189,18 +191,6 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
     dets = np.array(dets, dtype=dtype).reshape(s)
     D = np.abs(dets)
 
-    def minors(X: np.ndarray, r: list, c: list) -> np.ndarray:
-        """Per matrix of ``X``, its minors on rows ``r[k]``, columns
-        ``c[k]``."""
-        if not r:
-            return np.zeros((s, 0), dtype=dtype)
-        sub = X[:, np.array(r, dtype=np.intp)[:, :, None],
-                np.array(c, dtype=np.intp)[:, None, :]]
-        if sub.shape[-1] == 1:  # 1 x 1 minors are entries
-            return sub.reshape(s, len(r))
-        return np.array(det_stack(sub.reshape(s * len(r), *sub.shape[2:])),
-                        dtype=dtype).reshape(s, len(r))
-
     # adj(M) = cof(M)^T; its row i belongs to coordinate i
     adj = _cofactor_stack(M).astype(dtype).transpose(0, 2, 1)
     A = adj[:, :-1] % D[:, None, None]
@@ -211,8 +201,9 @@ def half_open_boxes(M: np.ndarray, dets: Sequence[int],
     E = M[:, 1:, :-1] - M[:, :1, :-1]
     G = [np.ones((s, 1), dtype=dtype)]
     for k in range(1, n - 2):
-        r = list(itertools.combinations(range(n - 1), k))
-        G.append(np.gcd.reduce(minors(E, r, [range(k)] * len(r)), axis=1,
+        r = np.array(list(itertools.combinations(range(n - 1), k)),
+                     dtype=np.intp)
+        G.append(np.gcd.reduce(_minors(E, r, np.arange(k)[None]), axis=1,
                                keepdims=True))
     G += [np.gcd.reduce(adj[:, n - 2:n - 1], axis=2), D[:, None]]
     G = np.concatenate(G, axis=1)[:, -n:]

@@ -49,6 +49,33 @@ MUTANTS = [
      "old": "n < prev",
      "new": "n <= prev",
      "tests": ["tests/test_checks.py::test_mask_checks_match_their_tuple_twins"]},
+    # tests/test_polytope.py builds example2 at import, so a mutant that
+    # breaks that build stops its collection; the family tests fail instead
+    {"name": "vertex-search-keeps-dependent-subsets",
+     "file": "src/polycanon/polytope.py",
+     "old": "        c = c[c[:, -1] != 0]\n",
+     "new": "",
+     "tests": ["tests/test_families.py::test_capped_box_counts_scale_with_dimension"]},
+    {"name": "vertex-search-keeps-negative-denominators",
+     "file": "src/polycanon/polytope.py",
+     "old": "        c[c[:, -1] < 0] *= -1\n",
+     "new": "",
+     "tests": ["tests/test_polytope.py::test_vertex_search_matches_the_fraction_search"]},
+    {"name": "recession-keeps-zero-rays",
+     "file": "src/polycanon/polytope.py",
+     "old": "\n                             & rays.any(axis=1))",
+     "new": ")",
+     "tests": ["tests/test_families.py::test_capped_box_counts_scale_with_dimension"]},
+    {"name": "cross-stack-without-alternation",
+     "file": "src/polycanon/exactmath.py",
+     "old": "_minors(A, cols[-1:], cols) * (1 - 2 * (np.arange(len(cols)) % 2))",
+     "new": "_minors(A, cols[-1:], cols)",
+     "tests": ["tests/test_exactmath.py::test_cross_stack_matches_generalized_cross"]},
+    {"name": "minors-always-int64",
+     "file": "src/polycanon/exactmath.py",
+     "old": "max(map(abs, dets), default=0) < _INT64_GUARD",
+     "new": "True",
+     "tests": ["tests/test_exactmath.py::test_minors_match_laplace_on_every_index_set"]},
 ]
 
 

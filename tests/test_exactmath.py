@@ -207,6 +207,60 @@ def test_cofactor_stack_matches_laplace_minors(case):
         assert all(type(v) is int for row in C for v in row)
 
 
+# entries on int64, at the guard and past it, so that the kernel draws
+# both of its dtypes (a 1 x 1 minor is an entry)
+kernel_entries = st.one_of(
+    st.integers(-3, 3), st.sampled_from([2**60 - 1, 2**60, -2**60]),
+    st.integers(-2**70, 2**70))
+
+
+@st.composite
+def cross_stacks(draw):
+    r = draw(st.integers(0, 5))
+    row = st.lists(kernel_entries, min_size=r + 1, max_size=r + 1)
+    return r, draw(st.lists(st.lists(row, min_size=r, max_size=r),
+                            min_size=1, max_size=4))
+
+
+@given(cross_stacks())
+@example((0, [[], []]))  # the ray (1,)
+@example((2, [[[2**61, 1, 0], [0, 2**61, 1]], [[1, 2, 3], [2, 4, 6]]]))
+def test_cross_stack_matches_generalized_cross(case):
+    r, stack = case
+    A = emod._int_array(stack).reshape(len(stack), r, r + 1)
+    got = emod._cross_stack(A).tolist()
+    assert got == [list(generalized_cross(M, r + 1)) for M in stack]
+    assert all(type(v) is int for row in got for v in row)
+
+
+@st.composite
+def minor_cases(draw):
+    p, q = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    k = draw(st.integers(0, min(p, q)))
+    sets = st.lists(st.tuples(
+        st.permutations(range(p)).map(lambda t: t[:k]),
+        st.permutations(range(q)).map(lambda t: t[:k])),
+        min_size=1, max_size=4)
+    row = st.lists(kernel_entries, min_size=q, max_size=q)
+    stack = draw(st.lists(st.lists(row, min_size=p, max_size=p),
+                          min_size=1, max_size=3))
+    return p, q, k, stack, draw(sets)
+
+
+@given(minor_cases())
+@example((3, 3, 2, [[[2**70, 1, 0], [0, 2**40, 1], [1, 0, 2**40]]],
+          [((0, 1), (0, 1)), ((2, 0), (1, 2)), ((1, 1), (0, 2))]))
+def test_minors_match_laplace_on_every_index_set(case):
+    p, q, k, stack, sets = case
+    A = emod._int_array(stack).reshape(len(stack), p, q)
+    rows, cols = (np.array(x, dtype=np.intp).reshape(len(sets), k)
+                  for x in zip(*sets))
+    got = emod._minors(A, rows, cols).tolist()
+    assert got == [[det_cofactor([[M[i][j] for j in c] for i in r])
+                    for r, c in sets] for M in stack]
+    assert all(type(v) is int for row in got for v in row)
+
+
 def test_det_stack_takes_python_ints_and_refuses_non_square_stacks():
     # an entry past int64 runs the whole stack on Python ints; the singular
     # matrix's rows go dead in the second column

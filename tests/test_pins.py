@@ -48,4 +48,4 @@ def test_pins_replay_in_process_and_match_the_workflow(tmp_path, capsys):
             (pin["name"], 0, pin["sha256"])
         path = pin.get("out", f"$RUNNER_TEMP/{pin['name']}.out")
         assert f"{pin['sha256']}  {path}" in workflow
-    assert len(PINS) == 13
+    assert len(PINS) == 20

@@ -318,8 +318,8 @@ def test_oversized_facet_search_is_refused_before_enumerating(monkeypatch):
 def test_oversized_vertex_search_is_refused_before_enumerating(monkeypatch):
     forms = [FacetForm((a, b, c, 1), 9) for a in range(-2, 3)
              for b in range(-2, 3) for c in range(-1, 3)]  # C(100, 4)
-    # the rank check and the cofactor table
-    for name in ("rank", "det_stack"):
+    # the rank check and the minors kernel
+    for name in ("rank", "_cross_stack"):
         monkeypatch.setattr(pmod, name, _never)
     with pytest.raises(ValueError, match=r"C\(100, 4\) = .* cap of 1000000"):
         Polytope.from_inequalities(forms, 4)
@@ -330,7 +330,7 @@ def test_oversized_recession_search_is_refused_before_the_rank_check(
     # C(23, 14) = 817190 vertex subsets pass the cap, the rays do not
     forms = [FacetForm(tuple(int(i == j) for j in range(14)), 1)
              for i in range(23)]
-    for name in ("rank", "det_stack"):
+    for name in ("rank", "_cross_stack"):
         monkeypatch.setattr(pmod, name, _never)
     with pytest.raises(
             pmod.BudgetError,

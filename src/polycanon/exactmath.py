@@ -16,8 +16,9 @@ cofactor rays of a stack off it, and :func:`_cofactor_stack` the cofactor
 matrices, with :func:`generalized_cross` the per-matrix twin.  Here
 ``fractions.Fraction`` appears only in the results of
 :func:`solve_rational` and in the Gram-Schmidt data of
-:func:`lll_reduce`; the polytope layer's vertex search reads its
-common-denominator solutions off cofactor rays, chunk by chunk.
+:func:`lll_reduce`; the polytope layer's inequality route reads its
+vertices, as common-denominator solutions, and its recession rays off the
+cofactor rays of one homogenized cone, chunk by chunk.
 
 An :class:`AffineChart` of a full-dimensional point set is the identity
 with origin 0 and maps points without any arithmetic.  Any other chart

@@ -10,14 +10,15 @@ which also keeps the boundary simplices themselves), whose planes come
 oriented and gcd-reduced: a dimension jump takes one determinant, for the
 base of the pyramid it makes, and every other plane comes from the pencil
 of two known ones.  The vertices are the points whose sets of tight facets
-are maximal (``_tight_form_masks``).  ``from_inequalities`` reads
-everything off cofactor rays from the one minors kernel of ``exactmath``
-(``_cross_stack``): it tests the ray of every ``(m-1)``-subset of normals
-for recession in one product with the normals, and reads each
-``m``-subset's point off its own ``m`` forms, as the ray ``(num, e)`` of
-their lifted rows ``(n, -o)``, testing it in integers; the
-``facet_duality`` check rebuilds every polytope through it.  A
-full-dimensional polytope's chart is the identity and costs no arithmetic.
+are maximal (``_tight_form_masks``).  ``from_inequalities`` runs one
+search, on the homogenized cone ``{(x, e) : n . x <= o e, e >= 0}``: its
+extreme rays are the cofactor rays, from the one minors kernel of
+``exactmath`` (``_cross_stack``), of ``m``-subsets of the rows ``(n, -o)``
+and ``(0, ..., 0, -1)``, each tested in integers by one product with
+those rows; a ray with ``e = 0`` is a recession ray, and every other is a
+vertex ``num / e``.  The ``facet_duality`` check rebuilds every polytope
+through it.  A full-dimensional polytope's chart is the identity and costs
+no arithmetic.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ from .exactmath import (
 
 BOX_POINT_CAP = 40_000_000
 # Input budgets, checked before any work starts.  SUBSET_CAP bounds the
-# C(#forms, m) inequality subsets of the vertex search and the
-# C(#forms, m - 1) cofactor rays of the recession search; tests and benchmark
-# reach C(13, 6) = 1716 (example2 d=6).
+# C(#forms, m) inequality subsets that give the vertices and the
+# C(#forms, m - 1) cofactor rays that test for recession, which the one
+# search of the inequality route streams together as C(#forms + 1, m);
+# tests and benchmark reach C(14, 6) = 3003 (example2 d=6).
 SUBSET_CAP = 1_000_000
 # PLACING_CAP bounds n * UBT(n, d): the placing pass scans its boundary once
 # per point, and by the upper bound theorem the boundary of a d-polytope on
@@ -61,8 +63,7 @@ SUBSET_CAP = 1_000_000
 # 1085871744, is refused.
 PLACING_CAP = 10_000_000
 # The inequality route takes the cofactor rays of this many subsets at a
-# time, in the recession search and in the vertex search, so no array grows
-# with C(#forms, m - 1) or C(#forms, m) past one chunk.
+# time, so no array grows with C(#forms + 1, m) past one chunk.
 _CHUNK = 2048
 
 
@@ -139,21 +140,26 @@ class Polytope:
                           name: Optional[str] = None) -> "Polytope":
         """Build from ``normal . x <= offset`` constraints.
 
-        Raises ``ValueError`` for unbounded or empty regions and for regions
-        whose vertices are not all lattice points, and ``BudgetError``
-        before any work when ``C(#forms, m)`` or ``C(#forms, m - 1)`` is
-        over ``SUBSET_CAP``.  After the rank check come the recession
-        search (:func:`_recession_ray`) and the vertex search
-        (:func:`_subset_points`), on the forms as the rows ``(n, -o)`` of
-        one array.
+        Raises ``ValueError`` for a normal whose length is not
+        ``ambient_dim`` or an ``ambient_dim`` below 1, for unbounded or
+        empty regions and for regions whose vertices are not all lattice
+        points, and ``BudgetError`` before any work when ``C(#forms, m)``
+        or ``C(#forms, m - 1)`` is over ``SUBSET_CAP``.  After the rank
+        check comes one search (:func:`_cone_points`) over the rows
+        ``(n, -o)`` of the forms, with the row ``(0, ..., 0, -1)`` first.
         """
+        m = ambient_dim
+        if m < 1:
+            raise ValueError("ambient_dim must be a positive integer")
         pairs = [(f.normal, f.offset) if isinstance(f, FacetForm) else tuple(f)
                  for f in forms]
-        for _, o in pairs:
+        for n, o in pairs:
+            if len(n) != m:
+                raise ValueError(f"normal {n!r} must be a list of"
+                                 f" {m} integers")
             if isinstance(o, bool) or not isinstance(o, int):
                 raise ValueError(f"offset {o!r} must be an integer")
         forms = tuple(FacetForm(as_vector(n), o) for n, o in pairs)
-        m = ambient_dim
         n = len(forms)
         _check_subsets(n, m,
                        "the vertex search would try {} inequality subsets")
@@ -161,11 +167,8 @@ class Polytope:
                        "the recession search would take {} cofactor rays")
         if rank([f.normal for f in forms]) < m:
             raise ValueError("unbounded polyhedron (normals do not span)")
-        L = _int_array([f.normal + (-f.offset,) for f in forms])
-        ray = _recession_ray(L[:, :-1])
-        if ray is not None:
-            raise ValueError(f"unbounded polyhedron (recession ray {ray})")
-        points = _subset_points(L)
+        points = _cone_points(_int_array(
+            [(0,) * m + (-1,)] + [f.normal + (-f.offset,) for f in forms]))
         if not points:
             raise ValueError("infeasible system (no vertices)")
         bad = [tuple(Fraction(a, row[-1]) for a in row[:-1])
@@ -660,51 +663,40 @@ def _check_subsets(n: int, r: int, what: str) -> None:
                           + f", over the cap of {SUBSET_CAP}")
 
 
-def _recession_ray(N: np.ndarray) -> Optional[tuple]:
-    """The first nonzero cofactor ray ``c`` of an ``(m-1)``-subset of the
-    rows of ``N``, in ``itertools.combinations`` order, with every
-    ``n . c <= 0`` over the rows ``n`` of ``N``, or with every
-    ``n . c >= 0`` (then ``-c``), as a tuple of ints; ``None`` if there is
-    none.  When the normals span, no ray is both.  The products run on
-    int64 while ``m * |n| * |c|`` stays below ``_INT64_GUARD``."""
-    n, m = N.shape
-    big = int(np.abs(N).max())
-    for S in _subset_chunks(n, m - 1):
-        rays = _cross_stack(N[S])
-        if m * big * int(np.abs(rays).max()) >= _INT64_GUARD:
-            rays = rays.astype(object)
-        prod = N @ rays.T
-        down = (prod <= 0).all(axis=0)
-        hit = np.flatnonzero((down | (prod >= 0).all(axis=0))
-                             & rays.any(axis=1))
-        if hit.size:
-            ray = tuple(rays[hit[0]].tolist())
-            return ray if down[hit[0]] else tuple(-a for a in ray)
-    return None
+def _cone_points(L: np.ndarray) -> set:
+    """The vertices ``num + (e,)``, in lowest terms with ``e > 0``, of the
+    polyhedron given by the rows ``(n, -o)`` of ``L`` below its first row
+    ``(0, ..., 0, -1)``.
 
-
-def _subset_points(L: np.ndarray) -> set:
-    """The points ``num + (e,)``, in lowest terms with ``e > 0``, where some
-    ``m``-subset of the forms ``n . x <= o``, given as the rows
-    ``(n, -o)`` of ``L``, meets in the one point ``num / e`` and that
-    point satisfies every form.
-
-    A subset's point is the cross ``(num, e)`` (:func:`_cross_stack`) of
-    its own rows: ``n . num = o e`` on each, so where ``e != 0`` (its
-    normals are independent) the point is ``num / e``, taken with
-    ``e > 0``.  It satisfies a form iff ``n . num - o e <= 0``, one
-    product with ``L``, on int64 while ``(m + 1) * |L| * |(num, e)|``
-    stays below ``_INT64_GUARD``."""
+    These rows cut out the homogenized cone ``{y : L y <= 0}`` of the
+    forms ``n . x <= o``, ``y = (x, e)``, which is pointed when the normals
+    span.  Its extreme rays with ``e > 0`` are the vertices ``num / e`` of
+    the polyhedron, and it has one with ``e = 0`` iff the polyhedron is
+    unbounded (Ziegler, *Lectures on Polytopes*, Lecture 1).  Each extreme
+    ray is the cross ``c`` of ``m`` rows of ``L`` (:func:`_cross_stack`),
+    taken as ``c`` when every ``L c <= 0`` and as ``-c`` when every
+    ``L c >= 0``, from one product with ``L``, on int64 while
+    ``(m + 1) * |L| * |c|`` stays below ``_INT64_GUARD``.  The subsets
+    holding the first row come first: their rays are ``(r, 0)`` for the
+    cross ``r`` of ``m - 1`` normals, up to sign, so the first ray with
+    ``e = 0``, raised as a ``ValueError``, is the first recession ray of
+    those normals in ``itertools.combinations`` order."""
     n, m = L.shape[0], L.shape[1] - 1
     big = int(np.abs(L).max())
     points = set()
     for S in _subset_chunks(n, m):
         c = _cross_stack(L[S])
-        c = c[c[:, -1] != 0]
-        c[c[:, -1] < 0] *= -1
-        if (m + 1) * big * int(np.abs(c).max(initial=0)) >= _INT64_GUARD:
+        if (m + 1) * big * int(np.abs(c).max()) >= _INT64_GUARD:
             c = c.astype(object)
-        for row in c[(c @ L.T <= 0).all(axis=1)].tolist():
+        prod = c @ L.T
+        up = (prod >= 0).all(axis=1)
+        c[up] *= -1
+        rays = c[(up | (prod <= 0).all(axis=1)) & c.any(axis=1)]
+        flat = np.flatnonzero(rays[:, -1] == 0)
+        if flat.size:
+            raise ValueError("unbounded polyhedron (recession ray"
+                             f" {tuple(rays[flat[0], :-1].tolist())})")
+        for row in rays.tolist():
             g = math.gcd(*row)
             points.add(tuple(a // g for a in row))
     return points

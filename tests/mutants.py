@@ -51,21 +51,21 @@ MUTANTS = [
      "tests": ["tests/test_checks.py::test_mask_checks_match_their_tuple_twins"]},
     # tests/test_polytope.py builds example2 at import, so a mutant that
     # breaks that build stops its collection; the family tests fail instead
-    {"name": "vertex-search-keeps-dependent-subsets",
+    {"name": "cone-search-keeps-zero-rays",
      "file": "src/polycanon/polytope.py",
-     "old": "        c = c[c[:, -1] != 0]\n",
+     "old": "(up | (prod <= 0).all(axis=1)) & c.any(axis=1)]",
+     "new": "(up | (prod <= 0).all(axis=1))]",
+     "tests": ["tests/test_families.py::test_capped_box_counts_scale_with_dimension"]},
+    {"name": "cone-search-keeps-rays-unoriented",
+     "file": "src/polycanon/polytope.py",
+     "old": "        c[up] *= -1\n",
      "new": "",
      "tests": ["tests/test_families.py::test_capped_box_counts_scale_with_dimension"]},
-    {"name": "vertex-search-keeps-negative-denominators",
+    {"name": "cone-search-without-the-homogenizing-row",
      "file": "src/polycanon/polytope.py",
-     "old": "        c[c[:, -1] < 0] *= -1\n",
+     "old": "[(0,) * m + (-1,)] + ",
      "new": "",
-     "tests": ["tests/test_polytope.py::test_vertex_search_matches_the_fraction_search"]},
-    {"name": "recession-keeps-zero-rays",
-     "file": "src/polycanon/polytope.py",
-     "old": "\n                             & rays.any(axis=1))",
-     "new": ")",
-     "tests": ["tests/test_families.py::test_capped_box_counts_scale_with_dimension"]},
+     "tests": ["tests/test_polytope.py::test_from_inequalities_unbounded_recession_ray"]},
     {"name": "cross-stack-without-alternation",
      "file": "src/polycanon/exactmath.py",
      "old": "_minors(A, cols[-1:], cols) * (1 - 2 * (np.arange(len(cols)) % 2))",
@@ -76,6 +76,33 @@ MUTANTS = [
      "old": "max(map(abs, dets), default=0) < _INT64_GUARD",
      "new": "True",
      "tests": ["tests/test_exactmath.py::test_minors_match_laplace_on_every_index_set"]},
+    {"name": "stellar-clash-with-the-previous-point-only",
+     "file": "src/polycanon/triangulation.py",
+     "old": "np.logical_or.accumulate(hits[:-1])",
+     "new": "hits[:-1]",
+     "tests": ["tests/test_triangulation.py::test_stellar_rounds_insert_points_together",
+               "tests/test_triangulation.py::test_stellar_table_matches_the_cell_loop"]},
+    {"name": "interior-respecting-takes-the-fine-pass",
+     "file": "src/polycanon/triangulation.py",
+     "old": "boundary = fine[1] if fine else _boundary_simplices(pts, interior)",
+     "new": "boundary = _fine(P)[1]",
+     "tests": ["tests/test_triangulation.py::test_interior_respecting_takes_no_fine_pass"]},
+    {"name": "scatter-ratio-nine",
+     "file": "src/polycanon/semigroup.py",
+     "old": "_SCATTER_RATIO = 8",
+     "new": "_SCATTER_RATIO = 9",
+     "tests": ["tests/test_semigroup.py::test_sumset_rule_scatters_only_small_sumsets"]},
+    {"name": "slice-ignores-facets-parallel-to-the-last-axis",
+     "file": "src/polycanon/polytope.py",
+     "old": "np.copyto(t_hi, t[0] - 1, where=r < 0)",
+     "new": "pass",
+     "tests": ["tests/test_polytope.py::test_slice_masks_and_vertices_match_their_twins",
+               "tests/test_polytope.py::test_numpy_and_python_scans_agree"]},
+    {"name": "reduced-degree-ignores-cached-slices",
+     "file": "src/polycanon/semigroup.py",
+     "old": "P._cache.get((\"slice\", k - j, True))",
+     "new": "None",
+     "tests": ["tests/test_semigroup.py::test_reduced_degree_reads_cached_interior_slices"]},
 ]
 
 

@@ -84,6 +84,20 @@ def test_from_inequalities_rejects_fractional_offset():
                                     FacetForm((-1,), 0)], 1)
 
 
+def test_from_inequalities_rejects_normals_of_another_length(unit_cube):
+    with pytest.raises(ValueError,
+                       match=r"normal \(-1, 0, 0\) must be a list of 2"):
+        Polytope.from_inequalities(unit_cube.facets, 2)
+    with pytest.raises(ValueError, match=r"normal \(-1,\) must be a list of 2"):
+        Polytope.from_inequalities([FacetForm((1, 0), 1), FacetForm((-1,), 0),
+                                    FacetForm((0, 1), 1)], 2)
+
+
+def test_from_inequalities_rejects_ambient_dim_below_one():
+    with pytest.raises(ValueError, match="ambient_dim must be a positive"):
+        Polytope.from_inequalities([FacetForm((), 0)], 0)
+
+
 def test_redundant_inequalities_are_dropped(unit_square):
     forms = list(unit_square.facets) + [FacetForm((1, 1), 5)]
     P = Polytope.from_inequalities(forms, 2)
@@ -458,6 +472,9 @@ def _vertices_or_message(build):
 @example(_RAY_AND_HALF)
 @example(([FacetForm((1, 0), 0), FacetForm((-1, 0), -1),
            FacetForm((0, 1), 0)], 2))  # infeasible, with the ray (0, -1)
+@example(([FacetForm((1,), 1)], 1))  # a half-line: the ray (-1,)
+@example(([FacetForm((2**62, -1), 0), FacetForm((-1, 0), 0)],
+          2))  # the ray (1, 2**62), on Python ints
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_vertex_search_matches_the_fraction_search(case):

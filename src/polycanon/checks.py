@@ -558,8 +558,15 @@ def run_suite(polytopes: Sequence[Polytope],
               threads: Optional[int] = None) -> dict:
     """Check every polytope; aggregate violations in input order."""
     if threads is None:
-        threads = int(os.environ.get("POLYCANON_THREADS", "1"))
-    threads = max(1, threads)
+        raw = os.environ.get("POLYCANON_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"POLYCANON_THREADS must be an integer, got {raw!r}") from None
+    # the workers share the GIL, so more than the cores (or the polytopes)
+    # would only start idle threads
+    threads = max(1, min(threads, len(polytopes), os.cpu_count() or 1))
     if threads == 1:
         results = [check_polytope(P) for P in polytopes]
     else:

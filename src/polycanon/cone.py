@@ -8,8 +8,9 @@ graded point is called its degree.
 ``GradedCone.codes`` sorts a whole array of points of one degree into
 interior, boundary and outside with one product by the cone's ambient
 forms, on int64 or, past the int64 guard, on Python ints;
-``GradedCone.classify`` is its labels view for a list of points, and
-``GradedCone.membership`` their exact per-point twin.
+``GradedCone.classify`` is its labels view for a list of points.  Their
+per-point twin ``GradedCone.membership`` takes the other route: the base's
+``Polytope.classify_point``, a slack loop over the facets of its chart.
 """
 
 from __future__ import annotations
@@ -95,23 +96,14 @@ class GradedCone:
 
     def membership(self, point: GradedPoint) -> str:
         """Classify a graded point: ``"interior"`` (relative interior of the
-        cone), ``"boundary"`` or ``"outside"``."""
-        y = point.lifted
-        if not any(y):
-            return "boundary"
-        for e in self.span_equations:
-            if dot(e, y) != 0:
-                return "outside"
+        cone), ``"boundary"`` or ``"outside"``.  A point of degree ``k``
+        other than the apex is labelled as the base labels its position
+        against the ``k``-th dilate (:meth:`Polytope.classify_point`)."""
         if point.degree < 0:
             return "outside"
-        on_boundary = point.degree == 0
-        for g in self.support_forms:
-            v = dot(g, y)
-            if v < 0:
-                return "outside"
-            if v == 0:
-                on_boundary = True
-        return "boundary" if on_boundary else "interior"
+        if point.degree == 0 and not any(point.position):
+            return "boundary"
+        return self.base.classify_point(point.position, scale=point.degree)
 
     def classify(self, positions: Sequence[tuple], degree: int) -> tuple:
         """``membership(GradedPoint(p, degree))`` for each ``p`` in

@@ -103,6 +103,12 @@ MUTANTS = [
      "old": "P._cache.get((\"slice\", k - j, True))",
      "new": "None",
      "tests": ["tests/test_semigroup.py::test_reduced_degree_reads_cached_interior_slices"]},
+    {"name": "classify-point-without-the-boundary",
+     "file": "src/polycanon/polytope.py",
+     "old": "return \"boundary\" if min_slack == 0 else \"interior\"",
+     "new": "return \"interior\"",
+     "tests": ["tests/test_cone.py::test_classify_matches_membership_on_both_routes",
+               "tests/test_polytope.py::test_classify_point_cases"]},
 ]
 
 

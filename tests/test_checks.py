@@ -1,6 +1,7 @@
 """Tests for the self-check suite and the reproducible corpus."""
 
 import json
+from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -243,6 +244,38 @@ def test_suite_reads_thread_env(monkeypatch):
     monkeypatch.delenv("POLYCANON_THREADS")
     r_one = run_suite(polys, threads=1)
     assert r_env == r_one
+
+
+@pytest.mark.parametrize("cpus, count, workers",
+                         [(3, 6, 3), (64, 4, 4), (None, 4, None)])
+def test_suite_starts_no_more_workers_than_cores_or_polytopes(
+        monkeypatch, cpus, count, workers):
+    polys = default_corpus(seed=9, count=count)
+    asked = []
+
+    class Inline:
+        """An executor that records ``max_workers`` and runs each task in
+        the caller, so no thread is started."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            f = Future()
+            f.set_result(fn(*args))
+            return f
+
+    monkeypatch.setattr(checks_mod, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(checks_mod.os, "cpu_count", lambda: cpus)
+    report = run_suite(polys, threads=10**6)
+    assert asked == ([] if workers is None else [workers])
+    assert report == run_suite(polys, threads=1)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])

@@ -354,6 +354,13 @@ def test_budget_refusal_on_threads_exits_one(capsys, monkeypatch):
     assert rc == 1 and out == "" and "cap of 3" in err
 
 
+def test_bad_thread_env_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("POLYCANON_THREADS", "abc")
+    rc, out, err = run_cli(capsys, "verify", "--corpus", "--count", "1")
+    assert rc == 1 and out == ""
+    assert "POLYCANON_THREADS must be an integer, got 'abc'" in err
+
+
 def test_usage_error_exits_one(capsys):
     # exit 2 is reserved for failed checks; usage problems report as 1
     rc, out, err = run_cli(capsys, "no-such-command")
